@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 internal invariant violation. Human-readable logging goes to stderr;
+3 internal error. Human-readable logging goes to stderr;
 artifacts and machine-readable output go to files or stdout.
 """
 
@@ -515,6 +515,10 @@ def main(argv: list[str] | None = None) -> int:
     except VeritagError as exc:
         log.error("%s", exc)
         return 2
+    except Exception as exc:  # last resort: one line, never a traceback
+        log.error("internal error: %s: %s", type(exc).__name__, exc)
+        log.debug("traceback of the internal error", exc_info=True)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

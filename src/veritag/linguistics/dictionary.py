@@ -9,9 +9,10 @@ everything else matches by case-insensitive equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from ..errors import DataError
 
@@ -120,11 +121,13 @@ def dictionary_scores(
     """Percent of tokens matching each category; all 0 for empty input.
 
     A token may count toward several categories but counts once per category.
+    Matching is case-insensitive, so each distinct lowercased token is
+    matched once and weighted by its count.
     """
     counts = [0] * len(dictionary.categories)
-    for token in tokens:
+    for token, n in Counter(map(str.lower, tokens)).items():
         for idx in dictionary.match(token):
-            counts[idx] += 1
+            counts[idx] += n
     total = len(tokens)
     if total == 0:
         return {name: 0.0 for name in dictionary.categories}

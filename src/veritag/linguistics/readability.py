@@ -8,8 +8,9 @@ and counts are 0.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..resources import easy_words as _default_easy_words
 from ..resources import stopwords as _default_stopwords
@@ -101,17 +102,29 @@ def readability_features(
             dw=0, lw=0, ps=0.0, url=0,
         )
 
-    syllables = [count_syllables(t) for t in tokens]
-    sy = sum(syllables)
-    complex_words = sum(1 for s in syllables if s >= 3)
-    cw_cap = sum(1 for t in tokens if t[:1].isupper())
-    lowered = [t.lower() for t in tokens]
-    lx = len(set(lowered))
-    dw = sum(1 for t in lowered if t not in easy)
-    lw = sum(1 for t in tokens if _letters(t) > 6)
-    ps = 100.0 * sum(1 for t in lowered if t in stop) / w
-    url = sum(1 for t in tokens if is_url_token(t))
-    letters = sum(_letters(t) for t in tokens)
+    # every per-token count below is computed once per distinct token and
+    # weighted by how often it occurs
+    counts = Counter(tokens)
+    syllables_of = {t: count_syllables(t) for t in counts}
+    sy = complex_words = cw_cap = lw = url = letters = 0
+    lowered: Counter[str] = Counter()
+    for t, n in counts.items():
+        s = syllables_of[t]
+        sy += s * n
+        if s >= 3:
+            complex_words += n
+        if t[:1].isupper():
+            cw_cap += n
+        t_letters = _letters(t)
+        letters += t_letters * n
+        if t_letters > 6:
+            lw += n
+        if is_url_token(t):
+            url += n
+        lowered[t.lower()] += n
+    lx = len(lowered)
+    dw = sum(n for t, n in lowered.items() if t not in easy)
+    ps = 100.0 * sum(n for t, n in lowered.items() if t in stop) / w
 
     ws = w / stc
     sy_per_w = sy / w
@@ -121,7 +134,9 @@ def readability_features(
     gfi = 0.4 * (ws + 100.0 * complex_words / w)
     cli = 0.0588 * (100.0 * letters / w) - 0.296 * (100.0 * stc / w) - 15.8
     ari = 4.71 * (ch / w) + 0.5 * ws - 21.43
-    lwi = _linsear_write(syllables, tokenized.sentences)
+    lwi = _linsear_write(
+        [syllables_of[t] for t in tokens[:_LINSEAR_SAMPLE]], tokenized.sentences
+    )
 
     return ReadabilityScores(
         fri=fri, fki=fki, msi=msi, gfi=gfi, cli=cli, ari=ari, lwi=lwi,

@@ -15,6 +15,7 @@ group is built on, so their behavior is pinned exactly:
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .. import resources
@@ -22,7 +23,10 @@ from .. import resources
 URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>\"']+")
 WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-_BOUNDARY_RE = re.compile(r"[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
+# A match can only succeed from the first mark of a run of ``.!?``, so the
+# lookbehind skips the other starts, each of which would rescan the rest of
+# the run: without it a long run of marks costs time quadratic in its length.
+_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
 
 
 @dataclass
@@ -39,69 +43,67 @@ def is_url_token(token: str) -> bool:
 
 
 def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> TokenizedText:
-    """Deterministic tokenization and sentence splitting per the module rules."""
+    """Deterministic tokenization and sentence splitting per the module rules.
+
+    Token spans are collected in text order, so their starts and ends are
+    both strictly increasing and every lookup below is a bisection: the
+    whole call is O(n log n) in the text length.
+    """
     if abbreviations is None:
         abbreviations = resources.abbreviations()
 
-    spans: list[tuple[int, int, str]] = []
-    url_ranges: list[tuple[int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    tokens: list[str] = []
+    url_starts: list[int] = []
+    url_ends: list[int] = []
+
+    def add_words(pos: int, endpos: int) -> None:
+        for w in WORD_RE.finditer(text, pos, endpos):
+            starts.append(w.start())
+            ends.append(w.end())
+            tokens.append(w.group())
+
     cursor = 0
     for m in URL_RE.finditer(text):
         url = m.group().rstrip(".,;:!?)\"'")
         if not url:
             continue
         end = m.start() + len(url)
-        for w in WORD_RE.finditer(text, cursor, m.start()):
-            spans.append((w.start(), w.end(), w.group()))
-        spans.append((m.start(), end, url))
-        url_ranges.append((m.start(), end))
+        add_words(cursor, m.start())
+        starts.append(m.start())
+        ends.append(end)
+        tokens.append(url)
+        url_starts.append(m.start())
+        url_ends.append(end)
         cursor = m.end()
-    for w in WORD_RE.finditer(text, cursor):
-        spans.append((w.start(), w.end(), w.group()))
-
-    tokens = [s[2] for s in spans]
-    boundaries = []
-    for m in _BOUNDARY_RE.finditer(text):
-        if any(a <= m.start() < b for a, b in url_ranges):
-            continue
-        punct = m.group().rstrip("\"'”’)]")
-        if punct == ".":
-            prev = _token_ending_at(spans, m.start())
-            if prev is not None and (prev.lower() in abbreviations or _is_initial(prev)):
-                continue
-        boundaries.append(m.end())
+    add_words(cursor, len(text))
 
     sentences: list[tuple[int, int]] = []
     start = 0
-    for boundary in boundaries:
-        end = _count_tokens_before(spans, boundary)
+    for m in _BOUNDARY_RE.finditer(text):
+        pos = m.start()
+        # URL ranges never overlap, so only the last one starting at or
+        # before pos can contain it
+        u = bisect_right(url_starts, pos) - 1
+        if u >= 0 and pos < url_ends[u]:
+            continue
+        punct = m.group().rstrip("\"'”’)]")
+        if punct == ".":
+            i = bisect_left(ends, pos)  # the token ending exactly at pos, if any
+            if i < len(ends) and ends[i] == pos:
+                prev = tokens[i]
+                if prev.lower() in abbreviations or _is_initial(prev):
+                    continue
+        end = bisect_left(starts, m.end())  # tokens starting before the boundary
         if end > start:
             sentences.append((start, end))
             start = end
     if start < len(tokens):
         sentences.append((start, len(tokens)))
 
-    char_count = sum(1 for c in text if not c.isspace())
+    char_count = len(text) - sum(map(str.isspace, text))
     return TokenizedText(tokens=tokens, sentences=sentences, char_count=char_count)
-
-
-def _token_ending_at(spans: list[tuple[int, int, str]], pos: int) -> str | None:
-    for s, e, tok in reversed(spans):
-        if e == pos:
-            return tok
-        if e < pos:
-            return None
-    return None
-
-
-def _count_tokens_before(spans: list[tuple[int, int, str]], pos: int) -> int:
-    n = 0
-    for s, _, _ in spans:
-        if s < pos:
-            n += 1
-        else:
-            break
-    return n
 
 
 def _is_initial(token: str) -> bool:

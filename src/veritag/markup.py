@@ -9,7 +9,6 @@ decoded with replacement characters.
 
 from __future__ import annotations
 
-import html as _html
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -62,11 +61,20 @@ class Element:
         return f"<Element {self.tag} children={len(self.children)}>"
 
     def iter_elements(self) -> Iterator["Element"]:
-        """All descendant elements in document order (self excluded)."""
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-                yield from child.iter_elements()
+        """All descendant elements in document order (self excluded).
+
+        Walks an explicit stack of child iterators, so nesting depth costs
+        neither recursion nor a per-level ``yield from`` hop.
+        """
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def find_all(self, tag: str) -> list["Element"]:
         return [el for el in self.iter_elements() if el.tag == tag]
@@ -80,36 +88,17 @@ class Element:
     def text(self, exclude: frozenset[str] = NON_CONTENT_TAGS) -> str:
         """Concatenated text of the subtree, skipping excluded tags entirely."""
         parts: list[str] = []
-        self._collect_text(parts, exclude)
-        return "".join(parts)
-
-    def _collect_text(self, parts: list[str], exclude: frozenset[str]) -> None:
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
-            elif child.tag not in exclude:
-                child._collect_text(parts, exclude)
-
-    def serialize(self) -> str:
-        """Markup-faithful HTML; re-parsing yields the same element structure."""
-        out: list[str] = []
-        self._serialize_into(out, root=self.tag == DOCUMENT_TAG)
-        return "".join(out)
-
-    def _serialize_into(self, out: list[str], root: bool = False) -> None:
-        if not root:
-            out.append(f"<{self.tag}")
-            for name, value in self.attrs.items():
-                out.append(f' {name}="{_html.escape(value, quote=True)}"')
-            out.append(">")
-        raw_text = self.tag in NON_CONTENT_TAGS
-        for child in self.children:
-            if isinstance(child, str):
-                out.append(child if raw_text else _html.escape(child, quote=False))
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    parts.append(child)
+                elif child.tag not in exclude:
+                    stack.append(iter(child.children))
+                    break
             else:
-                child._serialize_into(out)
-        if not root and self.tag not in VOID_ELEMENTS:
-            out.append(f"</{self.tag}>")
+                stack.pop()
+        return "".join(parts)
 
 
 DOCUMENT_TAG = "[document]"

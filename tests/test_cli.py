@@ -41,6 +41,23 @@ class TestEntryPoint:
     def test_jobs_must_be_positive(self, demo_corpus_dir):
         assert main(["ingest", "--corpus", str(demo_corpus_dir), "--jobs", "0"]) == 1
 
+    def test_unexpected_exception_exits_3_without_traceback(self, demo_corpus_dir):
+        # a fresh process, so stderr is exactly what a user would see
+        script = (
+            "import sys, veritag.cli as cli\n"
+            "def boom(args):\n"
+            "    raise RuntimeError('boom')\n"
+            "cli.cmd_ingest = boom\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "ingest", "--corpus", str(demo_corpus_dir)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["ERROR internal error: RuntimeError: boom"]
+
 
 class TestIngest:
     def test_summary_json(self, demo_corpus_dir, capsys):

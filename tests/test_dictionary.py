@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from veritag.errors import DataError
 from veritag.linguistics import CategoryDictionary, dictionary_scores, load_dictionary
+from veritag.resources import demo_dictionary_path
 
 
 class TestDemoDictionary:
@@ -119,3 +120,41 @@ class TestProperties:
     def test_scores_within_bounds(self, tokens, demo_dictionary):
         for value in dictionary_scores(tokens, demo_dictionary).values():
             assert 0.0 <= value <= 100.0
+
+
+def _reference_scores(tokens, dictionary):
+    """One ``match`` call per token occurrence: the oracle for scoring."""
+    counts = [0] * len(dictionary.categories)
+    for token in tokens:
+        for idx in dictionary.match(token):
+            counts[idx] += 1
+    if not tokens:
+        return {name: 0.0 for name in dictionary.categories}
+    return {
+        name: 100.0 * counts[i] / len(tokens) for i, name in enumerate(dictionary.categories)
+    }
+
+
+# literal patterns, prefix patterns with and without a suffix, and misses
+_VOCAB = sorted(
+    {p.rstrip("*") + suffix
+     for p, _ in load_dictionary(demo_dictionary_path()).patterns[::7]
+     for suffix in ("", "ing")}
+    | {"zzyzx", "qwerty", "x"}
+)
+
+
+def _mixed_case(word: str):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+
+
+_repeating_tokens = st.lists(st.sampled_from(_VOCAB).flatmap(_mixed_case), max_size=60)
+
+
+class TestMatchesReference:
+    @given(tokens=_repeating_tokens)
+    @settings(max_examples=200, deadline=None)
+    def test_scores_equal_per_token_reference(self, tokens, demo_dictionary):
+        assert dictionary_scores(tokens, demo_dictionary) == _reference_scores(tokens, demo_dictionary)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from markup_fixtures import FIXTURES
@@ -15,6 +16,7 @@ from veritag import (
     markup_features,
     parse_html,
 )
+from veritag.markup import BOILERPLATE_TAGS, NON_CONTENT_TAGS, Element
 
 
 class TestParseHtml:
@@ -190,3 +192,59 @@ class TestGranularityIndependence:
             vector = extract_document(doc, schema)
             rows[granularity] = dict(zip(schema.names, vector.values))
         assert rows["H"] == rows["C"] == rows["HC"]
+
+
+def _recursive_elements(element):
+    """Depth-first pre-order by recursion: the oracle for ``iter_elements``."""
+    out = []
+    for child in element.children:
+        if isinstance(child, Element):
+            out.append(child)
+            out.extend(_recursive_elements(child))
+    return out
+
+
+def _recursive_text(element, exclude):
+    parts = []
+    for child in element.children:
+        if isinstance(child, str):
+            parts.append(child)
+        elif child.tag not in exclude:
+            parts.append(_recursive_text(child, exclude))
+    return "".join(parts)
+
+
+_NESTED = (
+    "<html><head><title>T</title><script>x()</script></head><body>"
+    "<div id=a><p>one <b>bold <i>it</i></b> tail<p>two</p>"
+    "<ul><li>a<li>b<ul><li>c</ul></ul><nav>menu <a href=x>link</a></nav></div>"
+    "loose<div><span>s</span><br><style>p{}</style>end</div><footer>f</footer></body></html>"
+)
+
+
+class TestTraversal:
+    def test_iter_elements_matches_recursive_order(self):
+        tree = parse_html(_NESTED)
+        for element in [tree] + _recursive_elements(tree):
+            assert list(element.iter_elements()) == _recursive_elements(element)
+
+    @pytest.mark.parametrize("exclude", [NON_CONTENT_TAGS, BOILERPLATE_TAGS, frozenset()])
+    def test_text_matches_recursive(self, exclude):
+        tree = parse_html(_NESTED)
+        for element in [tree] + _recursive_elements(tree):
+            assert element.text(exclude) == _recursive_text(element, exclude)
+
+    def test_ten_thousand_deep_page_extracts(self, demo_dictionary):
+        html = (
+            "<html><body>" + "<div>" * 10_000
+            + "<p>The vote ended quickly. Residents asked about the budget.</p></body></html>"
+        )
+        doc = RawDocument(
+            id="deep-1", url="https://news.example/deep", site="news.example",
+            label="reliable", year=2016, html=html.encode(),
+        )
+        schema = build_schema("HC", ("N", "L", "R", "W"), demo_dictionary)
+        vector = extract_document(doc, schema, demo_dictionary)
+        assert np.all(np.isfinite(vector.values))
+        features = dict(zip(schema.names, vector.values))
+        assert (features["R.W"], features["R.STC"]) == (9.0, 2.0)

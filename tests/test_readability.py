@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,13 @@ from veritag.linguistics import (
     readability_features,
     tokenize,
 )
-from veritag.resources import reference_text
+from veritag.linguistics.readability import (
+    ReadabilityScores,
+    _letters,
+    _linsear_write,
+)
+from veritag.linguistics.text import is_url_token
+from veritag.resources import easy_words, reference_text, stopwords
 
 
 class TestSingleSentenceOracle:
@@ -133,3 +141,66 @@ class TestSyllableConsistency:
         tk = tokenize(text)
         r = readability_features(tk)
         assert r.sy == sum(count_syllables(t) for t in tk.tokens)
+
+
+def _reference_features(tokenized):
+    """Every count taken token by token: the oracle for the counted version."""
+    easy, stop = easy_words(), stopwords()
+    tokens = tokenized.tokens
+    w, stc, ch = len(tokens), len(tokenized.sentences), tokenized.char_count
+    if w == 0 or stc == 0:
+        return ReadabilityScores(
+            fri=0.0, fki=0.0, msi=0.0, gfi=0.0, cli=0.0, ari=0.0, lwi=0.0,
+            ws=0.0, w=0, stc=0, ch=ch, sy=0, lx=0, cw_cap=0, cw_complex=0,
+            dw=0, lw=0, ps=0.0, url=0,
+        )
+    syllables = [count_syllables(t) for t in tokens]
+    sy = sum(syllables)
+    complex_words = sum(1 for s in syllables if s >= 3)
+    lowered = [t.lower() for t in tokens]
+    letters = sum(_letters(t) for t in tokens)
+    ws = w / stc
+    return ReadabilityScores(
+        fri=206.835 - 1.015 * ws - 84.6 * (sy / w),
+        fki=0.39 * ws + 11.8 * (sy / w) - 15.59,
+        msi=1.0430 * math.sqrt(complex_words * 30.0 / stc) + 3.1291,
+        gfi=0.4 * (ws + 100.0 * complex_words / w),
+        cli=0.0588 * (100.0 * letters / w) - 0.296 * (100.0 * stc / w) - 15.8,
+        ari=4.71 * (ch / w) + 0.5 * ws - 21.43,
+        lwi=_linsear_write(syllables, tokenized.sentences),
+        ws=ws, w=w, stc=stc, ch=ch, sy=sy, lx=len(set(lowered)),
+        cw_cap=sum(1 for t in tokens if t[:1].isupper()),
+        cw_complex=complex_words,
+        dw=sum(1 for t in lowered if t not in easy),
+        lw=sum(1 for t in tokens if _letters(t) > 6),
+        ps=100.0 * sum(1 for t in lowered if t in stop) / w,
+        url=sum(1 for t in tokens if is_url_token(t)),
+    )
+
+
+# easy words, stopwords, long and many-syllable words, a URL, an
+# apostrophe and digits, each drawn repeatedly in random case
+_VOCAB = (
+    "the", "and", "of", "cat", "table", "little", "government", "considerable",
+    "independent", "make", "rhythm", "don't", "2019", "www.example.com", "said",
+)
+
+
+def _mixed_case(word: str):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+
+
+_repeating_texts = st.lists(
+    st.tuples(st.sampled_from(_VOCAB).flatmap(_mixed_case), st.sampled_from([" ", " ", ", ", ". ", "! "])),
+    max_size=150,
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+
+
+class TestMatchesReference:
+    @given(_repeating_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_features_equal_per_token_reference(self, text):
+        tk = tokenize(text)
+        assert readability_features(tk).as_features() == _reference_features(tk).as_features()
