@@ -53,7 +53,7 @@ from .featureset import (
     FeatureSchema,
     apply_paper_pruning,
     build_schema,
-    extract_corpus,
+    extract_document,
     granularity_text,
     read_feature_csv,
     read_schema,
@@ -117,26 +117,38 @@ def _load_docs(corpus: str, cfg: RunConfig):
     return manifest, list(manifest.iter_documents())
 
 
-def _schema_for(args: argparse.Namespace, cfg: RunConfig, resources, names=None) -> FeatureSchema:
+def _schema_for(args: argparse.Namespace, cfg: RunConfig, resources) -> FeatureSchema:
     """Schema from --schema when given, else built from the config."""
-    if getattr(args, "schema", None):
-        schema = read_schema(args.schema)
-        if names is not None and tuple(names) != schema.names:
-            raise DataError(f"{args.schema}: schema does not match the feature columns")
-        return schema
-    if names is not None:
-        groups = []
-        for name in names:
-            group = name.split(".", 1)[0]
-            if group not in groups:
-                groups.append(group)
-        return FeatureSchema(
-            names=tuple(names), granularity=cfg.granularity, groups=tuple(groups)
-        )
+    if args.schema:
+        return read_schema(args.schema)
     schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary)
     if cfg.pruning == "paper":
         schema = apply_paper_pruning(schema)
     return schema
+
+
+def _read_features(
+    args: argparse.Namespace, cfg: RunConfig, purpose: str
+) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
+    """Labeled matrix of --features and its schema. A --schema may name a
+    subset of the feature columns; the matrix is projected to its order."""
+    vectors, names = read_feature_csv(args.features)
+    X, y, _ = vectors_to_matrix(vectors)
+    if y is None:
+        raise DataError(f"{args.features}: {purpose} needs a label column")
+    if not args.schema:
+        groups = tuple(dict.fromkeys(name.split(".", 1)[0] for name in names))
+        schema = FeatureSchema(names=tuple(names), granularity=cfg.granularity, groups=groups)
+        return X, y, schema
+    schema = read_schema(args.schema)
+    missing = sorted(set(schema.names) - set(names))
+    if missing:
+        raise DataError(
+            f"{args.schema}: {len(missing)} schema names are not columns of "
+            f"{args.features}, first {missing[0]!r}"
+        )
+    column = {name: i for i, name in enumerate(names)}
+    return X.take([column[n] for n in schema.names], axis=1), y, schema
 
 
 def _out_handle(path: str | None):
@@ -229,9 +241,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
     schema = _schema_for(args, cfg, resources)
-    vectors = extract_corpus(
-        docs, schema, resources.dictionary, resources.tagger, resources.ad_domains
-    )
+    vectors = [
+        extract_document(doc, schema, resources.dictionary, resources.tagger, resources.ad_domains)
+        for doc in docs
+    ]
     write_feature_csv(args.out, schema, vectors)
     if args.schema_out:
         write_schema(args.schema_out, schema)
@@ -242,11 +255,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    vectors, names = read_feature_csv(args.features)
-    X, y, _ = vectors_to_matrix(vectors)
-    if y is None:
-        raise DataError(f"{args.features}: selection needs a label column")
-    schema = _schema_for(args, cfg, resources=None, names=names)
+    X, y, schema = _read_features(args, cfg, "selection")
     pruned, scores = select_features(
         X, y, schema,
         bins=cfg.bins, trees=cfg.selection_trees, lam=cfg.l1_lambda,
@@ -277,11 +286,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         if not args.features:
             raise ConfigError(f"{cfg.classifier} trains from features: pass --features")
-        vectors, names = read_feature_csv(args.features)
-        X, y, _ = vectors_to_matrix(vectors)
-        if y is None:
-            raise DataError(f"{args.features}: training needs a label column")
-        schema = _schema_for(args, cfg, resources=None, names=names)
+        X, y, schema = _read_features(args, cfg, "training")
         pipeline = train_tag_pipeline(X, y, schema, settings)
     save_pipeline(pipeline, args.out)
     log.info("trained %s pipeline -> %s", cfg.classifier, args.out)
@@ -435,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     _add_feature_flags(p)
     p.add_argument("--features", required=True, help="labeled feature CSV")
-    p.add_argument("--schema", help="schema JSON matching the feature CSV")
+    p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--trees", dest="selection_trees", type=int, default=None)
     p.add_argument("--lambda", dest="l1_lambda", type=float, default=None)
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_feature_flags(p)
     _add_classifier_flags(p)
     p.add_argument("--features", help="labeled feature CSV (svm/knn/rf)")
-    p.add_argument("--schema", help="schema JSON matching the feature CSV")
+    p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
     p.add_argument("--corpus", help="corpus directory (baseline-svm)")
     p.add_argument("--min-df", dest="min_df", type=int, default=None)
     p.add_argument("--out", required=True, help="model file path")

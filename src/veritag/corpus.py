@@ -11,9 +11,9 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ConfigError, DataError, InvariantError
 from .linguistics import tokenize
@@ -30,17 +30,6 @@ MANIFEST_NAME = "manifest.jsonl"
 SITE_LABELS_NAME = "site_labels.json"
 
 FILTER_MODEL_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class PageRecord:
-    """A crawled page before any label is attached."""
-
-    id: str
-    url: str
-    site: str
-    year: int
-    html: bytes
 
 
 @dataclass(frozen=True)
@@ -169,38 +158,6 @@ def load_manifest(
                 )
             )
     return CorpusManifest(root=root, entries=entries, site_labels=dict(site_labels))
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    documents: list[RawDocument]
-    dropped: int
-
-
-def project_labels(
-    site_labels: Mapping[str, str], pages: Sequence[PageRecord]
-) -> ProjectionResult:
-    """Attach each page's site label; pages from unknown sites are dropped."""
-    documents: list[RawDocument] = []
-    dropped = 0
-    for page in pages:
-        label = site_labels.get(page.site)
-        if label is None:
-            dropped += 1
-            continue
-        if label not in LABELS:
-            raise DataError(f"site {page.site!r} has invalid label {label!r}")
-        documents.append(
-            RawDocument(
-                id=page.id,
-                url=page.url,
-                site=page.site,
-                label=label,
-                year=page.year,
-                html=page.html,
-            )
-        )
-    return ProjectionResult(documents=documents, dropped=dropped)
 
 
 def _terms(text: str) -> list[str]:

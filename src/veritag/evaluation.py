@@ -15,9 +15,15 @@ import numpy as np
 
 from .corpus import LABEL_TO_CLASS, RawDocument
 from .errors import ConfigError, DataError, InvariantError
-from .featureset import apply_paper_pruning, build_schema, extract_document, granularity_text
+from .featureset import (
+    FeatureSchema,
+    apply_paper_pruning,
+    build_schema,
+    extract_document,
+    granularity_text,
+)
 from .linguistics import CategoryDictionary, Tagger, tokenize
-from .markup import extract_article, parse_html
+from .markup import Article, extract_article, parse_html
 from .models import ClassifierSettings, TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
 from .resources import stopwords as _default_stopwords
 
@@ -109,64 +115,98 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     return folds
 
 
+def _tag_schema(spec: PipelineSpec, dictionary: CategoryDictionary | None) -> FeatureSchema:
+    schema = build_schema(spec.granularity, spec.groups, dictionary)
+    return apply_paper_pruning(schema) if spec.pruning == "paper" else schema
+
+
+@dataclass(frozen=True)
 class _Fitter:
-    """Prepares a corpus once, then trains/test on index subsets."""
+    """Trains and tests on index subsets of a corpus extracted once. A tag
+    spec reads the ``columns`` of ``X`` that hold ``schema``'s features;
+    the baseline reads the pages' articles."""
 
-    def __init__(
-        self,
-        docs: Sequence[RawDocument],
-        spec: PipelineSpec,
-        resources: ExtractionResources,
-    ) -> None:
-        self.spec = spec
-        self.resources = resources
-        self.y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
-        if spec.kind == "tag":
-            schema = build_schema(spec.granularity, spec.groups, resources.dictionary)
-            if spec.pruning == "paper":
-                schema = apply_paper_pruning(schema)
-            self.schema = schema
-            self.X = np.stack(
-                [
-                    extract_document(
-                        doc, schema, resources.dictionary, resources.tagger,
-                        resources.ad_domains,
-                    ).values
-                    for doc in docs
-                ]
-            )
-        else:
-            self.articles = [extract_article(parse_html(d.html)) for d in docs]
+    spec: PipelineSpec
+    y: np.ndarray
+    dictionary: CategoryDictionary | None
+    schema: FeatureSchema | None = None
+    X: np.ndarray | None = None
+    columns: np.ndarray | None = None
+    articles: Sequence[Article] | None = None
 
-    def fit(self, train_idx: np.ndarray) -> TrainedPipeline:
+    def view(self, spec: PipelineSpec) -> _Fitter:
+        """The same corpus under another spec whose schema is a column
+        selection of this one's (same granularity, fewer groups or pruned)."""
+        if spec.kind == "baseline":
+            return dataclasses.replace(self, spec=spec)
+        schema = _tag_schema(spec, self.dictionary)
+        columns = [self.columns[self.schema.index_of(n)] for n in schema.names]
+        return dataclasses.replace(
+            self, spec=spec, schema=schema, columns=np.array(columns, dtype=np.intp)
+        )
+
+    def fit(self, train_idx: np.ndarray, settings: ClassifierSettings) -> TrainedPipeline:
         y_train = self.y[train_idx]
         if np.unique(y_train).size < 2:
             raise DataError("training subset has a single class")
         if self.spec.kind == "tag":
             return train_tag_pipeline(
-                self.X[train_idx], y_train, self.schema, self.spec.classifier
+                self.X[np.ix_(train_idx, self.columns)], y_train, self.schema, settings
             )
-        train_articles = [self.articles[i] for i in train_idx]
-        assert self.resources.dictionary is not None
+        assert self.dictionary is not None
         return train_baseline_pipeline(
-            train_articles,
+            [self.articles[i] for i in train_idx],
             y_train,
             self.spec.granularity,
-            self.resources.dictionary,
-            self.spec.classifier,
+            self.dictionary,
+            settings,
             min_df=self.spec.min_df,
         )
 
     def evaluate(self, pipeline: TrainedPipeline, test_idx: np.ndarray) -> float:
         if self.spec.kind == "tag":
-            predictions, _ = pipeline.predict_matrix(self.X[test_idx])
+            X = self.X[np.ix_(test_idx, self.columns)]
         else:
             assert pipeline.featurizer is not None
-            articles = [self.articles[i] for i in test_idx]
-            predictions, _ = pipeline.predict_matrix(
-                pipeline.featurizer.transform_many(articles)
-            )
+            X = pipeline.featurizer.transform_many([self.articles[i] for i in test_idx])
+        predictions, _ = pipeline.predict_matrix(X)
         return accuracy(predictions, self.y[test_idx])
+
+
+def _prepare(
+    docs: Sequence[RawDocument], spec: PipelineSpec, resources: ExtractionResources
+) -> _Fitter:
+    """Extract the corpus once for one spec."""
+    y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
+    if spec.kind == "baseline":
+        articles = [extract_article(parse_html(d.html)) for d in docs]
+        return _Fitter(spec, y, resources.dictionary, articles=articles)
+    schema = _tag_schema(spec, resources.dictionary)
+    X = np.stack(
+        [
+            extract_document(
+                doc, schema, resources.dictionary, resources.tagger, resources.ad_domains
+            ).values
+            for doc in docs
+        ]
+    )
+    return _Fitter(spec, y, resources.dictionary, schema, X, np.arange(len(schema.names)))
+
+
+def _cv(fitter: _Fitter, k: int, seed: int) -> EvalReport:
+    if np.unique(fitter.y).size < 2:
+        raise DataError("corpus has a single class")
+    folds = stratified_folds(fitter.y, k, seed)
+    accuracies = []
+    for f in range(k):
+        pipeline = fitter.fit(np.flatnonzero(folds != f), fitter.spec.classifier)
+        accuracies.append(fitter.evaluate(pipeline, np.flatnonzero(folds == f)))
+    return EvalReport(
+        protocol="cv",
+        fold_accuracies=tuple(accuracies),
+        mean_accuracy=float(np.mean(accuracies)),
+        config={"k": k, "seed": seed, **fitter.spec.echo()},
+    )
 
 
 def kfold_cv(
@@ -179,23 +219,7 @@ def kfold_cv(
     """Stratified k-fold cross-validation. Standardizer and (for the
     baseline) the TF-IDF vocabulary are fit inside each fold on its
     training part only."""
-    fitter = _Fitter(docs, spec, resources)
-    if np.unique(fitter.y).size < 2:
-        raise DataError("corpus has a single class")
-    folds = stratified_folds(fitter.y, k, seed)
-    accuracies = []
-    for f in range(k):
-        test_idx = np.flatnonzero(folds == f)
-        train_idx = np.flatnonzero(folds != f)
-        pipeline = fitter.fit(train_idx)
-        accuracies.append(fitter.evaluate(pipeline, test_idx))
-    config = {"k": k, "seed": seed, **spec.echo()}
-    return EvalReport(
-        protocol="cv",
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        config=config,
-    )
+    return _cv(_prepare(docs, spec, resources), k, seed)
 
 
 def temporal_eval(
@@ -209,7 +233,7 @@ def temporal_eval(
     years = tuple(sorted({d.year for d in docs}))
     if len(years) < 2:
         raise DataError("temporal evaluation needs at least 2 distinct years")
-    fitter = _Fitter(docs, spec, resources)
+    fitter = _prepare(docs, spec, resources)
     doc_years = np.array([d.year for d in docs])
     cells: dict[tuple[int, int], float] = {}
     train_means: dict[int, float] = {}
@@ -218,7 +242,7 @@ def temporal_eval(
         if np.unique(fitter.y[train_idx]).size < 2 or train_idx.size < 2:
             log.warning("year %s has a single class; temporal row skipped", train_year)
             continue
-        pipeline = fitter.fit(train_idx)
+        pipeline = fitter.fit(train_idx, spec.classifier)
         row = []
         for test_year in years:
             if test_year == train_year:
@@ -241,18 +265,16 @@ def cross_domain_eval(
     classifiers: Sequence[str] = ("svm", "knn", "rf"),
 ) -> dict[str, float]:
     """Fit on the whole training corpus, score on the whole test corpus,
-    once per classifier."""
-    results: dict[str, float] = {}
-    for name in classifiers:
-        settings = dataclasses.replace(spec.classifier, name=name)
-        cell_spec = dataclasses.replace(spec, classifier=settings)
-        fitter = _Fitter(list(train_docs) + list(test_docs), cell_spec, resources)
-        n_train = len(train_docs)
-        pipeline = fitter.fit(np.arange(n_train))
-        results[name] = fitter.evaluate(
-            pipeline, np.arange(n_train, n_train + len(test_docs))
+    once per classifier; both corpora are extracted once."""
+    fitter = _prepare([*train_docs, *test_docs], spec, resources)
+    train_idx = np.arange(len(train_docs))
+    test_idx = np.arange(len(train_docs), fitter.y.size)
+    return {
+        name: fitter.evaluate(
+            fitter.fit(train_idx, dataclasses.replace(spec.classifier, name=name)), test_idx
         )
-    return results
+        for name in classifiers
+    }
 
 
 def feature_grid_eval(
@@ -264,14 +286,20 @@ def feature_grid_eval(
     k: int = 5,
     seed: int = 0,
 ) -> list[EvalReport]:
-    """kfold_cv per (feature groups, granularity) cell."""
+    """kfold_cv per (feature groups, granularity) cell. Groups share no
+    inputs, so each page is extracted once per granularity with every
+    requested group, and each cell reads its schema's columns of that."""
+    union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
+    wide: dict[str | None, _Fitter] = {}
     reports = []
     for groups in group_sets:
         for granularity in granularities:
-            cell_spec = dataclasses.replace(
-                spec, groups=tuple(groups), granularity=granularity
-            )
-            reports.append(kfold_cv(docs, cell_spec, resources, k=k, seed=seed))
+            cell = dataclasses.replace(spec, groups=tuple(groups), granularity=granularity)
+            key = granularity if spec.kind == "tag" else None  # the baseline reads articles
+            if key not in wide:
+                wide_spec = dataclasses.replace(cell, groups=union, pruning="none")
+                wide[key] = _prepare(docs, wide_spec, resources)
+            reports.append(_cv(wide[key].view(cell), k, seed))
     return reports
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .linguistics import (
 )
 from .markup import (
     Article,
-    Element,
     WebMarkupFeatures,
     extract_article,
     markup_features,
@@ -142,24 +141,22 @@ def granularity_text(article: Article, granularity: str) -> str:
     return article.headline + "\n" + article.content
 
 
-def extract_tag_features(
-    article: Article,
-    tree: Element,
+def extract_document(
+    doc: RawDocument,
     schema: FeatureSchema,
     dictionary: CategoryDictionary | None = None,
     tagger: Tagger | None = None,
     ad_domains: frozenset[str] | None = None,
-    doc_id: str = "",
-    label: int | None = None,
 ) -> FeatureVector:
-    """Compute the schema's features for one page."""
+    """Parse a raw page and compute the schema's features for it. Only the
+    schema's granularity and groups are computed."""
     if "L" in schema.groups and dictionary is None:
         raise ConfigError("psychological group requires a category dictionary")
 
+    tree = parse_html(doc.html)
     by_name: dict[str, float] = {}
-    need_linguistic = any(g in schema.groups for g in ("N", "L", "R"))
-    if need_linguistic:
-        text = granularity_text(article, schema.granularity)
+    if any(g in schema.groups for g in ("N", "L", "R")):
+        text = granularity_text(extract_article(tree), schema.granularity)
         tokenized = tokenize(text)
         if "N" in schema.groups:
             counts = morphological_features(
@@ -185,41 +182,7 @@ def extract_tag_features(
         values = np.array([by_name[name] for name in schema.names], dtype=np.float64)
     except KeyError as exc:
         raise InvariantError(f"schema name {exc} not produced by extraction") from exc
-    return FeatureVector(doc_id=doc_id, values=values, label=label)
-
-
-def extract_document(
-    doc: RawDocument,
-    schema: FeatureSchema,
-    dictionary: CategoryDictionary | None = None,
-    tagger: Tagger | None = None,
-    ad_domains: frozenset[str] | None = None,
-) -> FeatureVector:
-    """Parse a raw page and extract its feature vector."""
-    tree = parse_html(doc.html)
-    article = extract_article(tree)
-    return extract_tag_features(
-        article,
-        tree,
-        schema,
-        dictionary=dictionary,
-        tagger=tagger,
-        ad_domains=ad_domains,
-        doc_id=doc.id,
-        label=LABEL_TO_CLASS[doc.label],
-    )
-
-
-def extract_corpus(
-    docs: Iterable[RawDocument],
-    schema: FeatureSchema,
-    dictionary: CategoryDictionary | None = None,
-    tagger: Tagger | None = None,
-    ad_domains: frozenset[str] | None = None,
-) -> list[FeatureVector]:
-    return [
-        extract_document(doc, schema, dictionary, tagger, ad_domains) for doc in docs
-    ]
+    return FeatureVector(doc_id=doc.id, values=values, label=LABEL_TO_CLASS[doc.label])
 
 
 def _matches(base_name: str, entry: str) -> bool:
@@ -303,12 +266,6 @@ def standardize_apply(params: StandardizerParams, matrix: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(out)):
         raise InvariantError("standardization produced non-finite values")
     return out
-
-
-def standardize_invert(params: StandardizerParams, matrix: np.ndarray) -> np.ndarray:
-    """Undo standardize_apply; zero-variance features recover their mean."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return matrix * params.stddev + params.mean
 
 
 def vectors_to_matrix(

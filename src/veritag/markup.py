@@ -10,6 +10,7 @@ decoded with replacement characters.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from typing import Iterator
@@ -109,6 +110,9 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.root = Element(DOCUMENT_TAG)
         self.stack: list[Element] = [self.root]
+        # Open elements per tag name, so an end tag that closes nothing
+        # returns without scanning the stack.
+        self.open_counts: defaultdict[str, int] = defaultdict(int)
 
     def _top(self) -> Element:
         return self.stack[-1]
@@ -117,22 +121,26 @@ class _TreeBuilder(HTMLParser):
         closers = AUTOCLOSE.get(tag)
         if closers:
             while len(self.stack) > 1 and self._top().tag in closers:
-                self.stack.pop()
+                self.open_counts[self.stack.pop().tag] -= 1
         element = Element(tag, _attr_dict(attrs))
         self._top().children.append(element)
         if tag not in VOID_ELEMENTS:
             self.stack.append(element)
+            self.open_counts[tag] += 1
 
     def handle_startendtag(self, tag: str, attrs) -> None:
         element = Element(tag, _attr_dict(attrs))
         self._top().children.append(element)
 
     def handle_endtag(self, tag: str) -> None:
-        for depth in range(len(self.stack) - 1, 0, -1):
-            if self.stack[depth].tag == tag:
-                del self.stack[depth:]
+        if not self.open_counts[tag]:
+            return  # stray end tag: ignore
+        # Close up to and including the nearest open element of this tag.
+        while True:
+            closed = self.stack.pop().tag
+            self.open_counts[closed] -= 1
+            if closed == tag:
                 return
-        # stray end tag: ignore
 
     def handle_data(self, data: str) -> None:
         if data:

@@ -1,6 +1,6 @@
 """Classifiers, the content baseline, and pipeline persistence."""
 
-from .baseline import BaselineFeaturizer, baseline_features
+from .baseline import BaselineFeaturizer
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
 from .persistence import MODEL_FORMAT_VERSION, load_pipeline, save_pipeline
@@ -24,7 +24,6 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
     "RandomForestModel",
     "TrainedPipeline",
-    "baseline_features",
     "classifier_predict",
     "knn_predict",
     "knn_train",

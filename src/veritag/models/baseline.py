@@ -28,8 +28,8 @@ from ..markup import Article
 DEFAULT_MIN_DF = 2
 
 
-def _ngrams(text: str, ngram_max: int = 2) -> list[str]:
-    tokens = [t.lower() for t in tokenize(text).tokens]
+def _ngrams(tokens: Sequence[str], ngram_max: int = 2) -> list[str]:
+    tokens = [t.lower() for t in tokens]
     grams = list(tokens)
     for size in range(2, ngram_max + 1):
         grams.extend(
@@ -57,7 +57,7 @@ class BaselineFeaturizer:
         df: dict[str, int] = {}
         for article in articles:
             text = granularity_text(article, self.granularity)
-            for term in set(_ngrams(text)):
+            for term in set(_ngrams(tokenize(text).tokens)):
                 df[term] = df.get(term, 0) + 1
         n = len(articles)
         self.vocabulary = tuple(sorted(t for t, c in df.items() if c >= self.min_df))
@@ -88,7 +88,7 @@ class BaselineFeaturizer:
 
         tfidf = np.zeros(len(self.vocabulary))
         index = {t: i for i, t in enumerate(self.vocabulary)}
-        for term in _ngrams(text):
+        for term in _ngrams(tokenized.tokens):
             i = index.get(term)
             if i is not None:
                 tfidf[i] += 1.0
@@ -106,7 +106,3 @@ class BaselineFeaturizer:
 
     def transform_many(self, articles: Sequence[Article]) -> np.ndarray:
         return np.stack([self.transform(a) for a in articles])
-
-
-def baseline_features(article: Article, featurizer: BaselineFeaturizer) -> np.ndarray:
-    return featurizer.transform(article)

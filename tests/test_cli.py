@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from veritag.cli import main
+from veritag.demo import main as demo_main
 
 
 def _lines(path):
@@ -231,6 +234,34 @@ class TestFeatureFlow:
                      "--jobs", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == artifacts["features"].read_bytes()
 
+    def test_schema_projects_a_superset_csv(self, artifacts, demo_corpus_dir, tmp_path):
+        pruned = str(artifacts["pruned"])
+        selected = tmp_path / "selected-features.csv"
+        assert main(["extract", "--corpus", str(demo_corpus_dir),
+                     "--schema", pruned, "--out", str(selected)]) == 0
+        outputs = {}
+        for source in ("selected", "full"):
+            features = selected if source == "selected" else artifacts["features"]
+            model, schema = tmp_path / f"{source}.bin", tmp_path / f"{source}.json"
+            assert main(["train", "--features", str(features), "--schema", pruned,
+                         "--out", str(model)]) == 0
+            assert main(["select", "--features", str(features), "--schema", pruned,
+                         "--out", str(schema)]) == 0
+            names = json.loads(schema.read_text(encoding="utf-8"))["names"]
+            outputs[source] = (model.read_bytes(), names)
+        assert outputs["full"] == outputs["selected"]
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_schema_naming_a_missing_column_is_a_data_error(
+        self, artifacts, demo_corpus_dir, tmp_path, command
+    ):
+        features = tmp_path / "readability.csv"
+        assert main(["extract", "--corpus", str(demo_corpus_dir),
+                     "--groups", "R", "--out", str(features)]) == 0
+        assert main([command, "--features", str(features),
+                     "--schema", str(artifacts["schema"]),
+                     "--out", str(tmp_path / "out")]) == 2
+
     def test_paper_pruning_shrinks_the_schema(self, demo_corpus_dir, tmp_path):
         out = tmp_path / "features.csv"
         schema_out = tmp_path / "schema.json"
@@ -378,3 +409,23 @@ class TestConfigFileIntegration:
                      "--config", str(config),
                      "--corpus", str(demo_corpus_dir),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def _readme_cli_commands():
+    """The README's CLI quick start block, one argv per command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (CLI)", 1)[1]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    commands = _readme_cli_commands()
+    assert commands[0] == ["python3", "-m", "veritag.demo", "corpus"]
+    monkeypatch.chdir(tmp_path)
+    assert demo_main(commands[0][3:]) == 0
+    for argv in commands[1:]:
+        assert argv[0] == "veritag"
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "preds.csv").is_file()

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import veritag.evaluation
+import veritag.featureset
 from veritag import (
+    LABEL_TO_CLASS,
     ConfigError,
     DataError,
     EvalReport,
@@ -15,12 +19,19 @@ from veritag import (
     PipelineSpec,
     RawDocument,
     accuracy,
+    apply_paper_pruning,
+    build_schema,
     cross_domain_eval,
+    extract_article,
+    extract_document,
     feature_grid_eval,
     kfold_cv,
+    parse_html,
     stratified_folds,
     temporal_eval,
     term_frequency_report,
+    train_baseline_pipeline,
+    train_tag_pipeline,
 )
 from veritag.evaluation import (
     TemporalReport,
@@ -204,6 +215,113 @@ class TestFeatureGrid:
         for report in reports:
             assert len(report.fold_accuracies) == 2
             assert 0.0 <= report.mean_accuracy <= 1.0
+
+
+def _mixed(demo_docs, drift_docs):
+    """Half of each bundled corpus: pages the protocols do not all get right."""
+    return demo_docs[:10] + drift_docs[:12] + demo_docs[-10:] + drift_docs[-12:]
+
+
+def _count_parses(monkeypatch):
+    """Count parse_html calls wherever the protocols look it up."""
+    calls = []
+    for module in (veritag.featureset, veritag.evaluation):
+        original = module.parse_html
+
+        def counted(html, _original=original):
+            calls.append(html)
+            return _original(html)
+
+        monkeypatch.setattr(module, "parse_html", counted)
+    return calls
+
+
+class TestExtractOnce:
+    @pytest.mark.parametrize("pruning", ["none", "paper"])
+    def test_grid_equals_kfold_cv_cell_by_cell(
+        self, demo_docs, drift_docs, resources, pruning
+    ):
+        docs = _mixed(demo_docs, drift_docs)
+        spec = PipelineSpec(pruning=pruning)
+        group_sets = [("R",), ("L", "W"), ("N",), ("N", "L", "R", "W")]
+        reports = feature_grid_eval(docs, spec, resources, group_sets, k=3, seed=1)
+        expected = [
+            kfold_cv(
+                docs,
+                dataclasses.replace(spec, groups=groups, granularity=granularity),
+                resources,
+                k=3,
+                seed=1,
+            )
+            for groups in group_sets
+            for granularity in ("H", "C", "HC")
+        ]
+        assert [(r.fold_accuracies, r.mean_accuracy, r.config) for r in reports] == [
+            (r.fold_accuracies, r.mean_accuracy, r.config) for r in expected
+        ]
+        assert len({r.fold_accuracies for r in reports}) > 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [PipelineSpec(pruning="paper"), PipelineSpec(kind="baseline", granularity="C")],
+    )
+    def test_cross_domain_equals_a_fresh_fit_per_classifier(
+        self, demo_docs, drift_docs, resources, spec
+    ):
+        train = demo_docs[:20] + drift_docs[:24]
+        test = demo_docs[20:] + drift_docs[24:]
+        y_train = np.array([LABEL_TO_CLASS[d.label] for d in train])
+        y_test = np.array([LABEL_TO_CLASS[d.label] for d in test])
+        expected = {}
+        for name in ("svm", "knn", "rf"):
+            settings = dataclasses.replace(spec.classifier, name=name)
+            if spec.kind == "tag":
+                schema = apply_paper_pruning(
+                    build_schema(spec.granularity, spec.groups, resources.dictionary)
+                )
+                X = np.stack(
+                    [
+                        extract_document(
+                            d, schema, resources.dictionary, resources.tagger,
+                            resources.ad_domains,
+                        ).values
+                        for d in train
+                    ]
+                )
+                pipeline = train_tag_pipeline(X, y_train, schema, settings)
+            else:
+                articles = [extract_article(parse_html(d.html)) for d in train]
+                pipeline = train_baseline_pipeline(
+                    articles, y_train, spec.granularity, resources.dictionary, settings
+                )
+            predictions, _ = pipeline.predict_documents(
+                test, resources.dictionary, resources.tagger, resources.ad_domains
+            )
+            expected[name] = accuracy(predictions, y_test)
+        assert cross_domain_eval(train, test, spec, resources) == expected
+
+    @pytest.mark.parametrize("kind", ["tag", "baseline"])
+    def test_grid_parses_each_page_at_most_once_per_granularity(
+        self, demo_docs, resources, monkeypatch, kind
+    ):
+        docs = demo_docs[:6] + demo_docs[-6:]
+        calls = _count_parses(monkeypatch)
+        feature_grid_eval(
+            docs, PipelineSpec(kind=kind), resources,
+            [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2,
+        )
+        assert len(calls) <= 3 * len(docs)
+        assert set(calls) == {d.html for d in docs}
+
+    @pytest.mark.parametrize("kind", ["tag", "baseline"])
+    def test_cross_domain_parses_each_page_once(
+        self, demo_docs, resources, monkeypatch, kind
+    ):
+        train = [d for d in demo_docs if d.year == 2016]
+        test = [d for d in demo_docs if d.year == 2017]
+        calls = _count_parses(monkeypatch)
+        cross_domain_eval(train, test, PipelineSpec(kind=kind), resources)
+        assert sorted(calls) == sorted(d.html for d in train + test)
 
 
 class TestTermFrequencyReport:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markup_fixtures import FIXTURES
 from veritag import (
@@ -16,7 +20,7 @@ from veritag import (
     markup_features,
     parse_html,
 )
-from veritag.markup import BOILERPLATE_TAGS, NON_CONTENT_TAGS, Element
+from veritag.markup import BOILERPLATE_TAGS, NON_CONTENT_TAGS, Element, _TreeBuilder
 
 
 class TestParseHtml:
@@ -248,3 +252,78 @@ class TestTraversal:
         assert np.all(np.isfinite(vector.values))
         features = dict(zip(schema.names, vector.values))
         assert (features["R.W"], features["R.STC"]) == (9.0, 2.0)
+
+
+class _ScanningBuilder(_TreeBuilder):
+    """The tree builder with the full stack scan for every end tag: the
+    oracle for the open-element counts that let stray end tags return early."""
+
+    def handle_endtag(self, tag):
+        for depth in range(len(self.stack) - 1, 0, -1):
+            if self.stack[depth].tag == tag:
+                del self.stack[depth:]
+                return
+
+
+def _scanning_parse(text):
+    builder = _ScanningBuilder()
+    builder.feed(text)
+    builder.close()
+    return builder.root
+
+
+def _assert_counts_match_stack(text):
+    builder = _TreeBuilder()
+    builder.feed(text)
+    builder.close()
+    counts = {tag: n for tag, n in builder.open_counts.items() if n}
+    assert counts == Counter(el.tag for el in builder.stack[1:])
+
+
+def _shape(root):
+    """Pre-order (depth, tag, attrs) / (depth, text) list, built without
+    recursion so 5,000-deep trees compare."""
+    out = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, str):
+            out.append((depth, node))
+            continue
+        out.append((depth, node.tag, node.attrs))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return out
+
+
+_TAGS = ("div", "span", "p", "li", "ul", "tr", "td", "th", "table", "b", "br", "img")
+
+
+class TestStrayEndTags:
+    @pytest.mark.parametrize(
+        "html",
+        [
+            _NESTED,
+            "<div><span>a</div>b</span>c</div>",
+            "<p>one<p>two</b></p></p><li>x<li>y</ul></li>",
+            "<table><tr><td>a<td>b<tr><th>c</td></tr></table></tr>",
+            "</div></span><div><div><span><div></span>t</div></div></div></div>",
+            "<ul><li>a<ul><li>b</li></ul></li><li>c</ul></li></ul>",
+            "<div>" * 5_000 + "</span>" * 2_000 + "text</div>",
+        ],
+        ids=["nested", "crossed", "autoclose", "table", "leading-stray", "lists", "deep-stray"],
+    )
+    def test_tree_matches_full_scan(self, html):
+        assert _shape(parse_html(html)) == _shape(_scanning_parse(html))
+        _assert_counts_match_stack(html)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(("<%s>", "</%s>", "<%s/>", "x")), st.sampled_from(_TAGS)),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_markup_matches_full_scan(self, parts):
+        html = "".join(form % tag if "%" in form else form for form, tag in parts)
+        assert _shape(parse_html(html)) == _shape(_scanning_parse(html))
+        _assert_counts_match_stack(html)
