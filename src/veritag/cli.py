@@ -259,7 +259,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     pruned, scores = select_features(
         X, y, schema,
         bins=cfg.bins, trees=cfg.selection_trees, lam=cfg.l1_lambda,
-        seed=cfg.seed, source=str(args.features),
+        seed=cfg.seed,
     )
     write_schema(args.out, pruned)
     if args.report:

@@ -288,18 +288,28 @@ def feature_grid_eval(
 ) -> list[EvalReport]:
     """kfold_cv per (feature groups, granularity) cell. Groups share no
     inputs, so each page is extracted once per granularity with every
-    requested group, and each cell reads its schema's columns of that."""
+    requested group, and each cell reads its schema's columns of that.
+    The baseline ignores the groups, so it is cross-validated once per
+    granularity and each of its cells echoes its own config."""
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
     wide: dict[str | None, _Fitter] = {}
+    baseline_cv: dict[str, EvalReport] = {}
     reports = []
     for groups in group_sets:
         for granularity in granularities:
             cell = dataclasses.replace(spec, groups=tuple(groups), granularity=granularity)
+            if spec.kind == "baseline" and granularity in baseline_cv:
+                done = baseline_cv[granularity]
+                reports.append(dataclasses.replace(done, config={**done.config, **cell.echo()}))
+                continue
             key = granularity if spec.kind == "tag" else None  # the baseline reads articles
             if key not in wide:
                 wide_spec = dataclasses.replace(cell, groups=union, pruning="none")
                 wide[key] = _prepare(docs, wide_spec, resources)
-            reports.append(_cv(wide[key].view(cell), k, seed))
+            report = _cv(wide[key].view(cell), k, seed)
+            if spec.kind == "baseline":
+                baseline_cv[granularity] = report
+            reports.append(report)
     return reports
 
 

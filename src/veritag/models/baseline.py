@@ -19,6 +19,7 @@ from ..featureset import granularity_text
 from ..linguistics import (
     READABILITY_FEATURES,
     CategoryDictionary,
+    TokenizedText,
     dictionary_scores,
     readability_features,
     tokenize,
@@ -52,14 +53,26 @@ class BaselineFeaturizer:
 
     def fit(self, articles: Sequence[Article]) -> "BaselineFeaturizer":
         """Learn the vocabulary (terms in ≥ min_df documents) and idf."""
-        if not articles:
+        return self._fit([self._tokenize(a) for a in articles])
+
+    def fit_transform(self, articles: Sequence[Article]) -> np.ndarray:
+        """fit, then transform_many of the same articles, tokenizing each
+        article once."""
+        tokenized = [self._tokenize(a) for a in articles]
+        self._fit(tokenized)
+        return np.stack([self._row(t) for t in tokenized])
+
+    def _tokenize(self, article: Article) -> TokenizedText:
+        return tokenize(granularity_text(article, self.granularity))
+
+    def _fit(self, tokenized: Sequence[TokenizedText]) -> "BaselineFeaturizer":
+        if not tokenized:
             raise DataError("cannot fit the baseline on an empty corpus")
         df: dict[str, int] = {}
-        for article in articles:
-            text = granularity_text(article, self.granularity)
-            for term in set(_ngrams(tokenize(text).tokens)):
+        for doc in tokenized:
+            for term in set(_ngrams(doc.tokens)):
                 df[term] = df.get(term, 0) + 1
-        n = len(articles)
+        n = len(tokenized)
         self.vocabulary = tuple(sorted(t for t, c in df.items() if c >= self.min_df))
         self.idf = {
             t: math.log((1 + n) / (1 + df[t])) + 1.0 for t in self.vocabulary
@@ -83,9 +96,9 @@ class BaselineFeaturizer:
     def transform(self, article: Article) -> np.ndarray:
         """Row vector: L2-normalized raw-tf × idf block, then L, then R."""
         self._require_fitted()
-        text = granularity_text(article, self.granularity)
-        tokenized = tokenize(text)
+        return self._row(self._tokenize(article))
 
+    def _row(self, tokenized: TokenizedText) -> np.ndarray:
         tfidf = np.zeros(len(self.vocabulary))
         index = {t: i for i, t in enumerate(self.vocabulary)}
         for term in _ngrams(tokenized.tokens):

@@ -190,8 +190,8 @@ def train_baseline_pipeline(
     standardize the combined block and train the classifier."""
     featurizer = BaselineFeaturizer(
         granularity=granularity, dictionary=dictionary, min_df=min_df
-    ).fit(articles)
-    X = featurizer.transform_many(articles)
+    )
+    X = featurizer.fit_transform(articles)
     params = standardize_fit(X)
     model = train_classifier(standardize_apply(params, X), y, settings)
     metadata = _base_metadata(settings)

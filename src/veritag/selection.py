@@ -13,6 +13,7 @@ corrected. See the README discussion.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,8 @@ SE_EPSILON = 1e-9
 
 _L1_TOL = 1e-6
 _L1_MAX_SWEEPS = 10_000
+
+log = logging.getLogger("veritag")
 
 
 def quantile_bin(column: np.ndarray, bins: int) -> np.ndarray:
@@ -166,7 +169,9 @@ def l1_score(
 
     Fit by cyclic coordinate descent (intercept first, then features in
     column order) using a quadratic majorizer per coordinate, so the
-    objective never increases. Expects standardized X and binary y.
+    objective never increases. Stops when no coordinate moves by tol in a
+    sweep, or after max_sweeps sweeps with a warning. Expects standardized
+    X and binary y.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -181,6 +186,7 @@ def l1_score(
     b = 0.0
     f = np.zeros(n)
 
+    max_step = math.inf
     for _ in range(max_sweeps):
         max_step = 0.0
         # unpenalized intercept
@@ -203,6 +209,11 @@ def l1_score(
             max_step = max(max_step, abs(delta))
         if max_step < tol:
             break
+    else:
+        log.warning(
+            "l1_score stopped at the %d-sweep cap; largest step of the last sweep %.3g",
+            max_sweeps, max_step,
+        )
     return np.abs(w)
 
 
@@ -303,7 +314,6 @@ def select_features(
     trees: int = DEFAULT_TREES,
     lam: float = DEFAULT_L1_LAMBDA,
     seed: int = 0,
-    source: str = "",
 ) -> tuple[FeatureSchema, ImportanceScores]:
     """One-shot selection: score every feature, drop those with r = 0.
 
@@ -322,8 +332,7 @@ def select_features(
     survivors = [n for n, keep in zip(schema.names, scores.retained) if keep]
     if not survivors:
         raise DataError("every feature scored r = 0; data looks degenerate")
-    mode = "computed:" + source if source else "computed:"
-    return prune_to_names(schema, survivors, mode), scores
+    return prune_to_names(schema, survivors, "computed:"), scores
 
 
 REPORT_COLUMNS = (

@@ -251,6 +251,32 @@ class TestFeatureFlow:
             outputs[source] = (model.read_bytes(), names)
         assert outputs["full"] == outputs["selected"]
 
+    def test_select_output_does_not_depend_on_the_features_path(
+        self, artifacts, demo_corpus_dir, tmp_path
+    ):
+        outputs = []
+        for features in (tmp_path / "a" / "features.csv", tmp_path / "b" / "renamed.csv"):
+            features.parent.mkdir()
+            features.write_bytes(artifacts["features"].read_bytes())
+            schema, model = features.parent / "schema.json", features.parent / "model.bin"
+            assert main(["select", "--features", str(features),
+                         "--schema", str(artifacts["schema"]), "--out", str(schema)]) == 0
+            assert main(["train", "--features", str(features), "--schema", str(schema),
+                         "--out", str(model)]) == 0
+            outputs.append((schema.read_bytes(), model.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["pruning"] == "computed:"
+        # schemas written when the mode still carried the features path load
+        legacy = tmp_path / "legacy.json"
+        payload = json.loads(outputs[0][0])
+        payload["pruning"] = "computed:" + str(artifacts["features"])
+        legacy.write_text(json.dumps(payload), encoding="utf-8")
+        model = tmp_path / "legacy.bin"
+        assert main(["train", "--features", str(artifacts["features"]), "--schema", str(legacy),
+                     "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--corpus", str(demo_corpus_dir),
+                     "--out", str(tmp_path / "legacy.csv")]) == 0
+
     @pytest.mark.parametrize("command", ["train", "select"])
     def test_schema_naming_a_missing_column_is_a_data_error(
         self, artifacts, demo_corpus_dir, tmp_path, command

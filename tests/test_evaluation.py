@@ -261,6 +261,33 @@ class TestExtractOnce:
         ]
         assert len({r.fold_accuracies for r in reports}) > 1
 
+    def test_baseline_grid_equals_kfold_cv_cell_by_cell(
+        self, demo_docs, drift_docs, resources, monkeypatch
+    ):
+        docs = _mixed(demo_docs, drift_docs)
+        spec = PipelineSpec(kind="baseline")
+        group_sets = [("R",), ("L", "W"), ("N", "L", "R", "W")]
+        expected = [
+            kfold_cv(
+                docs,
+                dataclasses.replace(spec, groups=groups, granularity=granularity),
+                resources,
+                k=3,
+                seed=1,
+            )
+            for groups in group_sets
+            for granularity in ("H", "C", "HC")
+        ]
+        fits = []
+        train = veritag.evaluation.train_baseline_pipeline
+        monkeypatch.setattr(
+            veritag.evaluation, "train_baseline_pipeline",
+            lambda *args, **kwargs: fits.append(args[2]) or train(*args, **kwargs),
+        )
+        reports = feature_grid_eval(docs, spec, resources, group_sets, k=3, seed=1)
+        assert reports == expected
+        assert sorted(fits) == sorted(["H", "C", "HC"] * 3)  # one 3-fold cv per granularity
+
     @pytest.mark.parametrize(
         "spec",
         [PipelineSpec(pruning="paper"), PipelineSpec(kind="baseline", granularity="C")],

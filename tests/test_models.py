@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veritag import (
     ClassifierSettings,
@@ -21,7 +23,8 @@ from veritag import (
     train_baseline_pipeline,
     train_tag_pipeline,
 )
-from veritag.errors import ConfigError, DataError
+from veritag.errors import ConfigError, DataError, InvariantError
+from veritag.featureset import standardize_apply, standardize_fit
 from veritag.markup import Article
 
 
@@ -71,6 +74,20 @@ class TestSvm:
         cls, margin = svm_predict(model, X[0])
         assert (cls == 1) == (margin > 0.0)
 
+    def test_pass_cap_warns_once(self, caplog):
+        X, y = _xor_set(n=60, seed=1)
+        with caplog.at_level("WARNING", logger="veritag"):
+            capped = svm_train(X, y, C=100.0, max_passes=1)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert "1-pass cap" in warnings[0] and "relative duality gap" in warnings[0]
+        weights, bias = _reference_svm_train(X, y, C=100.0, max_passes=1)
+        assert capped.weights.tobytes() == weights.tobytes() and capped.bias == bias
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="veritag"):
+            svm_train(X, y, C=100.0)
+        assert caplog.records == []
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             svm_train(np.ones((4, 2)), np.zeros(4, dtype=int))
@@ -89,6 +106,108 @@ class TestSvm:
         model = svm_train(X, y)
         with pytest.raises(DataError):
             svm_predict(model, np.ones(5))
+
+
+def _reference_svm_train(X, y, C=0.1, tol=1e-4, max_passes=10_000):
+    """The dual coordinate descent loop that visits every coordinate on every
+    pass, kept verbatim as the reference for svm_train: (weights, bias)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    n, d = X.shape
+    t = np.where(y == 1, 1.0, -1.0)
+    Xa = np.hstack([X, np.ones((n, 1))])  # bias component
+    q = (Xa * Xa).sum(axis=1)  # Q_ii, >= 1 thanks to the bias column
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+
+    def primal() -> float:
+        margins = 1.0 - t * (Xa @ w)
+        return 0.5 * float(w @ w) + C * float(np.clip(margins, 0.0, None).sum())
+
+    def dual() -> float:
+        return float(alpha.sum()) - 0.5 * float(w @ w)
+
+    prev_dual = dual()
+    for _ in range(max_passes):
+        for i in range(n):
+            g = t[i] * (w @ Xa[i]) - 1.0
+            a_new = min(max(alpha[i] - g / q[i], 0.0), C)
+            delta = a_new - alpha[i]
+            if delta != 0.0:
+                alpha[i] = a_new
+                w += delta * t[i] * Xa[i]
+        p = primal()
+        dl = dual()
+        if dl < prev_dual - 1e-9 * max(1.0, abs(prev_dual)):
+            raise InvariantError("dual objective decreased during training")
+        prev_dual = dl
+        if p - dl <= tol * max(1.0, abs(p)):
+            break
+    return w[:-1].copy(), float(w[-1])
+
+
+def _assert_matches_reference(X, y, C, max_passes=10_000):
+    model = svm_train(X, y, C=C, max_passes=max_passes)
+    weights, bias = _reference_svm_train(X, y, C=C, max_passes=max_passes)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias == bias
+
+
+@st.composite
+def _svm_problems(draw):
+    """Small training sets with the degenerate shapes a solver can trip on:
+    duplicate rows (also under the other label), constant and all-zero
+    columns, and points mirrored through the origin under the other label."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    if draw(st.booleans()):
+        X = np.round(X)  # many ties
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    X[:, 0] += draw(st.floats(0.0, 3.0)) * (2 * y - 1)  # some class signal
+    if d > 1 and draw(st.booleans()):
+        X[:, rng.integers(1, d)] = draw(st.floats(-5.0, 5.0))
+    if d > 1 and draw(st.booleans()):
+        X[:, rng.integers(1, d)] = 0.0
+    if draw(st.booleans()):
+        picks = rng.integers(0, n, size=draw(st.integers(1, 10)))
+        X = np.vstack([X, X[picks]])
+        y = np.concatenate([y, np.where(rng.random(picks.size) < 0.5, y[picks], 1 - y[picks])])
+    if draw(st.booleans()):
+        picks = rng.integers(0, len(y), size=draw(st.integers(1, 10)))
+        X = np.vstack([X, -X[picks]])
+        y = np.concatenate([y, 1 - y[picks]])
+    return X, y
+
+
+class TestSvmMatchesReference:
+    """svm_train skips visits only where a bound proves the update is zero,
+    so its weights and bias are those of the loop that visits every
+    coordinate, to the last bit."""
+
+    @given(_svm_problems(), st.sampled_from([1e-3, 0.1, 1.0, 100.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_problems(self, problem, C):
+        X, y = problem
+        _assert_matches_reference(X, y, C, max_passes=300)
+
+    @pytest.mark.parametrize("C", [1e-3, 0.1, 1.0, 100.0])
+    def test_standardized_160_by_97(self, C):
+        # the shape of a TAG training set: 97 features of mixed scale with
+        # integer-valued and constant columns, and 15% flipped labels, so
+        # the larger costs take hundreds of passes
+        rng = np.random.default_rng(97)
+        y = rng.integers(0, 2, size=160)
+        X = rng.normal(size=(160, 97)) * rng.random(97) * 2
+        X += 0.3 * (2 * y - 1)[:, None] * rng.random(97)
+        X[:, :20] = np.round(X[:, :20] * 2)
+        X[:, 20:23] = 1.5
+        y = np.where(rng.random(160) < 0.15, 1 - y, y)
+        Z = standardize_apply(standardize_fit(X), X)
+        _assert_matches_reference(Z, y, C)
 
 
 class TestKnn:
@@ -223,6 +342,25 @@ class TestBaselinePipeline:
         X = pipeline.featurizer.transform_many(_ARTICLES)
         predicted, _ = pipeline.predict_matrix(X)
         assert predicted.shape == (4,)
+
+    def test_training_tokenizes_each_article_once(self, demo_dictionary, monkeypatch):
+        import veritag.models.baseline as baseline
+
+        tokenize, calls = baseline.tokenize, []
+        monkeypatch.setattr(baseline, "tokenize", lambda text: calls.append(text) or tokenize(text))
+        y = np.array([0, 0, 1, 1])
+        settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
+        train_baseline_pipeline(_ARTICLES, y, "HC", demo_dictionary, settings, min_df=1)
+        assert len(calls) == len(_ARTICLES)
+
+    def test_fit_transform_equals_fit_then_transform(self, demo_dictionary):
+        from veritag.models.baseline import BaselineFeaturizer
+
+        one = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
+        two = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
+        X = one.fit_transform(_ARTICLES)
+        assert one == two.fit(_ARTICLES)
+        assert X.tobytes() == two.transform_many(_ARTICLES).tobytes()
 
     def test_min_df_filters_vocabulary(self, demo_dictionary):
         from veritag.models.baseline import BaselineFeaturizer

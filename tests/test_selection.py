@@ -157,6 +157,21 @@ class TestL1Score:
         assert np.all(dup >= 0.0)
         assert dup.sum() == pytest.approx(single, rel=1e-4)
 
+    def test_sweep_cap_warns_once(self, caplog):
+        rng = np.random.default_rng(14)
+        y = rng.integers(0, 2, size=100)
+        X = self._standardized(np.column_stack([y + rng.normal(0, 0.5, 100), rng.normal(size=100)]))
+        with caplog.at_level("WARNING", logger="veritag"):
+            capped = l1_score(X, y, max_sweeps=1)
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert "1-sweep cap" in warnings[0] and "largest step" in warnings[0]
+        assert capped.shape == (2,)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="veritag"):
+            l1_score(X, y)
+        assert caplog.records == []
+
     def test_non_binary_labels_rejected(self):
         with pytest.raises(DataError):
             l1_score(np.ones((4, 1)), np.array([0, 1, 2, 1]))
