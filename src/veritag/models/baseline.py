@@ -51,6 +51,15 @@ class BaselineFeaturizer:
     idf: dict[str, float] = field(default_factory=dict)
     fitted: bool = False
 
+    def __post_init__(self) -> None:
+        if self.fitted:
+            self._index_vocabulary()
+
+    def _index_vocabulary(self) -> None:
+        """Term columns and an idf array for _row; derived, never persisted."""
+        self._columns = {t: i for i, t in enumerate(self.vocabulary)}
+        self._idf = np.array([self.idf[t] for t in self.vocabulary], dtype=np.float64)
+
     def fit(self, articles: Sequence[Article]) -> "BaselineFeaturizer":
         """Learn the vocabulary (terms in ≥ min_df documents) and idf."""
         return self._fit([self._tokenize(a) for a in articles])
@@ -78,6 +87,7 @@ class BaselineFeaturizer:
             t: math.log((1 + n) / (1 + df[t])) + 1.0 for t in self.vocabulary
         }
         self.fitted = True
+        self._index_vocabulary()
         return self
 
     @property
@@ -100,13 +110,11 @@ class BaselineFeaturizer:
 
     def _row(self, tokenized: TokenizedText) -> np.ndarray:
         tfidf = np.zeros(len(self.vocabulary))
-        index = {t: i for i, t in enumerate(self.vocabulary)}
         for term in _ngrams(tokenized.tokens):
-            i = index.get(term)
+            i = self._columns.get(term)
             if i is not None:
                 tfidf[i] += 1.0
-        for i, term in enumerate(self.vocabulary):
-            tfidf[i] *= self.idf[term]
+        tfidf *= self._idf
         norm = math.sqrt(float(tfidf @ tfidf))
         if norm > 0.0:
             tfidf /= norm

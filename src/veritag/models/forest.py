@@ -1,14 +1,17 @@
-"""Random forest: bagged CART trees with Gini splits.
+"""Gini trees, grown by one iterative grower for both the random forest
+and the extremely randomized trees of the selection scorer.
 
-Trees are plain nested dicts (JSON-serializable) so forests with the same
-seed can be compared bit-for-bit: internal nodes {"f", "t", "l", "r"},
-leaves {"counts": per-class tallies}.
+A tree is a dict of flat JSON-native node lists in visit order, the layout
+of scikit-learn's ``Tree``: feature, threshold, left, right (-1 at leaves),
+counts (class tallies at leaves, None elsewhere) and decrease (the Gini
+decrease weighted by the node's share of the sample).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -17,17 +20,18 @@ from ..errors import DataError
 DEFAULT_TREES = 100
 
 
-def _gini_from_counts(counts: np.ndarray, total: int) -> float:
+def _gini(counts: np.ndarray, total: int) -> float:
     p = counts / total
     return float(1.0 - (p * p).sum())
 
 
 def _best_split(
-    col: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float
+    col: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
+    rng: np.random.Generator,
 ) -> tuple[float, float] | None:
     """Best (decrease, threshold) over midpoints of consecutive distinct
     values; ties keep the lowest threshold. None when the column is
-    constant."""
+    constant. Draws nothing from rng."""
     order = np.argsort(col, kind="stable")
     svals = col[order]
     slabs = labels[order]
@@ -52,45 +56,78 @@ def _best_split(
     return float(decreases[best]), thr
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    n_classes: int,
-    m: int,
+def _random_split(
+    col: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
     rng: np.random.Generator,
-) -> dict:
-    labels = y[idx]
-    counts = np.bincount(labels, minlength=n_classes)
-    gini = _gini_from_counts(counts, idx.size)
-    if idx.size < 2 or gini == 0.0:
-        return {"counts": counts.tolist()}
-    candidates = rng.choice(X.shape[1], size=m, replace=False)
-    best: tuple[float, float, int] | None = None
-    for f in candidates:
-        found = _best_split(X[idx, f], labels, n_classes, gini)
-        if found is None:
-            continue
-        decrease, thr = found
-        if best is None or decrease > best[0]:
-            best = (decrease, thr, int(f))
-    if best is None:
-        return {"counts": counts.tolist()}
-    _, thr, f = best
-    left = X[idx, f] <= thr
-    return {
-        "f": f,
-        "t": thr,
-        "l": _grow(X, y, idx[left], n_classes, m, rng),
-        "r": _grow(X, y, idx[~left], n_classes, m, rng),
+) -> tuple[float, float] | None:
+    """(decrease, threshold) for one uniform threshold inside the column's
+    range. A constant column draws nothing; a threshold that leaves one
+    side empty gives None."""
+    lo, hi = col.min(), col.max()
+    if lo == hi:
+        return None
+    thr = rng.uniform(lo, hi)
+    left = col <= thr
+    if left.all() or not left.any():
+        return None
+    n = col.size
+    nl = left.sum()
+    decrease = parent_gini - (
+        nl / n * _gini(np.bincount(labels[left], minlength=n_classes), nl)
+        + (n - nl) / n * _gini(np.bincount(labels[~left], minlength=n_classes), n - nl)
+    )
+    return decrease, thr
+
+
+def _grow(
+    X: np.ndarray, y: np.ndarray, sample: np.ndarray, rng: np.random.Generator,
+    split: Callable, right_first: bool,
+) -> dict[str, list]:
+    """One tree on the rows in sample, depth first from an explicit stack,
+    to purity or single-row leaves. Each node draws sqrt(d) candidate
+    features without replacement and keeps the first strictly best split.
+    Nodes are numbered in visit order, which also fixes the rng draw order."""
+    tree: dict[str, list] = {
+        k: [] for k in ("feature", "threshold", "left", "right", "counts", "decrease")
     }
+    n, n_classes, m = sample.size, int(y.max()) + 1, max(1, int(math.sqrt(X.shape[1])))
+    stack = [(sample, -1, "")]  # (rows, parent node, "left"/"right" link to set)
+    while stack:
+        idx, parent, side = stack.pop()
+        node = len(tree["feature"])
+        if parent >= 0:
+            tree[side][parent] = node
+        labels = y[idx]
+        counts = np.bincount(labels, minlength=n_classes)
+        gini = _gini(counts, idx.size)
+        best: tuple[float, float, int] | None = None
+        if idx.size >= 2 and gini != 0.0:
+            for f in rng.choice(X.shape[1], size=m, replace=False):
+                found = split(X[idx, f], labels, n_classes, gini, rng)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (*found, int(f))
+        if best is None:
+            row = (-1, 0.0, -1, -1, counts.tolist(), 0.0)
+        else:
+            decrease, thr, f = best
+            row = (f, thr, -1, -1, None, float(idx.size / n * max(decrease, 0.0)))
+            goes_left = X[idx, f] <= thr
+            children = [(idx[goes_left], node, "left"), (idx[~goes_left], node, "right")]
+            stack.extend(children if right_first else children[::-1])
+        for column, value in zip(tree.values(), row):
+            column.append(value)
+    return tree
+
+
+def extra_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> dict[str, list]:
+    """An extremely randomized tree (Geurts et al., 2006) on every row:
+    one uniform threshold per candidate, right child visited first."""
+    return _grow(X, y, np.arange(len(y)), rng, _random_split, right_first=True)
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    trees: list[dict]
-    n_trees: int
-    max_features: str
+    trees: list[dict[str, list]]
     seed: int
     n_classes: int
     n_features: int
@@ -101,7 +138,8 @@ def rf_train(
 ) -> RandomForestModel:
     """Each tree grows on a bootstrap sample to purity (or single-example
     leaves), choosing the best Gini split among sqrt(d) candidate features
-    per node. Per-tree seeds spawn from the master seed."""
+    per node, left child first. Per-tree seeds spawn from the master
+    seed."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if n_trees < 1:
@@ -109,27 +147,20 @@ def rf_train(
     if np.unique(y).size < 2:
         raise DataError("training needs both classes present")
     n, d = X.shape
-    n_classes = int(y.max()) + 1
-    m = max(1, int(math.sqrt(d)))
     trees = []
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child_seed)
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow(X, y, sample, n_classes, m, rng))
-    return RandomForestModel(
-        trees=trees,
-        n_trees=n_trees,
-        max_features="sqrt",
-        seed=seed,
-        n_classes=n_classes,
-        n_features=d,
-    )
+        trees.append(_grow(X, y, sample, rng, _best_split, right_first=False))
+    return RandomForestModel(trees=trees, seed=seed, n_classes=int(y.max()) + 1, n_features=d)
 
 
-def _tree_class(node: dict, x: np.ndarray) -> int:
-    while "f" in node:
-        node = node["l"] if x[node["f"]] <= node["t"] else node["r"]
-    return int(np.argmax(node["counts"]))  # tie -> lowest class id
+def _tree_class(tree: dict[str, list], x: np.ndarray) -> int:
+    feature, threshold = tree["feature"], tree["threshold"]
+    node = 0
+    while (f := feature[node]) >= 0:
+        node = tree["left"][node] if x[f] <= threshold[node] else tree["right"][node]
+    return int(np.argmax(tree["counts"][node]))  # tie -> lowest class id
 
 
 def rf_predict(model: RandomForestModel, x: np.ndarray) -> tuple[int, float]:
@@ -143,4 +174,4 @@ def rf_predict(model: RandomForestModel, x: np.ndarray) -> tuple[int, float]:
     for tree in model.trees:
         votes[_tree_class(tree, x)] += 1
     winner = int(np.argmax(votes))
-    return winner, float(votes[winner] / model.n_trees)
+    return winner, float(votes[winner] / len(model.trees))

@@ -23,7 +23,7 @@ from .neighbors import KnnModel
 from .pipeline import TrainedPipeline
 from .svm import LinearSvmModel
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def _encode_classifier(model) -> dict:
@@ -45,8 +45,6 @@ def _encode_classifier(model) -> dict:
         return {
             "type": "rf",
             "trees": model.trees,
-            "n_trees": model.n_trees,
-            "max_features": model.max_features,
             "seed": model.seed,
             "n_classes": model.n_classes,
             "n_features": model.n_features,
@@ -71,8 +69,6 @@ def _decode_classifier(data: dict):
     if kind == "rf":
         return RandomForestModel(
             trees=data["trees"],
-            n_trees=int(data["n_trees"]),
-            max_features=data["max_features"],
             seed=int(data["seed"]),
             n_classes=int(data["n_classes"]),
             n_features=int(data["n_features"]),

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError
 from .featureset import FeatureSchema, prune_to_names, standardize_apply, standardize_fit
+from .models.forest import extra_tree
 
 DEFAULT_BINS = 10
 DEFAULT_TREES = 250
@@ -83,12 +84,6 @@ def mutual_info_score(
     return max(mi, 0.0)
 
 
-def _gini(y: np.ndarray, n_classes: int) -> float:
-    counts = np.bincount(y, minlength=n_classes)
-    p = counts / y.size
-    return float(1.0 - (p * p).sum())
-
-
 def tree_importance(
     X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0
 ) -> np.ndarray:
@@ -103,49 +98,16 @@ def tree_importance(
     y = np.asarray(y, dtype=np.int64)
     if n_trees < 1:
         raise ConfigError("need at least one tree")
-    classes = np.unique(y)
-    if classes.size < 2:
+    if np.unique(y).size < 2:
         raise DataError("tree importance needs at least 2 classes")
-    n, d = X.shape
-    n_classes = int(classes.max()) + 1
-    m = max(1, int(math.sqrt(d)))
-
+    d = X.shape[1]
     importance = np.zeros(d)
     for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child_seed)
+        tree = extra_tree(X, y, np.random.default_rng(child_seed))
         tree_imp = np.zeros(d)
-        stack = [np.arange(n)]
-        while stack:
-            idx = stack.pop()
-            labels = y[idx]
-            node_gini = _gini(labels, n_classes)
-            if idx.size < 2 or node_gini == 0.0:
-                continue
-            candidates = rng.choice(d, size=m, replace=False)
-            best: tuple[float, np.ndarray, np.ndarray] | None = None
-            for f in candidates:
-                col = X[idx, f]
-                lo, hi = col.min(), col.max()
-                if lo == hi:
-                    continue
-                thr = rng.uniform(lo, hi)
-                left = col <= thr
-                if left.all() or not left.any():
-                    continue
-                nl = left.sum()
-                decrease = node_gini - (
-                    nl / idx.size * _gini(labels[left], n_classes)
-                    + (idx.size - nl) / idx.size * _gini(labels[~left], n_classes)
-                )
-                if best is None or decrease > best[0]:
-                    best = (decrease, idx[left], idx[~left])
-                    best_feature = f
-            if best is None:
-                continue
-            decrease, left_idx, right_idx = best
-            tree_imp[best_feature] += idx.size / n * max(decrease, 0.0)
-            stack.append(left_idx)
-            stack.append(right_idx)
+        for f, decrease in zip(tree["feature"], tree["decrease"]):
+            if f >= 0:
+                tree_imp[f] += decrease
         importance += tree_imp
     importance /= n_trees
     total = importance.sum()

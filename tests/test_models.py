@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +460,19 @@ class TestPersistence:
         path.write_text(json.dumps(body))
         with pytest.raises(DataError, match="version"):
             load_pipeline(path)
+
+    def test_version_1_forest_refused(self):
+        path = Path(__file__).parent / "data" / "rf_pipeline_v1.json"
+        body = json.loads(path.read_text())
+        assert body["format_version"] == 1
+        assert body["payload"]["classifier"]["type"] == "rf"
+        with pytest.raises(DataError, match="version"):
+            load_pipeline(path)
+
+    def test_forest_round_trip_keeps_flat_trees(self, tmp_path):
+        pipeline, _, _ = _tag_pipeline(seed=1, classifier="rf")
+        save_pipeline(pipeline, tmp_path / "model.bin")
+        assert load_pipeline(tmp_path / "model.bin").classifier == pipeline.classifier
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
