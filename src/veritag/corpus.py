@@ -101,7 +101,7 @@ def load_manifest(
 
     try:
         site_labels = json.loads(labels_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"{labels_path}: invalid JSON: {exc}") from exc
     if not isinstance(site_labels, dict):
         raise DataError(f"{labels_path}: expected an object of site → label")
@@ -121,7 +121,7 @@ def load_manifest(
             where = f"{manifest_path}:{lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise DataError(f"{where}: expected a JSON object")
@@ -199,7 +199,7 @@ class PoliticalFilterModel:
         path = Path(path)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read filter model {path}: {exc}") from exc
         if payload.get("kind") != "political-filter":
             raise DataError(f"{path}: not a political-filter model file")
@@ -231,7 +231,7 @@ def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict) or "text" not in record or "topic" not in record:
                 raise DataError(f"{path}:{lineno}: expected object with text and topic")

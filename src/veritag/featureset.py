@@ -297,16 +297,36 @@ def read_schema(path: str | Path) -> FeatureSchema:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"cannot read schema {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a schema must be a JSON object")
     if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported schema format version")
-    return FeatureSchema(
-        names=tuple(payload["names"]),
-        granularity=payload["granularity"],
-        groups=tuple(payload["groups"]),
-        pruning=payload.get("pruning", "none"),
-    )
+    missing = sorted({"names", "granularity", "groups"} - payload.keys())
+    if missing:
+        raise DataError(f"{path}: schema is missing {missing}")
+    names, groups = payload["names"], payload["groups"]
+    granularity, pruning = payload["granularity"], payload.get("pruning", "none")
+    if not (
+        _is_str_list(names) and _is_str_list(groups)
+        and isinstance(granularity, str) and isinstance(pruning, str)
+    ):
+        raise DataError(
+            f"{path}: schema names and groups must be lists of strings, "
+            "granularity and pruning strings"
+        )
+    try:
+        return FeatureSchema(
+            names=tuple(names), granularity=granularity, groups=tuple(groups),
+            pruning=pruning,
+        )
+    except (ConfigError, InvariantError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def write_feature_csv(

@@ -25,7 +25,7 @@ class CategoryDictionary:
     # match structures, derived once in __post_init__
     _literal: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
     _prefix: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
-    _max_prefix_len: int = field(default=0, repr=False)
+    _prefix_lens: tuple[int, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.categories)) != len(self.categories):
@@ -45,14 +45,17 @@ class CategoryDictionary:
                 literal.setdefault(pattern.lower(), set()).update(cats)
         self._literal = {k: frozenset(v) for k, v in literal.items()}
         self._prefix = {k: frozenset(v) for k, v in prefix.items()}
-        self._max_prefix_len = max((len(k) for k in self._prefix), default=0)
+        # the distinct prefix lengths, ascending; 0 stands for a bare "*"
+        self._prefix_lens = tuple(sorted({len(k) for k in self._prefix}))
 
     def match(self, token: str) -> frozenset[int]:
         """Category indices whose patterns match the token."""
         t = token.lower()
         hits: set[int] = set()
         hits.update(self._literal.get(t, ()))
-        for k in range(min(len(t), self._max_prefix_len) + 1):
+        for k in self._prefix_lens:
+            if k > len(t):
+                break
             hits.update(self._prefix.get(t[:k], ()))
         return frozenset(hits)
 

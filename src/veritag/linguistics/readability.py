@@ -63,6 +63,8 @@ class ReadabilityScores:
 
 
 def _letters(token: str) -> int:
+    if token.isalpha():
+        return len(token)
     return sum(1 for c in token if c.isalpha())
 
 

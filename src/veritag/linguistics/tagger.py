@@ -1,14 +1,17 @@
 """Part-of-speech tagging: a rule tagger and a trainable averaged perceptron.
 
 Both taggers expose ``tag(tokens) -> list[str]`` and emit raw Penn Treebank
-tags. Feature counting maps the raw tags onto the 33-tag table used by the
-morphological feature group (``FW`` is reported there as ``FOW``).
+tags, and ``count_tags(tokens, sentences)`` counts the tags of a text tagged
+sentence by sentence. Feature counting maps the raw counts onto the 33-tag
+table used by the morphological feature group (``FW`` is reported there as
+``FOW``).
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -166,7 +169,8 @@ for _tag, _words in _LEXICON_GROUPS.items():
 
 def _fallback_tag(token: str, index: int) -> str:
     """Tag for a word with no lexical information."""
-    if any(c.isdigit() for c in token):
+    # no code point is both alphabetic and a digit
+    if not token.isalpha() and any(c.isdigit() for c in token):
         return "CD"
     if index > 0 and token[:1].isupper():
         return "NNP"
@@ -195,6 +199,13 @@ def _shape(token: str) -> str:
 class Tagger(Protocol):
     def tag(self, tokens: Sequence[str]) -> list[str]: ...
 
+    def count_tags(
+        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+    ) -> Counter[str]:
+        """Raw tag counts over the tokens, each sentence range tagged as
+        its own sequence; the ranges partition ``[0, len(tokens))``."""
+        ...
+
 
 class RuleTagger:
     """Lexicon lookup with shape/suffix fallback for unknown words."""
@@ -208,6 +219,30 @@ class RuleTagger:
             tag = self.lexicon.get(token.lower())
             tags.append(tag if tag is not None else _fallback_tag(token, i))
         return tags
+
+    def count_tags(
+        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+    ) -> Counter[str]:
+        """A token's tag depends only on the token and on whether it opens
+        its sentence, so each distinct token is tagged once at an inside
+        position. Only a word the lexicon does not know can tag differently
+        when it opens a sentence (capitalized, it is NNP inside and falls
+        through to the suffix rules as an opener), so such openers are
+        recounted."""
+        counts: Counter[str] = Counter()
+        proper: set[str] = set()  # NNP inside a sentence, by fallback only
+        for token, n in Counter(tokens).items():
+            tag = self.lexicon.get(token.lower())
+            if tag is None:
+                tag = _fallback_tag(token, 1)
+                if tag == "NNP":
+                    proper.add(token)
+            counts[tag] += n
+        for start, end in sentences:
+            if start < end and tokens[start] in proper:
+                counts["NNP"] -= 1
+                counts[_fallback_tag(tokens[start], 0)] += 1
+        return counts
 
 
 _START = ("-S1-", "-S2-")
@@ -270,6 +305,15 @@ class PerceptronTagger:
             tags.append(tag)
             prev2, prev = prev, tag
         return tags
+
+    def count_tags(
+        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+    ) -> Counter[str]:
+        # a tag depends on the tags before it, so every sentence is tagged
+        counts: Counter[str] = Counter()
+        for start, end in sentences:
+            counts.update(self.tag(tokens[start:end]))
+        return counts
 
     def train(
         self,
@@ -338,7 +382,7 @@ class PerceptronTagger:
             raise ConfigError(f"tagger weights file not found: {path}")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read tagger weights {path}: {exc}") from exc
         if payload.get("kind") != "perceptron-tagger":
             raise DataError(f"{path}: not a tagger weights file")
@@ -384,17 +428,19 @@ def morphological_features(
 ) -> dict[str, int]:
     """Counts over the 33-tag table; raw tags outside it are dropped.
 
-    When sentence ranges are given, each sentence is tagged as its own
-    sequence so position-0 capitalization rules reset per sentence.
+    When sentence ranges are given (they partition ``[0, len(tokens))``, as
+    ``TokenizedText.sentences`` does), each sentence is tagged as its own
+    sequence so position-0 capitalization rules reset per sentence;
+    without them the tokens are one sequence.
     """
-    counts = dict.fromkeys(PENN_TABLE_TAGS, 0)
     if sentences is None:
-        spans = [(0, len(tokens))] if tokens else []
-    else:
-        spans = list(sentences)
-    for start, end in spans:
-        for raw in pos_tag(tokens[start:end], tagger):
-            table = _RAW_TO_TABLE.get(raw)
-            if table is not None:
-                counts[table] += 1
+        sentences = [(0, len(tokens))] if tokens else []
+    raw_counts = (_DEFAULT_TAGGER if tagger is None else tagger).count_tags(
+        tokens, sentences
+    )
+    counts = dict.fromkeys(PENN_TABLE_TAGS, 0)
+    for raw, n in raw_counts.items():
+        table = _RAW_TO_TABLE.get(raw)
+        if table is not None:
+            counts[table] += n
     return counts

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .. import resources
 
@@ -27,6 +28,17 @@ VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 # lookbehind skips the other starts, each of which would rescan the rest of
 # the run: without it a long run of marks costs time quadratic in its length.
 _BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
+# Word matches are unpacked into spans and texts this many at a time: in
+# batches the unpacking runs in C, and only one batch of match objects is
+# alive at once, where a list of all of them would double tokenize's peak
+# memory on a long text.
+_MATCH_BATCH = 1024
+# Every code point for which str.isspace() is true (the tests check this
+# against the running interpreter's Unicode database).
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 
 @dataclass
@@ -59,10 +71,11 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     url_ends: list[int] = []
 
     def add_words(pos: int, endpos: int) -> None:
-        for w in WORD_RE.finditer(text, pos, endpos):
-            starts.append(w.start())
-            ends.append(w.end())
-            tokens.append(w.group())
+        matches = WORD_RE.finditer(text, pos, endpos)
+        while found := list(islice(matches, _MATCH_BATCH)):
+            starts.extend(map(re.Match.start, found))
+            ends.extend(map(re.Match.end, found))
+            tokens.extend(map(re.Match.group, found))
 
     cursor = 0
     for m in URL_RE.finditer(text):
@@ -102,7 +115,9 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     if start < len(tokens):
         sentences.append((start, len(tokens)))
 
-    char_count = len(text) - sum(map(str.isspace, text))
+    # one C-level count per whitespace code point: no per-character call
+    # and, unlike str.split(), no list of words
+    char_count = len(text) - sum(map(text.count, _WHITESPACE))
     return TokenizedText(tokens=tokens, sentences=sentences, char_count=char_count)
 
 

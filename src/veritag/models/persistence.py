@@ -172,7 +172,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     path = Path(path)
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
     if not isinstance(body, dict) or "checksum" not in body:
         raise DataError(f"corrupt model file {path}: missing checksum")

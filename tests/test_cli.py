@@ -323,6 +323,26 @@ class TestFeatureFlow:
         assert out.splitlines()[0] == "doc_id,predicted_label,score"
 
 
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize(
+        "payload", ["[]", '{"format_version": 1}', "[" * 100_000],
+        ids=["list", "no-names", "deeply-nested"],
+    )
+    def test_malformed_schema_is_a_data_error(self, demo_corpus_dir, tmp_path, payload):
+        schema = tmp_path / "schema.json"
+        schema.write_text(payload, encoding="utf-8")
+        assert main(["extract", "--corpus", str(demo_corpus_dir), "--schema", str(schema),
+                     "--out", str(tmp_path / "features.csv")]) == 2
+
+    def test_deeply_nested_model_is_a_data_error(self, demo_corpus_dir, tmp_path, caplog):
+        model = tmp_path / "model.bin"
+        model.write_text("[" * 100_000, encoding="utf-8")
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["predict", "--model", str(model), "--corpus", str(demo_corpus_dir),
+                         "--out", str(tmp_path / "predictions.csv")]) == 2
+        assert "corrupt model file" in caplog.text
+
+
 class TestEvaluate:
     def test_cv_report(self, demo_corpus_dir, tmp_path):
         out = tmp_path / "cv.csv"

@@ -158,3 +158,54 @@ class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_scores_equal_per_token_reference(self, tokens, demo_dictionary):
         assert dictionary_scores(tokens, demo_dictionary) == _reference_scores(tokens, demo_dictionary)
+
+
+def _reference_match(dictionary: CategoryDictionary, token: str) -> frozenset[int]:
+    """Look up every prefix length from 0 to the longest prefix pattern:
+    ``match`` before it visited only the prefix lengths that occur."""
+    t = token.lower()
+    hits = set(dictionary._literal.get(t, ()))
+    longest = max((len(k) for k in dictionary._prefix), default=0)
+    for k in range(min(len(t), longest) + 1):
+        hits.update(dictionary._prefix.get(t[:k], ()))
+    return frozenset(hits)
+
+
+# patterns over a small alphabet so that prefixes of several lengths,
+# a bare "*" and literals all collide with the tokens
+_pattern = st.builds(
+    lambda stem, star: stem + ("*" if star else ""),
+    st.text(alphabet="abAB", max_size=4),
+    st.booleans(),
+).filter(bool)
+
+
+@st.composite
+def _dictionaries(draw):
+    n = draw(st.integers(1, 4))
+    patterns = draw(st.lists(
+        st.tuples(_pattern, st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(tuple)),
+        max_size=12,
+    ))
+    return CategoryDictionary(categories=[f"c{i}" for i in range(n)], patterns=patterns)
+
+
+class TestMatchVisitsOnlyPrefixLengthsThatOccur:
+    def test_bare_star_and_several_lengths(self):
+        d = CategoryDictionary(
+            categories=["all", "ab", "abba", "lit"],
+            patterns=[("*", (0,)), ("ab*", (1,)), ("abba*", (2,)), ("ab", (3,))],
+        )
+        assert d.match("") == {0}
+        assert d.match("AB") == {0, 1, 3}
+        assert d.match("abb") == {0, 1}
+        assert d.match("abba") == {0, 1, 2}
+        assert d.match("Abbatoir") == {0, 1, 2}
+        for token in ("", "a", "ab", "abb", "abba", "abbax", "b", "ba"):
+            assert d.match(token) == _reference_match(d, token)
+
+    @given(_dictionaries(), st.lists(st.text(alphabet="abAB", max_size=6), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_all_lengths_loop(self, dictionary, tokens):
+        for token in tokens:
+            assert dictionary.match(token) == _reference_match(dictionary, token)

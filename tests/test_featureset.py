@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import random
+import string
+
 import numpy as np
 import pytest
 
@@ -146,6 +150,34 @@ class TestExtractDocument:
         vector = extract_document(_doc(doc_id="a"), schema)
         assert (vector.doc_id, vector.label) == ("a", 0)
 
+    def test_one_megabyte_page_with_a_large_vocabulary(self, demo_dictionary, resources):
+        # tens of thousands of distinct words, capitalized openers, digits,
+        # links and markup: every group must still give finite values
+        rng = random.Random(11)
+        letters = string.ascii_lowercase + "éß"
+        sentences, size = [], 0
+        while size < 1_050_000:
+            words = ["".join(rng.choices(letters, k=rng.randint(2, 12)))
+                     for _ in range(rng.randint(4, 25))]
+            words[0] = words[0].capitalize()
+            if rng.random() < 0.2:
+                words.append(str(rng.randint(0, 10**6)))
+            if rng.random() < 0.05:
+                words.append(f'<a href="https://ads{rng.randint(0, 9)}.example/x">www.x.org/{words[1]}</a>')
+            sentences.append(" ".join(words) + rng.choice(".!?"))
+            size += len(sentences[-1]) + 2
+        body = "".join(f"<p>{' '.join(sentences[i:i + 5])}</p>" for i in range(0, len(sentences), 5))
+        html = ("<html><head><title>A Very Large Page</title></head><body><article><h1>A Very "
+                "Large Page</h1>" + body + "</article></body></html>")
+        assert len(html.encode()) >= 1_000_000
+        schema = build_schema("HC", ("N", "L", "R", "W"), demo_dictionary)
+        vector = extract_document(
+            _doc(html), schema, demo_dictionary, resources.tagger, resources.ad_domains
+        )
+        values = dict(zip(schema.names, vector.values))
+        assert np.all(np.isfinite(vector.values))
+        assert values["R.W"] > 100_000 and values["R.LX"] > 10_000
+
 
 class TestPaperPruning:
     def test_markup_keep_set(self, demo_dictionary):
@@ -264,6 +296,24 @@ class TestSchemaIo:
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text("{nope")
+        with pytest.raises(DataError):
+            read_schema(path)
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"format_version": 1},
+        {"format_version": 1, "names": "N.NN", "granularity": "H", "groups": ["N"]},
+        {"format_version": 1, "names": [1], "granularity": "H", "groups": ["N"]},
+        {"format_version": 1, "names": [], "granularity": ["H"], "groups": []},
+        {"format_version": 1, "names": [], "granularity": "H", "groups": [], "pruning": 0},
+        {"format_version": 1, "names": ["N.NN", "N.NN"], "granularity": "H", "groups": ["N"]},
+        {"format_version": 1, "names": ["W.AU"], "granularity": "H", "groups": ["N"]},
+        {"format_version": 1, "names": [], "granularity": "X", "groups": []},
+    ], ids=["list", "no-names", "names-string", "name-number", "granularity-list",
+            "pruning-number", "duplicate-names", "name-outside-groups", "bad-granularity"])
+    def test_malformed_schema_is_a_data_error(self, tmp_path, payload):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(payload))
         with pytest.raises(DataError):
             read_schema(path)
 

@@ -204,3 +204,9 @@ class TestMatchesReference:
     def test_features_equal_per_token_reference(self, text):
         tk = tokenize(text)
         assert readability_features(tk).as_features() == _reference_features(tk).as_features()
+
+    @given(st.text(alphabet="aZé²3'ǅ́ß.", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_letter_count_equals_per_character_count(self, token):
+        # all-letter tokens take a shortcut; digits, marks and apostrophes do not count
+        assert _letters(token) == sum(1 for c in token if c.isalpha())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from veritag import PENN_TABLE_TAGS, morphological_features, pos_tag
 from veritag.errors import ConfigError
-from veritag.linguistics.tagger import PerceptronTagger, RuleTagger
+from veritag.linguistics.tagger import _RAW_TO_TABLE, PerceptronTagger, RuleTagger
 
 
 class TestPosTag:
@@ -106,3 +106,101 @@ class TestProperties:
         # tags outside the table are dropped, never double-counted
         counts = morphological_features(tokens, tagger=RuleTagger())
         assert 0 <= sum(counts.values()) <= len(tokens)
+
+
+def _reference_counts(tokens, tagger=None, sentences=None):
+    """Tag every sentence slice as its own sequence, then count the tags:
+    the loop ``morphological_features`` ran before tags were counted once
+    per distinct token."""
+    counts = dict.fromkeys(PENN_TABLE_TAGS, 0)
+    if sentences is None:
+        spans = [(0, len(tokens))] if tokens else []
+    else:
+        spans = list(sentences)
+    for start, end in spans:
+        for raw in pos_tag(tokens[start:end], tagger):
+            table = _RAW_TO_TABLE.get(raw)
+            if table is not None:
+                counts[table] += 1
+    return counts
+
+
+# Words whose tag depends on opening a sentence (capitalized unknowns,
+# capitalized -ly/-ing words), words that do not (lexicon entries, the
+# lexicon's NNP "Monday", digits including the superscript "²" that
+# str.isdigit accepts), and lower- and upper-case forms of each.
+_WORDS = (
+    "the", "The", "cat", "Cat", "sat", "Zorblax", "zorblax", "ZORBLAX",
+    "Quickly", "quickly", "Running", "running", "Zorbing", "Monday", "monday",
+    "May", "Paris", "paris", "There", "von", "Von", "Americans", "3", "1984",
+    "x²", "²", "B2B", "Ély", "élan", "Ünited",
+)
+_token = st.one_of(
+    st.sampled_from(_WORDS),
+    st.text(alphabet=string.ascii_letters + "²3", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _sentenced_tokens(draw):
+    """Tokens plus sentence ranges that partition them, as tokenize gives."""
+    tokens = draw(st.lists(_token, max_size=30))
+    cuts = draw(st.sets(st.integers(1, max(len(tokens) - 1, 1))))
+    bounds = [0, *sorted(c for c in cuts if c < len(tokens)), len(tokens)]
+    return tokens, list(zip(bounds, bounds[1:])) if tokens else []
+
+
+_CUSTOM_LEXICON = {"zorblax": "NNP", "paris": "NNP", "sat": "VBD", "there": "EX", "quickly": ""}
+
+
+class TestCountsMatchThePerSentenceLoop:
+    def test_openers_and_inner_words(self):
+        tokens = ["Zorblax", "met", "Zorblax", "Monday", "Monday", "Zorblax",
+                  "Quickly", "Quickly", "²", "Zorbing", "Zorbing"]
+        sentences = [(0, 3), (3, 6), (6, 8), (8, 9), (9, 11)]
+        counts = morphological_features(tokens, sentences=sentences)
+        assert counts == _reference_counts(tokens, sentences=sentences)
+        # the unknown openers fall back to the suffix rules; the lexicon's
+        # Monday is NNP in either place
+        assert (counts["NN"], counts["RB"], counts["VBG"], counts["CD"]) == (1, 1, 1, 1)
+        assert counts["NNP"] == 2 + 2 + 1 + 1
+
+    @given(_sentenced_tokens())
+    @settings(max_examples=300, deadline=None)
+    def test_rule_tagger_with_sentences(self, text):
+        tokens, sentences = text
+        assert morphological_features(tokens, sentences=sentences) == _reference_counts(
+            tokens, sentences=sentences
+        )
+
+    @given(st.lists(_token, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_rule_tagger_as_one_sequence(self, tokens):
+        assert morphological_features(tokens) == _reference_counts(tokens)
+
+    @given(_sentenced_tokens())
+    @settings(max_examples=200, deadline=None)
+    def test_custom_lexicon(self, text):
+        tokens, sentences = text
+        tagger = RuleTagger(lexicon=_CUSTOM_LEXICON)
+        assert morphological_features(tokens, tagger, sentences) == _reference_counts(
+            tokens, tagger, sentences
+        )
+
+    @given(text=_sentenced_tokens())
+    @settings(max_examples=100, deadline=None)
+    def test_perceptron_tagger(self, perceptron, text):
+        tokens, sentences = text
+        assert morphological_features(tokens, perceptron, sentences) == _reference_counts(
+            tokens, perceptron, sentences
+        )
+
+
+@pytest.fixture(scope="module")
+def perceptron() -> PerceptronTagger:
+    rules = RuleTagger()
+    sentences = [["The", "cat", "sat", "quickly"], ["Zorblax", "met", "the", "Monday", "cat"],
+                 ["Running", "is", "good"], ["May", "Paris", "run", "3", "miles"]]
+    tagger = PerceptronTagger()
+    tagger.train([(s, rules.tag(s)) for s in sentences], epochs=3, seed=0)
+    return tagger

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import string
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,3 +286,28 @@ class TestMatchesReference:
     def test_long_runs_of_marks(self):
         for marks in (".", "?!", ".)"):
             _assert_matches_reference("Wait" + marks * 1_000 + " Then" + marks * 1_000 + "x. End")
+
+    def test_batches_of_matches_join_up(self):
+        # word matches are unpacked in batches: token counts around and at
+        # multiples of the batch size must lose and repeat nothing
+        for words in (1023, 1024, 1025, 2048, 3001):
+            text = " ".join(f"w{i}" for i in range(words)) + ". Done"
+            assert tokenize(text).tokens == [f"w{i}" for i in range(words)] + ["Done"]
+
+
+# every code point str.isspace() accepts, from the running interpreter
+_ALL_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+class TestCharCount:
+    def test_every_unicode_whitespace(self):
+        # plus look-alikes that are not whitespace: zero-width space,
+        # word joiner, BOM, and a superscript digit
+        text = "".join(f"w{c}x\u200b{c}{c}é\u2060²\ufeff" for c in _ALL_WHITESPACE)
+        assert len(_ALL_WHITESPACE) >= 25
+        assert tokenize(text).char_count == len(text) - sum(map(str.isspace, text))
+
+    @given(st.text(alphabet=st.sampled_from(_ALL_WHITESPACE + "ab.é²\u200b\U0001f600")))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_isspace_count(self, text):
+        assert tokenize(text).char_count == len(text) - sum(map(str.isspace, text))
