@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError, InvariantError, is_number_map, is_str_list
 from .linguistics import tokenize
 
 LABELS = ("reliable", "unreliable")
@@ -201,23 +201,37 @@ class PoliticalFilterModel:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read filter model {path}: {exc}") from exc
-        if payload.get("kind") != "political-filter":
+        if not isinstance(payload, dict) or payload.get("kind") != "political-filter":
             raise DataError(f"{path}: not a political-filter model file")
         if payload.get("format_version") != FILTER_MODEL_FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported model format version "
                 f"{payload.get('format_version')!r}"
             )
-        return cls(
-            classes=tuple(payload["classes"]),
-            class_log_priors={k: float(v) for k, v in payload["class_log_priors"].items()},
-            feature_log_likelihoods={
-                t: {c: float(v) for c, v in per.items()}
-                for t, per in payload["feature_log_likelihoods"].items()
-            },
-            idf={k: float(v) for k, v in payload["idf"].items()},
-            vocabulary=tuple(payload["vocabulary"]),
-        )
+        likelihoods = payload.get("feature_log_likelihoods")
+        if not (
+            is_str_list(payload.get("classes")) and is_str_list(payload.get("vocabulary"))
+            and is_number_map(payload.get("class_log_priors"))
+            and is_number_map(payload.get("idf"))
+            and isinstance(likelihoods, dict) and all(map(is_number_map, likelihoods.values()))
+        ):
+            raise DataError(
+                f"{path}: a filter model needs 'classes' and 'vocabulary' lists of "
+                "strings and 'class_log_priors', 'idf' and 'feature_log_likelihoods' "
+                "objects of numbers"
+            )
+        try:
+            return cls(
+                classes=tuple(payload["classes"]),
+                class_log_priors={k: float(v) for k, v in payload["class_log_priors"].items()},
+                feature_log_likelihoods={
+                    t: {c: float(v) for c, v in per.items()} for t, per in likelihoods.items()
+                },
+                idf={k: float(v) for k, v in payload["idf"].items()},
+                vocabulary=tuple(payload["vocabulary"]),
+            )
+        except (InvariantError, OverflowError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:

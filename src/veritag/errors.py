@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the JSON shape tests
+the file readers use to turn a malformed file into a ``DataError``."""
 
 
 class VeritagError(Exception):
@@ -15,3 +16,15 @@ class ConfigError(VeritagError):
 
 class InvariantError(VeritagError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def is_str_list(value: object) -> bool:
+    """A JSON array of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def is_number_map(value: object) -> bool:
+    """A JSON object whose values are all numbers."""
+    return isinstance(value, dict) and all(
+        isinstance(v, (int, float)) for v in value.values()
+    )

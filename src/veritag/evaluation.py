@@ -19,12 +19,13 @@ from .featureset import (
     FeatureSchema,
     apply_paper_pruning,
     build_schema,
-    extract_document,
+    extract_vectors,
     granularity_text,
 )
 from .linguistics import CategoryDictionary, Tagger, tokenize
-from .markup import Article, extract_article, parse_html
+from .markup import extract_article, parse_html
 from .models import ClassifierSettings, TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
+from .models.baseline import BaselineText, baseline_texts
 from .resources import stopwords as _default_stopwords
 
 log = logging.getLogger("veritag")
@@ -124,7 +125,7 @@ def _tag_schema(spec: PipelineSpec, dictionary: CategoryDictionary | None) -> Fe
 class _Fitter:
     """Trains and tests on index subsets of a corpus extracted once. A tag
     spec reads the ``columns`` of ``X`` that hold ``schema``'s features;
-    the baseline reads the pages' articles."""
+    the baseline reads the pages' texts at the spec's granularity."""
 
     spec: PipelineSpec
     y: np.ndarray
@@ -132,7 +133,7 @@ class _Fitter:
     schema: FeatureSchema | None = None
     X: np.ndarray | None = None
     columns: np.ndarray | None = None
-    articles: Sequence[Article] | None = None
+    texts: Sequence[BaselineText] | None = None
 
     def view(self, spec: PipelineSpec) -> _Fitter:
         """The same corpus under another spec whose schema is a column
@@ -155,7 +156,7 @@ class _Fitter:
             )
         assert self.dictionary is not None
         return train_baseline_pipeline(
-            [self.articles[i] for i in train_idx],
+            [self.texts[i] for i in train_idx],
             y_train,
             self.spec.granularity,
             self.dictionary,
@@ -168,29 +169,36 @@ class _Fitter:
             X = self.X[np.ix_(test_idx, self.columns)]
         else:
             assert pipeline.featurizer is not None
-            X = pipeline.featurizer.transform_many([self.articles[i] for i in test_idx])
+            X = pipeline.featurizer.transform_many([self.texts[i] for i in test_idx])
         predictions, _ = pipeline.predict_matrix(X)
         return accuracy(predictions, self.y[test_idx])
 
 
 def _prepare(
-    docs: Sequence[RawDocument], spec: PipelineSpec, resources: ExtractionResources
-) -> _Fitter:
-    """Extract the corpus once for one spec."""
+    docs: Sequence[RawDocument], specs: Sequence[PipelineSpec], resources: ExtractionResources
+) -> list[_Fitter]:
+    """Extract the corpus once for specs of one kind, one per granularity:
+    each page is parsed once and, page by page, yields its row or text for
+    every spec."""
     y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
-    if spec.kind == "baseline":
+    dictionary = resources.dictionary
+    if specs[0].kind == "baseline":
+        assert dictionary is not None
         articles = [extract_article(parse_html(d.html)) for d in docs]
-        return _Fitter(spec, y, resources.dictionary, articles=articles)
-    schema = _tag_schema(spec, resources.dictionary)
-    X = np.stack(
-        [
-            extract_document(
-                doc, schema, resources.dictionary, resources.tagger, resources.ad_domains
-            ).values
-            for doc in docs
+        return [
+            _Fitter(spec, y, dictionary, texts=baseline_texts(articles, spec.granularity, dictionary))
+            for spec in specs
         ]
-    )
-    return _Fitter(spec, y, resources.dictionary, schema, X, np.arange(len(schema.names)))
+    schemas = [_tag_schema(spec, dictionary) for spec in specs]
+    rows = [
+        extract_vectors(doc, schemas, dictionary, resources.tagger, resources.ad_domains)
+        for doc in docs
+    ]
+    return [
+        _Fitter(spec, y, dictionary, schema, np.stack([r[j].values for r in rows]),
+                np.arange(len(schema.names)))
+        for j, (spec, schema) in enumerate(zip(specs, schemas))
+    ]
 
 
 def _cv(fitter: _Fitter, k: int, seed: int) -> EvalReport:
@@ -219,7 +227,7 @@ def kfold_cv(
     """Stratified k-fold cross-validation. Standardizer and (for the
     baseline) the TF-IDF vocabulary are fit inside each fold on its
     training part only."""
-    return _cv(_prepare(docs, spec, resources), k, seed)
+    return _cv(_prepare(docs, [spec], resources)[0], k, seed)
 
 
 def temporal_eval(
@@ -233,7 +241,7 @@ def temporal_eval(
     years = tuple(sorted({d.year for d in docs}))
     if len(years) < 2:
         raise DataError("temporal evaluation needs at least 2 distinct years")
-    fitter = _prepare(docs, spec, resources)
+    (fitter,) = _prepare(docs, [spec], resources)
     doc_years = np.array([d.year for d in docs])
     cells: dict[tuple[int, int], float] = {}
     train_means: dict[int, float] = {}
@@ -266,7 +274,7 @@ def cross_domain_eval(
 ) -> dict[str, float]:
     """Fit on the whole training corpus, score on the whole test corpus,
     once per classifier; both corpora are extracted once."""
-    fitter = _prepare([*train_docs, *test_docs], spec, resources)
+    (fitter,) = _prepare([*train_docs, *test_docs], [spec], resources)
     train_idx = np.arange(len(train_docs))
     test_idx = np.arange(len(train_docs), fitter.y.size)
     return {
@@ -287,12 +295,20 @@ def feature_grid_eval(
     seed: int = 0,
 ) -> list[EvalReport]:
     """kfold_cv per (feature groups, granularity) cell. Groups share no
-    inputs, so each page is extracted once per granularity with every
-    requested group, and each cell reads its schema's columns of that.
-    The baseline ignores the groups, so it is cross-validated once per
-    granularity and each of its cells echoes its own config."""
+    inputs, so one page-major pass parses each page once and extracts one
+    wide row per granularity with every requested group, and each cell
+    reads its schema's columns of that. The baseline ignores the groups,
+    so it is cross-validated once per granularity and each of its cells
+    echoes its own config."""
+    if not group_sets or not granularities:
+        return []
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
-    wide: dict[str | None, _Fitter] = {}
+    distinct = tuple(dict.fromkeys(granularities))
+    wide_specs = [
+        dataclasses.replace(spec, groups=union, pruning="none", granularity=granularity)
+        for granularity in distinct
+    ]
+    wide = dict(zip(distinct, _prepare(docs, wide_specs, resources)))
     baseline_cv: dict[str, EvalReport] = {}
     reports = []
     for groups in group_sets:
@@ -302,11 +318,7 @@ def feature_grid_eval(
                 done = baseline_cv[granularity]
                 reports.append(dataclasses.replace(done, config={**done.config, **cell.echo()}))
                 continue
-            key = granularity if spec.kind == "tag" else None  # the baseline reads articles
-            if key not in wide:
-                wide_spec = dataclasses.replace(cell, groups=union, pruning="none")
-                wide[key] = _prepare(docs, wide_spec, resources)
-            report = _cv(wide[key].view(cell), k, seed)
+            report = _cv(wide[granularity].view(cell), k, seed)
             if spec.kind == "baseline":
                 baseline_cv[granularity] = report
             reports.append(report)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LABEL_TO_CLASS, RawDocument
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError, InvariantError, is_str_list
 from .linguistics import (
     PENN_TABLE_TAGS,
     READABILITY_FEATURES,
@@ -150,39 +150,66 @@ def extract_document(
 ) -> FeatureVector:
     """Parse a raw page and compute the schema's features for it. Only the
     schema's granularity and groups are computed."""
-    if "L" in schema.groups and dictionary is None:
+    return extract_vectors(doc, [schema], dictionary, tagger, ad_domains)[0]
+
+
+def extract_vectors(
+    doc: RawDocument,
+    schemas: Sequence[FeatureSchema],
+    dictionary: CategoryDictionary | None = None,
+    tagger: Tagger | None = None,
+    ad_domains: frozenset[str] | None = None,
+) -> list[FeatureVector]:
+    """One vector per schema from a single parse, article extraction and
+    markup pass over the page. Each granularity's text is tokenized once,
+    and only the groups some schema of that granularity asks for are
+    computed."""
+    groups: dict[str, set[str]] = {}
+    for schema in schemas:
+        groups.setdefault(schema.granularity, set()).update(schema.groups)
+    if dictionary is None and any("L" in wanted for wanted in groups.values()):
         raise ConfigError("psychological group requires a category dictionary")
 
     tree = parse_html(doc.html)
-    by_name: dict[str, float] = {}
-    if any(g in schema.groups for g in ("N", "L", "R")):
-        text = granularity_text(extract_article(tree), schema.granularity)
-        tokenized = tokenize(text)
-        if "N" in schema.groups:
+    article = None
+    by_name: dict[str, dict[str, float]] = {}
+    for granularity, wanted in groups.items():
+        values = by_name[granularity] = {}
+        if not wanted & {"N", "L", "R"}:
+            continue
+        if article is None:
+            article = extract_article(tree)
+        tokenized = tokenize(granularity_text(article, granularity))
+        if "N" in wanted:
             counts = morphological_features(
                 tokenized.tokens, tagger, sentences=tokenized.sentences
             )
             for tag, count in counts.items():
-                by_name["N." + tag] = float(count)
-        if "L" in schema.groups:
+                values["N." + tag] = float(count)
+        if "L" in wanted:
             assert dictionary is not None
             for cat, pct in dictionary_scores(tokenized.tokens, dictionary).items():
-                by_name["L." + cat] = pct
-        if "R" in schema.groups:
+                values["L." + cat] = pct
+        if "R" in wanted:
             for rname, val in readability_features(tokenized).as_features().items():
-                by_name["R." + rname] = val
-    if "W" in schema.groups:
+                values["R." + rname] = val
+    if any("W" in wanted for wanted in groups.values()):
         markup = markup_features(tree, ad_domains)
-        for gname, count in markup.tag_group_counts.items():
-            by_name["W." + gname] = float(count)
-        by_name["W.ADS"] = float(markup.ads_count)
-        by_name["W.AU"] = float(markup.author_present)
+        web = {"W." + gname: float(count) for gname, count in markup.tag_group_counts.items()}
+        web["W.ADS"] = float(markup.ads_count)
+        web["W.AU"] = float(markup.author_present)
+        for values in by_name.values():
+            values.update(web)
 
-    try:
-        values = np.array([by_name[name] for name in schema.names], dtype=np.float64)
-    except KeyError as exc:
-        raise InvariantError(f"schema name {exc} not produced by extraction") from exc
-    return FeatureVector(doc_id=doc.id, values=values, label=LABEL_TO_CLASS[doc.label])
+    vectors = []
+    for schema in schemas:
+        values = by_name[schema.granularity]
+        try:
+            row = np.array([values[name] for name in schema.names], dtype=np.float64)
+        except KeyError as exc:
+            raise InvariantError(f"schema name {exc} not produced by extraction") from exc
+        vectors.append(FeatureVector(doc_id=doc.id, values=row, label=LABEL_TO_CLASS[doc.label]))
+    return vectors
 
 
 def _matches(base_name: str, entry: str) -> bool:
@@ -309,7 +336,7 @@ def read_schema(path: str | Path) -> FeatureSchema:
     names, groups = payload["names"], payload["groups"]
     granularity, pruning = payload["granularity"], payload.get("pruning", "none")
     if not (
-        _is_str_list(names) and _is_str_list(groups)
+        is_str_list(names) and is_str_list(groups)
         and isinstance(granularity, str) and isinstance(pruning, str)
     ):
         raise DataError(
@@ -323,10 +350,6 @@ def read_schema(path: str | Path) -> FeatureSchema:
         )
     except (ConfigError, InvariantError) as exc:
         raise DataError(f"{path}: {exc}") from exc
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def write_feature_csv(

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, is_number_map, is_str_list
 
 # The 33 morphological feature tags, in schema order. FOW is the foreign-word
 # tag (raw Penn FW).
@@ -384,12 +384,21 @@ class PerceptronTagger:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"cannot read tagger weights {path}: {exc}") from exc
-        if payload.get("kind") != "perceptron-tagger":
+        if not isinstance(payload, dict) or payload.get("kind") != "perceptron-tagger":
             raise DataError(f"{path}: not a tagger weights file")
         if payload.get("format_version") != WEIGHTS_FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported weights format version "
                 f"{payload.get('format_version')!r}"
+            )
+        weights = payload.get("weights")
+        if not (
+            is_str_list(payload.get("classes")) and is_str_list(payload.get("known_words"))
+            and isinstance(weights, dict) and all(map(is_number_map, weights.values()))
+        ):
+            raise DataError(
+                f"{path}: tagger weights need 'classes' and 'known_words' lists of "
+                "strings and 'weights' objects of numbers"
             )
         tagger = cls()
         tagger.classes = list(payload["classes"])

@@ -26,57 +26,70 @@ def _gini(counts: np.ndarray, total: int) -> float:
 
 
 def _best_split(
-    col: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
+    block: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
     rng: np.random.Generator,
-) -> tuple[float, float] | None:
-    """Best (decrease, threshold) over midpoints of consecutive distinct
-    values; ties keep the lowest threshold. None when the column is
+) -> tuple[float, float, int] | None:
+    """(decrease, threshold, column) of the best split over midpoints of
+    consecutive distinct values in every column of block; ties keep the
+    lowest threshold, then the first column. None when every column is
     constant. Draws nothing from rng."""
-    order = np.argsort(col, kind="stable")
-    svals = col[order]
-    slabs = labels[order]
-    n = len(col)
-    boundaries = np.nonzero(svals[1:] > svals[:-1])[0]
-    if boundaries.size == 0:
+    n = block.shape[0]
+    order = np.argsort(block, axis=0, kind="stable")
+    svals = np.take_along_axis(block, order, axis=0)
+    boundary = svals[1:] > svals[:-1]  # (n - 1, columns)
+    if not boundary.any():
         return None
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), slabs] = 1.0
-    prefix = onehot.cumsum(axis=0)
+    onehot = (labels[order][:, :, None] == np.arange(n_classes)).astype(np.float64)
+    prefix = onehot.cumsum(axis=0)  # (n, columns, classes)
     total = prefix[-1]
 
-    nl = (boundaries + 1).astype(np.float64)
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
     nr = n - nl
-    cl = prefix[boundaries]
+    cl = prefix[:-1]
     cr = total - cl
-    gl = 1.0 - ((cl / nl[:, None]) ** 2).sum(axis=1)
-    gr = 1.0 - ((cr / nr[:, None]) ** 2).sum(axis=1)
+    gl = 1.0 - ((cl / nl[:, :, None]) ** 2).sum(axis=2)
+    gr = 1.0 - ((cr / nr[:, :, None]) ** 2).sum(axis=2)
     decreases = parent_gini - (nl / n) * gl - (nr / n) * gr
-    best = int(np.argmax(decreases))  # first max = lowest threshold
-    thr = float((svals[boundaries[best]] + svals[boundaries[best] + 1]) / 2.0)
-    return float(decreases[best]), thr
+    decreases[~boundary] = -np.inf
+    rows = np.argmax(decreases, axis=0)  # first max = lowest threshold
+    per_column = decreases[rows, np.arange(block.shape[1])]
+    j = int(np.argmax(per_column))  # first max = first candidate drawn
+    b = rows[j]
+    thr = float((svals[b, j] + svals[b + 1, j]) / 2.0)
+    return float(per_column[j]), thr, j
 
 
 def _random_split(
-    col: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
+    block: np.ndarray, labels: np.ndarray, n_classes: int, parent_gini: float,
     rng: np.random.Generator,
-) -> tuple[float, float] | None:
-    """(decrease, threshold) for one uniform threshold inside the column's
-    range. A constant column draws nothing; a threshold that leaves one
-    side empty gives None."""
-    lo, hi = col.min(), col.max()
-    if lo == hi:
+) -> tuple[float, float, int] | None:
+    """(decrease, threshold, column) of the best of one uniform threshold
+    per non-constant column of block, drawn in column order; ties keep the
+    first column. Constant columns draw nothing; a threshold that leaves
+    one side empty does not split. None when no column splits."""
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    columns = np.flatnonzero(lo != hi)
+    if columns.size == 0:
         return None
-    thr = rng.uniform(lo, hi)
-    left = col <= thr
-    if left.all() or not left.any():
+    thr = rng.uniform(lo[columns], hi[columns])
+    left = block[:, columns] <= thr  # (n, candidates)
+    n = block.shape[0]
+    nl = left.sum(axis=0)
+    onehot = labels[:, None] == np.arange(n_classes)
+    cl = left.T.astype(np.int64) @ onehot  # (candidates, classes)
+    cr = onehot.sum(axis=0) - cl
+    splits = (nl > 0) & (nl < n)
+    if not splits.any():
         return None
-    n = col.size
-    nl = left.sum()
-    decrease = parent_gini - (
-        nl / n * _gini(np.bincount(labels[left], minlength=n_classes), nl)
-        + (n - nl) / n * _gini(np.bincount(labels[~left], minlength=n_classes), n - nl)
-    )
-    return decrease, thr
+    nr = n - nl
+    with np.errstate(invalid="ignore", divide="ignore"):  # unsplit columns
+        pl, pr = cl / nl[:, None], cr / nr[:, None]
+    gl = 1.0 - (pl * pl).sum(axis=1)
+    gr = 1.0 - (pr * pr).sum(axis=1)
+    decreases = parent_gini - (nl / n * gl + nr / n * gr)
+    decreases[~splits] = -np.inf
+    k = int(np.argmax(decreases))  # first max = first candidate drawn
+    return float(decreases[k]), float(thr[k]), int(columns[k])
 
 
 def _grow(
@@ -85,8 +98,9 @@ def _grow(
 ) -> dict[str, list]:
     """One tree on the rows in sample, depth first from an explicit stack,
     to purity or single-row leaves. Each node draws sqrt(d) candidate
-    features without replacement and keeps the first strictly best split.
-    Nodes are numbered in visit order, which also fixes the rng draw order."""
+    features without replacement and keeps the first strictly best split,
+    searched over all candidates in one call. Nodes are numbered in visit
+    order, which also fixes the rng draw order."""
     tree: dict[str, list] = {
         k: [] for k in ("feature", "threshold", "left", "right", "counts", "decrease")
     }
@@ -100,16 +114,15 @@ def _grow(
         labels = y[idx]
         counts = np.bincount(labels, minlength=n_classes)
         gini = _gini(counts, idx.size)
-        best: tuple[float, float, int] | None = None
+        best = None
         if idx.size >= 2 and gini != 0.0:
-            for f in rng.choice(X.shape[1], size=m, replace=False):
-                found = split(X[idx, f], labels, n_classes, gini, rng)
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (*found, int(f))
+            candidates = rng.choice(X.shape[1], size=m, replace=False)
+            best = split(X[np.ix_(idx, candidates)], labels, n_classes, gini, rng)
         if best is None:
             row = (-1, 0.0, -1, -1, counts.tolist(), 0.0)
         else:
-            decrease, thr, f = best
+            decrease, thr, j = best
+            f = int(candidates[j])
             row = (f, thr, -1, -1, None, float(idx.size / n * max(decrease, 0.0)))
             goes_left = X[idx, f] <= thr
             children = [(idx[goes_left], node, "left"), (idx[~goes_left], node, "right")]

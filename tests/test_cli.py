@@ -334,6 +334,26 @@ class TestMalformedInputFiles:
         assert main(["extract", "--corpus", str(demo_corpus_dir), "--schema", str(schema),
                      "--out", str(tmp_path / "features.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", '{"kind": "political-filter", "format_version": 1}'],
+        ids=["list", "no-classes"],
+    )
+    def test_malformed_filter_model_is_a_data_error(self, demo_corpus_dir, tmp_path, payload):
+        model = tmp_path / "filter.json"
+        model.write_text(payload, encoding="utf-8")
+        assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--model", str(model),
+                     "--out", str(tmp_path / "decisions.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "payload", ["[]", '{"kind": "perceptron-tagger", "format_version": 1}'],
+        ids=["list", "no-classes"],
+    )
+    def test_malformed_tagger_weights_are_a_data_error(self, demo_corpus_dir, tmp_path, payload):
+        weights = tmp_path / "tagger.json"
+        weights.write_text(payload, encoding="utf-8")
+        assert main(["extract", "--corpus", str(demo_corpus_dir), "--tagger", f"perceptron:{weights}",
+                     "--out", str(tmp_path / "features.csv")]) == 2
+
     def test_deeply_nested_model_is_a_data_error(self, demo_corpus_dir, tmp_path, caplog):
         model = tmp_path / "model.bin"
         model.write_text("[" * 100_000, encoding="utf-8")

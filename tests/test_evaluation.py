@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +238,31 @@ def _count_parses(monkeypatch):
     return calls
 
 
+def _count_calls(monkeypatch, *names):
+    """Count calls of veritag functions, wherever a module binds them, and
+    of methods given as Class.method."""
+    counts = collections.Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in names:
+        if "." in name:
+            cls_name, attr = name.split(".")
+            cls = getattr(veritag, cls_name)
+            monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+            continue
+        original = getattr(veritag.linguistics, name)
+        wrapped = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("veritag") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
 class TestExtractOnce:
     @pytest.mark.parametrize("pruning", ["none", "paper"])
     def test_grid_equals_kfold_cv_cell_by_cell(
@@ -331,14 +358,34 @@ class TestExtractOnce:
     def test_grid_parses_each_page_at_most_once_per_granularity(
         self, demo_docs, resources, monkeypatch, kind
     ):
+        """Tighter than the name: one page-major pass parses each page
+        exactly once for all three granularities."""
         docs = demo_docs[:6] + demo_docs[-6:]
         calls = _count_parses(monkeypatch)
         feature_grid_eval(
             docs, PipelineSpec(kind=kind), resources,
             [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2,
         )
-        assert len(calls) <= 3 * len(docs)
-        assert set(calls) == {d.html for d in docs}
+        assert sorted(calls) == sorted(d.html for d in docs)
+
+    @pytest.mark.parametrize("protocol", ["cv", "temporal"])
+    def test_baseline_featurizes_each_article_once(
+        self, demo_docs, drift_docs, resources, monkeypatch, protocol
+    ):
+        docs = _mixed(demo_docs, drift_docs)
+        calls = _count_calls(monkeypatch, "tokenize", "dictionary_scores", "readability_features")
+        fits = _count_calls(monkeypatch, "BaselineFeaturizer.fit")
+        spec = PipelineSpec(kind="baseline")
+        if protocol == "cv":
+            kfold_cv(docs, spec, resources, k=3, seed=1)
+            assert fits["BaselineFeaturizer.fit"] == 3
+        else:
+            report = temporal_eval(docs, spec, resources)
+            assert fits["BaselineFeaturizer.fit"] == len(report.train_means) > 1
+        assert calls == {
+            "tokenize": len(docs), "dictionary_scores": len(docs),
+            "readability_features": len(docs),
+        }
 
     @pytest.mark.parametrize("kind", ["tag", "baseline"])
     def test_cross_domain_parses_each_page_once(

@@ -27,7 +27,7 @@ from veritag import (
     write_schema,
 )
 from veritag.errors import ConfigError, DataError
-from veritag.featureset import MARKUP_KEEP, PRUNE_BY_GRANULARITY
+from veritag.featureset import MARKUP_KEEP, PRUNE_BY_GRANULARITY, extract_vectors
 from veritag.linguistics import READABILITY_FEATURES
 from veritag.markup import Article
 
@@ -149,6 +149,36 @@ class TestExtractDocument:
         schema = build_schema("HC", ("R",))
         vector = extract_document(_doc(doc_id="a"), schema)
         assert (vector.doc_id, vector.label) == ("a", 0)
+
+    def test_many_schemas_from_one_parse_equal_one_schema_each(
+        self, demo_docs, drift_docs, demo_dictionary, resources, monkeypatch
+    ):
+        import veritag.featureset
+
+        schemas = [
+            build_schema("H", ("N", "R"), demo_dictionary),
+            build_schema("C", ("L", "W"), demo_dictionary),
+            build_schema("HC", ("W",), demo_dictionary),
+            apply_paper_pruning(build_schema("HC", ("N", "L", "R", "W"), demo_dictionary)),
+            build_schema("C", ("N",), demo_dictionary),
+        ]
+        parse, parses = veritag.featureset.parse_html, []
+        for doc in demo_docs[::5] + drift_docs[::5]:
+            expected = [
+                extract_document(doc, s, demo_dictionary, resources.tagger, resources.ad_domains)
+                for s in schemas
+            ]
+            monkeypatch.setattr(
+                veritag.featureset, "parse_html", lambda html: parses.append(html) or parse(html)
+            )
+            got = extract_vectors(
+                doc, schemas, demo_dictionary, resources.tagger, resources.ad_domains
+            )
+            monkeypatch.setattr(veritag.featureset, "parse_html", parse)
+            assert [v.values.tobytes() for v in got] == [v.values.tobytes() for v in expected]
+            assert [(v.doc_id, v.label) for v in got] == [(v.doc_id, v.label) for v in expected]
+            assert parses == [doc.html]
+            parses.clear()
 
     def test_one_megabyte_page_with_a_large_vocabulary(self, demo_dictionary, resources):
         # tens of thousands of distinct words, capitalized openers, digits,

@@ -57,3 +57,46 @@ def test_deep_nesting_is_bad_input(reader, tmp_path):
     read, error = READERS[reader]
     with pytest.raises(error):
         read(tmp_path)
+
+
+_TAGGER = {"kind": "perceptron-tagger", "format_version": 1, "classes": ["NN"],
+           "known_words": ["cat"], "weights": {"bias": {"NN": 1.0}}}
+_FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["a", "b"],
+           "class_log_priors": {"a": -0.6931471805599453, "b": -0.6931471805599453},
+           "feature_log_likelihoods": {"vote": {"a": -1.0, "b": -2.0}},
+           "idf": {"vote": 1.0}, "vocabulary": ["vote"]}
+
+
+@pytest.mark.parametrize(
+    "load, payload",
+    [
+        (PerceptronTagger.load, {**_TAGGER, "classes": "NN"}),
+        (PerceptronTagger.load, {**_TAGGER, "known_words": None}),
+        (PerceptronTagger.load, {**_TAGGER, "weights": [1.0]}),
+        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"NN": "heavy"}}}),
+        (PoliticalFilterModel.load, {**_FILTER, "vocabulary": {"vote": 0}}),
+        (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": "high"}}),
+        (PoliticalFilterModel.load, {**_FILTER, "feature_log_likelihoods": {"vote": 1.0}}),
+        (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"a": 0.0, "b": 0.0}}),
+        (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"a": 1e308}}),
+        (PoliticalFilterModel.load, {**_FILTER, "vocabulary": ["vote", "vote"]}),
+    ],
+    ids=[
+        "tagger-classes", "tagger-known-words", "tagger-weights", "tagger-weight-value",
+        "filter-vocabulary", "filter-idf", "filter-likelihoods", "filter-priors-sum",
+        "filter-prior-overflow", "filter-duplicate-term",
+    ],
+)
+def test_wrong_shape_is_bad_input(load, payload, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DataError):
+        load(path)
+
+
+@pytest.mark.parametrize("load, payload", [(PerceptronTagger.load, _TAGGER),
+                                           (PoliticalFilterModel.load, _FILTER)])
+def test_well_formed_payload_loads(load, payload, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    load(path)

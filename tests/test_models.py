@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,18 @@ class TestBaselinePipeline:
         train_baseline_pipeline(_ARTICLES, y, "HC", demo_dictionary, settings, min_df=1)
         assert len(calls) == len(_ARTICLES)
 
+    def test_training_fits_through_fit(self, demo_dictionary, monkeypatch):
+        from veritag.models.baseline import BaselineFeaturizer
+
+        fit, fits = BaselineFeaturizer.fit, []
+        monkeypatch.setattr(
+            BaselineFeaturizer, "fit", lambda self, articles: fits.append(self) or fit(self, articles)
+        )
+        y = np.array([0, 0, 1, 1])
+        settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
+        pipeline = train_baseline_pipeline(_ARTICLES, y, "HC", demo_dictionary, settings, min_df=1)
+        assert fits == [pipeline.featurizer]
+
     def test_fit_transform_equals_fit_then_transform(self, demo_dictionary):
         from veritag.models.baseline import BaselineFeaturizer
 
@@ -393,6 +406,82 @@ class TestBaselinePipeline:
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
         with pytest.raises(DataError):
             train_baseline_pipeline([], np.array([]), "HC", demo_dictionary, settings)
+
+
+def _reference_baseline(train, test, granularity, dictionary, min_df):
+    """The per-row baseline featurizer as it was before texts were prepared
+    once per article: (vocabulary, idf, rows of test)."""
+    from veritag.featureset import granularity_text
+    from veritag.linguistics import (
+        READABILITY_FEATURES, dictionary_scores, readability_features, tokenize,
+    )
+
+    def ngrams(tokens):
+        tokens = [t.lower() for t in tokens]
+        return tokens + [" ".join(tokens[i : i + 2]) for i in range(len(tokens) - 1)]
+
+    def tokenized(article):
+        return tokenize(granularity_text(article, granularity))
+
+    df: dict[str, int] = {}
+    for doc in map(tokenized, train):
+        for term in set(ngrams(doc.tokens)):
+            df[term] = df.get(term, 0) + 1
+    vocabulary = tuple(sorted(t for t, c in df.items() if c >= min_df))
+    idf = {t: math.log((1 + len(train)) / (1 + df[t])) + 1.0 for t in vocabulary}
+    columns = {t: i for i, t in enumerate(vocabulary)}
+    rows = []
+    for doc in map(tokenized, test):
+        tfidf = np.zeros(len(vocabulary))
+        for term in ngrams(doc.tokens):
+            if term in columns:
+                tfidf[columns[term]] += 1.0
+        tfidf *= np.array([idf[t] for t in vocabulary], dtype=np.float64)
+        norm = math.sqrt(float(tfidf @ tfidf))
+        if norm > 0.0:
+            tfidf /= norm
+        scores = dictionary_scores(doc.tokens, dictionary)
+        readability = readability_features(doc).as_features()
+        rows.append(np.concatenate([
+            tfidf,
+            np.array([scores[c] for c in dictionary.categories]),
+            np.array([readability[r] for r in READABILITY_FEATURES]),
+        ]))
+    return vocabulary, idf, np.stack(rows)
+
+
+class TestBaselineMatchesReference:
+    @pytest.mark.parametrize("granularity", ["H", "C", "HC"])
+    @pytest.mark.parametrize("min_df", [1, 2])
+    def test_rows_and_vocabulary_bytes(
+        self, demo_docs, drift_docs, demo_dictionary, granularity, min_df
+    ):
+        from veritag.markup import extract_article, parse_html
+        from veritag.models.baseline import BaselineFeaturizer, baseline_texts
+
+        for docs in (demo_docs, drift_docs):
+            articles = [extract_article(parse_html(d.html)) for d in docs]
+            train = articles[::2]
+            vocabulary, idf, X = _reference_baseline(
+                train, articles, granularity, demo_dictionary, min_df
+            )
+            texts = baseline_texts(articles, granularity, demo_dictionary)
+            for fit_on, rows_of in ((train, articles), (texts[::2], texts)):
+                featurizer = BaselineFeaturizer(granularity, demo_dictionary, min_df=min_df)
+                featurizer.fit(fit_on)
+                assert featurizer.vocabulary == vocabulary
+                assert featurizer.idf == idf
+                assert featurizer.transform_many(rows_of).tobytes() == X.tobytes()
+                assert featurizer.transform(rows_of[1]).tobytes() == X[1].tobytes()
+                assert featurizer.fit_transform(fit_on).tobytes() == X[::2].tobytes()
+
+    def test_texts_share_one_string_per_word(self, demo_docs, demo_dictionary):
+        from veritag.markup import extract_article, parse_html
+        from veritag.models.baseline import baseline_texts
+
+        articles = [extract_article(parse_html(d.html)) for d in demo_docs]
+        tokens = [t for text in baseline_texts(articles, "HC", demo_dictionary) for t in text.tokens]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
 
 
 class TestPersistence:

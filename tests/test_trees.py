@@ -203,10 +203,12 @@ def _reference_importance(X, y, n_trees, seed):
 @st.composite
 def tree_problems(draw):
     """2 or 3 classes, values rounded so they tie, a constant and an
-    all-zero column, and duplicated rows carrying both labels."""
+    all-zero column, and duplicated rows carrying both labels. Some
+    draws have 16 to 40 features, so that each node searches 4 to 6
+    candidates at once."""
     n_classes = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(4, 40))
-    d = draw(st.integers(2, 9))
+    d = draw(st.one_of(st.integers(2, 9), st.integers(16, 40)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = np.round(rng.normal(scale=2.0, size=(n, d)), draw(st.sampled_from([0, 1, 3])))
     y = rng.integers(0, n_classes, size=n)
