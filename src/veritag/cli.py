@@ -353,6 +353,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report_terms(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ConfigError("top must be >= 1")
     cfg = _resolve_config(args)
     _, docs = _load_docs(args.corpus, cfg)
     report = term_frequency_report(docs, n_top=args.top)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,10 +73,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer")
             if low is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        if not self.c > 0:
-            raise ConfigError("c must be positive")
-        if self.l1_lambda < 0:
-            raise ConfigError("l1_lambda must be >= 0")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ConfigError("c must be positive and finite")
+        if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
+            raise ConfigError("l1_lambda must be >= 0 and finite")
         if not 0.0 <= self.political_threshold <= 1.0:
             raise ConfigError("political_threshold must be in [0, 1]")
         if len(self.year_range) != 2 or self.year_range[0] > self.year_range[1]:

@@ -15,24 +15,20 @@ group is built on, so their behavior is pinned exactly:
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 
 from .. import resources
 
 URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>\"']+")
 WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
 VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
-# A match can only succeed from the first mark of a run of ``.!?``, so the
-# lookbehind skips the other starts, each of which would rescan the rest of
-# the run: without it a long run of marks costs time quadratic in its length.
-_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
-# Word matches are unpacked into spans and texts this many at a time: in
-# batches the unpacking runs in C, and only one batch of match objects is
-# alive at once, where a list of all of them would double tokenize's peak
-# memory on a long text.
-_MATCH_BATCH = 1024
+# The pattern opens with the mark class so that ``re`` can search for its
+# first character in C. A match can only succeed from the first mark of a
+# run of ``.!?``: the lookbehind right after the first mark fails every
+# other start after one character, where a rescan of the rest of the run
+# would make a long run of marks cost time quadratic in its length.
+_BOUNDARY_RE = re.compile(r"[.!?](?<![.!?][.!?])[.!?]*[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
 # Every code point for which str.isspace() is true (the tests check this
 # against the running interpreter's Unicode database).
 _WHITESPACE = (
@@ -57,63 +53,54 @@ def is_url_token(token: str) -> bool:
 def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> TokenizedText:
     """Deterministic tokenization and sentence splitting per the module rules.
 
-    Token spans are collected in text order, so their starts and ends are
-    both strictly increasing and every lookup below is a bisection: the
-    whole call is O(n log n) in the text length.
+    The text is cut at every URL start and every sentence boundary, and the
+    words of each segment between two cuts come from one ``findall``: the
+    per-word work runs in C and the whole call is linear in the text length.
     """
     if abbreviations is None:
         abbreviations = resources.abbreviations()
+    findall = WORD_RE.findall
+    end_of_text = len(text)
 
-    starts: list[int] = []
-    ends: list[int] = []
     tokens: list[str] = []
-    url_starts: list[int] = []
-    url_ends: list[int] = []
-
-    def add_words(pos: int, endpos: int) -> None:
-        matches = WORD_RE.finditer(text, pos, endpos)
-        while found := list(islice(matches, _MATCH_BATCH)):
-            starts.extend(map(re.Match.start, found))
-            ends.extend(map(re.Match.end, found))
-            tokens.extend(map(re.Match.group, found))
-
-    cursor = 0
-    for m in URL_RE.finditer(text):
-        url = m.group().rstrip(".,;:!?)\"'")
-        if not url:
-            continue
-        end = m.start() + len(url)
-        add_words(cursor, m.start())
-        starts.append(m.start())
-        ends.append(end)
-        tokens.append(url)
-        url_starts.append(m.start())
-        url_ends.append(end)
-        cursor = m.end()
-    add_words(cursor, len(text))
-
     sentences: list[tuple[int, int]] = []
-    start = 0
-    for m in _BOUNDARY_RE.finditer(text):
-        pos = m.start()
-        # URL ranges never overlap, so only the last one starting at or
-        # before pos can contain it
-        u = bisect_right(url_starts, pos) - 1
-        if u >= 0 and pos < url_ends[u]:
-            continue
-        punct = m.group().rstrip("\"'”’)]")
-        if punct == ".":
-            i = bisect_left(ends, pos)  # the token ending exactly at pos, if any
-            if i < len(ends) and ends[i] == pos:
-                prev = tokens[i]
-                if prev.lower() in abbreviations or _is_initial(prev):
-                    continue
-        end = bisect_left(starts, m.end())  # tokens starting before the boundary
-        if end > start:
-            sentences.append((start, end))
-            start = end
-    if start < len(tokens):
-        sentences.append((start, len(tokens)))
+    urls = URL_RE.finditer(text)
+    url = next(urls, None)
+    url_start = url.start() if url else end_of_text
+    url_end = 0  # where the text of the last URL taken ends
+    cursor = start = 0
+    # the end of the text closes the last sentence like one more boundary
+    for m in chain(_BOUNDARY_RE.finditer(text), (None,)):
+        pos, after = m.span() if m else (end_of_text, end_of_text)
+        while url_start < pos:
+            tokens += findall(text, cursor, url_start)
+            # a URL keeps its raw text minus trailing punctuation
+            token = url.group().rstrip(".,;:!?)\"'")
+            tokens.append(token)
+            url_end = url_start + len(token)
+            cursor = url.end()
+            url = next(urls, None)
+            url_start = url.start() if url else end_of_text
+        if pos < url_end:
+            continue  # a mark inside a URL
+        tokens += findall(text, cursor, pos)
+        # no word or URL starts among a boundary's marks and closers, and a
+        # URL that started before them ends at the latest where they do
+        cursor = after
+        # tokens[-1] ends exactly at the mark iff a word does (the mark
+        # follows a letter or digit: [^\W_] is str.isalnum()) or the last
+        # URL's text does
+        if (
+            text[pos:after].rstrip("\"'”’)]") == "."
+            and tokens
+            and (text[pos - 1].isalnum() or url_end == pos)
+        ):
+            prev = tokens[-1]
+            if prev.lower() in abbreviations or _is_initial(prev):
+                continue
+        if len(tokens) > start:
+            sentences.append((start, len(tokens)))
+            start = len(tokens)
 
     # one C-level count per whitespace code point: no per-character call
     # and, unlike str.split(), no list of words

@@ -45,7 +45,6 @@ AD_TOKENS = frozenset(
 AD_SRC_TAGS = frozenset({"iframe", "script", "img", "ins"})
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
-_WS = re.compile(r"\s+")
 
 
 class Element:
@@ -182,7 +181,7 @@ class Article:
 
 
 def _normalize(text: str) -> str:
-    return _WS.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def _paragraphs(parts: list[str]) -> str:

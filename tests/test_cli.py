@@ -443,6 +443,14 @@ class TestReportTerms:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "year,rank,term,count"
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_must_be_positive(self, demo_corpus_dir, tmp_path, top, caplog):
+        out = tmp_path / "terms.csv"
+        assert main(["report-terms", "--corpus", str(demo_corpus_dir),
+                     "--top", top, "--out", str(out)]) == 1
+        assert "top must be >= 1" in caplog.text
+        assert not out.exists()
+
 
 class TestConfigFileIntegration:
     def test_config_file_drives_a_run(self, demo_corpus_dir, tmp_path):
@@ -467,6 +475,29 @@ class TestConfigFileIntegration:
                      "--config", str(config), "--folds", "2",
                      "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 0
         assert len(_lines(out)) == 2 + 2 + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--c", "inf"],
+        ["evaluate", "--protocol", "cv", "--c", "inf"],
+        ["select", "--lambda", "nan"],
+    ])
+    def test_non_finite_flags_fail_cleanly(self, artifacts, demo_corpus_dir, tmp_path, argv):
+        out = tmp_path / "out"
+        inputs = {
+            "train": ["--features", str(artifacts["features"])],
+            "select": ["--features", str(artifacts["features"])],
+            "evaluate": ["--corpus", str(demo_corpus_dir)],
+        }[argv[0]]
+        assert main(argv + inputs + ["--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_non_finite_config_file_fails_cleanly(self, demo_corpus_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"c": Infinity}', encoding="utf-8")
+        out = tmp_path / "cv.csv"
+        assert main(["evaluate", "--protocol", "cv", "--config", str(config),
+                     "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_bad_config_file_fails_cleanly(self, demo_corpus_dir, tmp_path):
         config = tmp_path / "run.json"

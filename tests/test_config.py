@@ -43,6 +43,10 @@ class TestRunConfig:
             {"c": 0.0},
             {"c": -1.0},
             {"l1_lambda": -0.1},
+            {"c": float("inf")},
+            {"c": float("nan")},
+            {"l1_lambda": float("inf")},
+            {"l1_lambda": float("nan")},
             {"political_threshold": 1.5},
             {"year_range": (2017, 2016)},
             {"year_range": (2016,)},
@@ -85,6 +89,15 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", ['{"c": Infinity}', '{"c": NaN}',
+                                      '{"l1_lambda": Infinity}', '{"l1_lambda": NaN}'])
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        # Python's json accepts these literals although they are not JSON
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="finite"):
             load_config(path)
 
     def test_missing_file_rejected(self, tmp_path):

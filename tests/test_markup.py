@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -20,7 +22,10 @@ from veritag import (
     markup_features,
     parse_html,
 )
-from veritag.markup import BOILERPLATE_TAGS, NON_CONTENT_TAGS, Element, _TreeBuilder
+from veritag.markup import BOILERPLATE_TAGS, NON_CONTENT_TAGS, Element, _normalize, _TreeBuilder
+
+# every code point str.isspace() accepts, from the running interpreter
+_ALL_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
 
 
 class TestParseHtml:
@@ -105,6 +110,25 @@ class TestExtractArticle:
     def test_whitespace_normalized(self):
         html = "<html><body><article><p>a \n  b\t c</p></article></body></html>"
         assert extract_article(parse_html(html)).content == "a b c"
+
+    def test_normalize_matches_the_whitespace_regex(self):
+        # split() and strip() cut at str.isspace(), the regex at \s: both
+        # must be the same code points, and the look-alikes zero-width
+        # space and BOM must stay inside words
+        assert len(_ALL_WHITESPACE) >= 25
+        for text in (
+            _ALL_WHITESPACE + "a" + _ALL_WHITESPACE,
+            "".join(f"w{c}x\u200b{c}{c}é\ufeff" for c in _ALL_WHITESPACE),
+            "\u200b lead \ufeff\u200b",
+            "",
+            "plain",
+        ):
+            assert _normalize(text) == re.sub(r"\s+", " ", text).strip()
+
+    @given(st.text(alphabet=st.sampled_from(_ALL_WHITESPACE + "ab\u200b\ufeff")))
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_matches_the_whitespace_regex_on_any_mix(self, text):
+        assert _normalize(text) == re.sub(r"\s+", " ", text).strip()
 
     def test_notes_name_the_rules(self):
         html = "<html><body><h1>H</h1><p>B</p></body></html>"

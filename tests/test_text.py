@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from veritag import resources
 from veritag.linguistics import count_syllables, tokenize
 from veritag.linguistics.text import (
+    _BOUNDARY_RE,
     URL_RE,
     WORD_RE,
     TokenizedText,
@@ -149,11 +150,10 @@ class TestProperties:
 _REFERENCE_BOUNDARY_RE = re.compile(r"[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
 
 
-def _reference_tokenize(text: str) -> TokenizedText:
+def _reference_tokenize(text: str, abbreviations: frozenset[str]) -> TokenizedText:
     """The straightforward tokenizer: every sentence boundary rescans the
     whole span list, so it takes O(tokens x sentences) time. Kept as the
-    oracle for the bisecting implementation."""
-    abbreviations = resources.abbreviations()
+    oracle for the segment-scanning implementation."""
     spans: list[tuple[int, int, str]] = []
     url_ranges: list[tuple[int, int]] = []
     cursor = 0
@@ -214,7 +214,12 @@ def _reference_tokenize(text: str) -> TokenizedText:
 
 
 _ABBREVIATIONS = sorted(resources.abbreviations())
-_URLS = ("https://example.com/a.b?c=1", "http://x.org/path", "www.example.com", "www.a.b/c(d)")
+_URLS = ("https://example.com/a.b?c=1", "http://x.org/path", "www.example.com", "www.a.b/c(d)",
+         "www.x.com/", "http://a.b/c-")
+# URL texts that end in neither a letter nor a digit, listed as
+# abbreviations in some runs: only the URL's own end can then tell that
+# the token before a period ends exactly at it
+_URL_ABBREVIATIONS = frozenset({"www.x.com/", "http://a.b/c-"})
 _PUNCT_RUNS = (".", "!", "?", "...", "?!", "!!", ".?")
 _CLOSERS = ('"', "'", "”", "’", ")", "]")
 
@@ -223,6 +228,7 @@ _pieces = st.one_of(
     _words.map(str.capitalize),
     st.sampled_from(["don't", "O'Neil", "rock'n'roll", "'tis", "it's"]),
     st.sampled_from(_ABBREVIATIONS).map(lambda a: a.capitalize() + "."),
+    st.sampled_from(_ABBREVIATIONS).map(str.capitalize),
     st.sampled_from(string.ascii_letters).map(lambda c: c + "."),
     st.sampled_from(_PUNCT_RUNS),
     st.builds(lambda p, c: p + c, st.sampled_from(_PUNCT_RUNS), st.sampled_from(_CLOSERS)),
@@ -233,6 +239,28 @@ _pieces = st.one_of(
         st.sampled_from(["", ".", ",", ")", "?", "!", '."', ".)", ";"]),
     ),
     st.sampled_from(["12", "3.5", "No. 5", "well-known"]),
+    # one-word and two-word sentences
+    _words.map(lambda w: w.capitalize() + "."),
+    st.builds(lambda a, b: f"{a.capitalize()} {b}.", _words, _words),
+    # a URL whose text ends right at a sentence boundary
+    st.sampled_from(["www.x.com. Next", "http://a.b/c.) Next", "www.x.com/. Next",
+                     "http://a.b/c-.\" Next", "https://x.org/a?! Next"]),
+    # an abbreviation or initial right after a URL
+    st.builds(
+        lambda u, sep, a: u + sep + a,
+        st.sampled_from(_URLS),
+        st.sampled_from([" ", "\"", ")", ".", ". "]),
+        st.one_of(
+            st.sampled_from(_ABBREVIATIONS).map(lambda a: a.capitalize() + ". Next"),
+            st.sampled_from(string.ascii_uppercase).map(lambda c: c + ". Next"),
+        ),
+    ),
+    # non-ASCII letters and digits right before a period
+    st.builds(
+        lambda w, c: w + c + ".",
+        st.sampled_from(["", "x", "Caf", "Dr"]),
+        st.sampled_from(["é", "É", "²", "٣", "ß", "Ω"]),
+    ),
 )
 _separators = st.sampled_from(["", " ", " ", " ", "  ", "\n", "\t"])
 _rich_texts = st.lists(st.tuples(_pieces, _separators), max_size=40).map(
@@ -263,9 +291,9 @@ def _rich_text(rng: random.Random, words: int) -> str:
     return "".join(out)
 
 
-def _assert_matches_reference(text: str) -> None:
-    got = tokenize(text)
-    want = _reference_tokenize(text)
+def _assert_matches_reference(text: str, abbreviations: frozenset[str] | None = None) -> None:
+    got = tokenize(text, abbreviations)
+    want = _reference_tokenize(text, abbreviations or resources.abbreviations())
     assert got.tokens == want.tokens
     assert got.sentences == want.sentences
     assert got.char_count == want.char_count
@@ -277,8 +305,31 @@ class TestMatchesReference:
     def test_generated_text(self, text):
         _assert_matches_reference(text)
 
+    @given(_rich_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_generated_text_with_url_abbreviations(self, text):
+        _assert_matches_reference(text, resources.abbreviations() | _URL_ABBREVIATIONS)
+
+    def test_edge_texts(self):
+        abbreviations = resources.abbreviations() | _URL_ABBREVIATIONS
+        for text in (
+            "Go. Now. Stop.",
+            "Go now. Stop it.",
+            "Visit www.x.com. Next one.",
+            "See http://a.b/c.) Next one.",
+            "See www.x.com/. Next one.",
+            "See http://a.b/c-. Next one.",
+            "Ask www.x.com Dr. Smith. Then J. Doe.",
+            "Ask www.x.com/\"Dr. Smith. Then http://a.b/c J. Doe.",
+            "Say é. Then x². Then ٣. Then Café. End.",
+            "Dr . Next one. a . Next one.",
+            ". Leading mark. Last",
+        ):
+            _assert_matches_reference(text)
+            _assert_matches_reference(text, abbreviations)
+
     def test_long_text(self):
-        # a wrong bisect bound only shows once many spans and boundaries exist
+        # a misplaced cut only shows once many segments and boundaries exist
         text = _rich_text(random.Random(20), 20_000)
         assert len(tokenize(text).tokens) >= 20_000
         _assert_matches_reference(text)
@@ -288,11 +339,50 @@ class TestMatchesReference:
             _assert_matches_reference("Wait" + marks * 1_000 + " Then" + marks * 1_000 + "x. End")
 
     def test_batches_of_matches_join_up(self):
-        # word matches are unpacked in batches: token counts around and at
-        # multiples of the batch size must lose and repeat nothing
+        # a long sentence is one findall segment cut by the boundary before
+        # "Done": tokens on both sides of the cut must be kept, each once,
+        # whatever the segment's length
         for words in (1023, 1024, 1025, 2048, 3001):
             text = " ".join(f"w{i}" for i in range(words)) + ". Done"
             assert tokenize(text).tokens == [f"w{i}" for i in range(words)] + ["Done"]
+
+
+# the boundary pattern before it was rewritten to open with the mark class
+_LOOKBEHIND_BOUNDARY_RE = re.compile(r"(?<![.!?])[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
+_boundary_texts = st.text(alphabet=st.sampled_from(".!?\"'”’)] \nAZaz9"), max_size=40)
+
+
+class TestBoundaryPattern:
+    @given(_boundary_texts)
+    @settings(max_examples=500, deadline=None)
+    def test_same_spans_as_the_old_patterns(self, text):
+        spans = [m.span() for m in _BOUNDARY_RE.finditer(text)]
+        assert spans == [m.span() for m in _LOOKBEHIND_BOUNDARY_RE.finditer(text)]
+        assert spans == [m.span() for m in _REFERENCE_BOUNDARY_RE.finditer(text)]
+
+    def test_mark_runs_and_closers(self):
+        for marks in (".", "!", "?", "..", "?!", "...", ".!?.", "." * 50):
+            for closers in ("", '"', "”’", ")]", "'\")"):
+                for after in (" Next", "\n\tNext", " next", "x", "", " ", "\n", " 5"):
+                    text = "Word" + marks + closers + after
+                    spans = [m.span() for m in _BOUNDARY_RE.finditer(text)]
+                    want = [m.span() for m in _LOOKBEHIND_BOUNDARY_RE.finditer(text)]
+                    assert spans == want, text
+
+    def test_matches_start_only_at_the_first_mark_of_a_run(self):
+        # what keeps a long run of marks linear: every later start fails
+        # at once instead of rescanning the rest of the run
+        text = "Wait" + "." * 50 + "?!" * 20 + "” Then"
+        assert _BOUNDARY_RE.match(text, 4) is not None
+        for i in range(5, text.index("”") + 1):
+            assert _BOUNDARY_RE.match(text, i) is None, i
+
+
+def test_word_chars_are_exactly_isalnum():
+    # tokenize decides whether a word ends right before a period with
+    # str.isalnum(); WORD_RE's [^\W_] must accept exactly those code points
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\W_]", everything) == list(filter(str.isalnum, everything))
 
 
 # every code point str.isspace() accepts, from the running interpreter
