@@ -49,8 +49,11 @@ class RunConfig:
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "year_range", tuple(self.year_range))
+        for name in ("groups", "year_range"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list")
+            object.__setattr__(self, name, tuple(value))
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}")
         bad = [g for g in self.groups if g not in GROUPS]
@@ -73,15 +76,31 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer")
             if low is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        for name, value in (
+            ("c", self.c),
+            ("l1_lambda", self.l1_lambda),
+            ("political_threshold", self.political_threshold),
+        ):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ConfigError("c must be positive and finite")
         if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
             raise ConfigError("l1_lambda must be >= 0 and finite")
         if not 0.0 <= self.political_threshold <= 1.0:
             raise ConfigError("political_threshold must be in [0, 1]")
-        if len(self.year_range) != 2 or self.year_range[0] > self.year_range[1]:
-            raise ConfigError("year_range must be [low, high] with low <= high")
-        if self.tagger != "rules" and not self.tagger.startswith("perceptron:"):
+        if (
+            len(self.year_range) != 2
+            or not all(isinstance(y, int) and not isinstance(y, bool) for y in self.year_range)
+            or self.year_range[0] > self.year_range[1]
+        ):
+            raise ConfigError("year_range must be two integers [low, high] with low <= high")
+        for name, value in (("dictionary", self.dictionary), ("ad_domains", self.ad_domains)):
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path string or null")
+        if not isinstance(self.tagger, str) or (
+            self.tagger != "rules" and not self.tagger.startswith("perceptron:")
+        ):
             raise ConfigError("tagger must be 'rules' or 'perceptron:PATH'")
 
     def echo(self) -> dict:

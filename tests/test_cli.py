@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +365,29 @@ class TestMalformedInputFiles:
         assert "corrupt model file" in caplog.text
 
 
+class TestMalformedPages:
+    """One odd page must not fail a whole extraction run."""
+
+    @pytest.mark.parametrize(
+        "markup",
+        ["<![ x]]>", "<![1", "<![foo[ x", '<img src="http://[x/a.png">', '<iframe src="//[::1">'],
+        ids=["marked-section-space", "marked-section-digit", "marked-section-keyword",
+             "img-bad-ipv6", "iframe-bad-ipv6"],
+    )
+    def test_extract_succeeds_with_finite_features(self, demo_corpus_dir, tmp_path, markup):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(demo_corpus_dir, corpus)
+        page = corpus / "pages" / "mini-0001.html"
+        page.write_text(page.read_text(encoding="utf-8").replace("<body>", "<body>" + markup, 1),
+                        encoding="utf-8")
+        out = tmp_path / "features.csv"
+        assert main(["extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+        header, *rows = _lines(out)
+        assert len(rows) == 40
+        row = next(r.split(",") for r in rows if r.startswith("mini-0001,"))
+        assert all(math.isfinite(float(v)) for v in row[1:-1])
+
+
 class TestEvaluate:
     def test_cv_report(self, demo_corpus_dir, tmp_path):
         out = tmp_path / "cv.csv"
@@ -496,6 +521,19 @@ class TestConfigFileIntegration:
         config.write_text('{"c": Infinity}', encoding="utf-8")
         out = tmp_path / "cv.csv"
         assert main(["evaluate", "--protocol", "cv", "--config", str(config),
+                     "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"c": True}, {"year_range": ["a", "b"]}, {"year_range": [True, 2000]},
+        {"tagger": 5}, {"dictionary": 5},
+    ], ids=["bool-c", "string-years", "bool-year", "int-tagger", "int-dictionary"])
+    def test_wrong_json_type_in_config_file_fails_cleanly(self, demo_corpus_dir, tmp_path,
+                                                          payload):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "features.csv"
+        assert main(["extract", "--config", str(config),
                      "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
         assert not out.exists()
 

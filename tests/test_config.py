@@ -57,6 +57,35 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c": True},
+            {"l1_lambda": True},
+            {"political_threshold": True},
+            {"c": "0.1"},
+            {"political_threshold": None},
+            {"year_range": ["a", "b"]},
+            {"year_range": [True, 2000]},
+            {"year_range": [2016, 2017.5]},
+            {"year_range": 2016},
+            {"groups": "NR"},
+            {"groups": {"N": 1}},
+            {"tagger": 5},
+            {"dictionary": 5},
+            {"ad_domains": ["ads.txt"]},
+        ],
+    )
+    def test_wrong_json_types_rejected(self, kwargs, tmp_path):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path, kwargs))
+
+    def test_null_paths_accepted(self, tmp_path):
+        cfg = load_config(_write(tmp_path, {"dictionary": None, "ad_domains": None}))
+        assert (cfg.dictionary, cfg.ad_domains) == (None, None)
+
     def test_bool_is_not_an_acceptable_integer(self):
         with pytest.raises(ConfigError, match="must be an integer"):
             RunConfig(k=True)
