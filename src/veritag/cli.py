@@ -1,14 +1,15 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 internal error. Human-readable logging goes to stderr;
-artifacts and machine-readable output go to files or stdout.
+Exit codes: 0 success, 1 usage/configuration error or an output that
+cannot be written, 2 data error, 3 internal error. Human-readable logging
+goes to stderr; artifacts and machine-readable output go to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    CLI_CLASSIFIERS,
     RunConfig,
     classifier_settings,
     load_config,
@@ -97,14 +99,11 @@ def _split_groups(value: str) -> tuple[str, ...]:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {}
-    for field in (
-        "seed", "granularity", "pruning", "classifier", "c", "k", "trees",
-        "folds", "bins", "selection_trees", "l1_lambda", "min_df",
-        "political_threshold", "dictionary", "tagger", "ad_domains",
-    ):
-        if hasattr(args, field):
-            overrides[field] = getattr(args, field)
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if f.name != "groups" and hasattr(args, f.name)
+    }
     if getattr(args, "groups", None) is not None:
         overrides["groups"] = _split_groups(args.groups)
     cfg = merge_overrides(cfg, **overrides)
@@ -393,8 +392,7 @@ def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--classifier",
-                        choices=("svm", "knn", "rf", "baseline-svm"), default=None)
+    parser.add_argument("--classifier", choices=CLI_CLASSIFIERS, default=None)
     parser.add_argument("--c", type=float, default=None, help="SVM cost")
     parser.add_argument("--k", type=int, default=None, help="KNN neighbor count")
     parser.add_argument("--trees", type=int, default=None, help="forest size")
@@ -522,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except VeritagError as exc:
         log.error("%s", exc)
         return 2
+    except OSError as exc:  # input readers raise DataError, so this is an output
+        log.error("cannot write output: %s", exc)
+        return 1
     except Exception as exc:  # last resort: one line, never a traceback
         log.error("internal error: %s: %s", type(exc).__name__, exc)
         log.debug("traceback of the internal error", exc_info=True)

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import DEFAULT_YEAR_RANGE
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .evaluation import ExtractionResources, PipelineSpec
 from .featureset import GRANULARITIES, GROUPS
 from .linguistics import load_dictionary, resolve_tagger
@@ -115,13 +114,7 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a JSON config; unknown keys are an error."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    payload = read_json(path, "config", ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(payload) - _FIELD_NAMES)

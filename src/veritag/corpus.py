@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, DataError, InvariantError, is_number_map, is_str_list
+from .errors import (
+    ConfigError, DataError, InvariantError, is_number_map, is_str_list, iter_jsonl, read_json,
+)
 from .linguistics import tokenize
 
 LABELS = ("reliable", "unreliable")
@@ -99,10 +101,7 @@ def load_manifest(
     if not labels_path.is_file():
         raise DataError(f"no {SITE_LABELS_NAME} in {root}")
 
-    try:
-        site_labels = json.loads(labels_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"{labels_path}: invalid JSON: {exc}") from exc
+    site_labels = read_json(labels_path, "site labels")
     if not isinstance(site_labels, dict):
         raise DataError(f"{labels_path}: expected an object of site → label")
     for site, label in site_labels.items():
@@ -113,50 +112,39 @@ def load_manifest(
     entries: list[ManifestEntry] = []
     seen_ids: set[str] = set()
     lo, hi = year_range
-    with manifest_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{manifest_path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DataError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{where}: expected a JSON object")
-            missing = {"id", "url", "site", "label", "year", "html_path"} - record.keys()
-            if missing:
-                raise DataError(f"{where}: missing fields {sorted(missing)}")
-            doc_id = str(record["id"])
-            if doc_id in seen_ids:
-                raise DataError(f"{where}: duplicate id {doc_id!r}")
-            seen_ids.add(doc_id)
-            site = str(record["site"])
-            _check_site(site, where)
-            label = record["label"]
-            if label not in LABELS:
-                raise DataError(f"{where}: invalid label {label!r}")
-            if site not in site_labels:
-                raise DataError(f"{where}: site {site!r} not in {SITE_LABELS_NAME}")
-            if site_labels[site] != label:
-                raise DataError(
-                    f"{where}: label {label!r} conflicts with site label "
-                    f"{site_labels[site]!r} for {site!r}"
-                )
-            year = record["year"]
-            if not isinstance(year, int) or not lo <= year <= hi:
-                raise DataError(f"{where}: year {year!r} outside {lo}..{hi}")
-            entries.append(
-                ManifestEntry(
-                    id=doc_id,
-                    url=str(record["url"]),
-                    site=site,
-                    label=label,
-                    year=year,
-                    html_path=str(record["html_path"]),
-                )
+    for where, record in iter_jsonl(manifest_path, "manifest"):
+        missing = {"id", "url", "site", "label", "year", "html_path"} - record.keys()
+        if missing:
+            raise DataError(f"{where}: missing fields {sorted(missing)}")
+        doc_id = str(record["id"])
+        if doc_id in seen_ids:
+            raise DataError(f"{where}: duplicate id {doc_id!r}")
+        seen_ids.add(doc_id)
+        site = str(record["site"])
+        _check_site(site, where)
+        label = record["label"]
+        if label not in LABELS:
+            raise DataError(f"{where}: invalid label {label!r}")
+        if site not in site_labels:
+            raise DataError(f"{where}: site {site!r} not in {SITE_LABELS_NAME}")
+        if site_labels[site] != label:
+            raise DataError(
+                f"{where}: label {label!r} conflicts with site label "
+                f"{site_labels[site]!r} for {site!r}"
             )
+        year = record["year"]
+        if not isinstance(year, int) or not lo <= year <= hi:
+            raise DataError(f"{where}: year {year!r} outside {lo}..{hi}")
+        entries.append(
+            ManifestEntry(
+                id=doc_id,
+                url=str(record["url"]),
+                site=site,
+                label=label,
+                year=year,
+                html_path=str(record["html_path"]),
+            )
+        )
     return CorpusManifest(root=root, entries=entries, site_labels=dict(site_labels))
 
 
@@ -196,11 +184,7 @@ class PoliticalFilterModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoliticalFilterModel":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"cannot read filter model {path}: {exc}") from exc
+        payload = read_json(path, "filter model")
         if not isinstance(payload, dict) or payload.get("kind") != "political-filter":
             raise DataError(f"{path}: not a political-filter model file")
         if payload.get("format_version") != FILTER_MODEL_FORMAT_VERSION:
@@ -236,20 +220,11 @@ class PoliticalFilterModel:
 
 def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSONL file of {"text", "topic"} records."""
-    path = Path(path)
     pairs: list[tuple[str, str]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "text" not in record or "topic" not in record:
-                raise DataError(f"{path}:{lineno}: expected object with text and topic")
-            pairs.append((str(record["text"]), str(record["topic"])))
+    for where, record in iter_jsonl(path, "topic corpus"):
+        if "text" not in record or "topic" not in record:
+            raise DataError(f"{where}: expected object with text and topic")
+        pairs.append((str(record["text"]), str(record["topic"])))
     return pairs
 
 

@@ -8,16 +8,17 @@ both joined by a newline); the web-markup group always sees the whole page.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .corpus import LABEL_TO_CLASS, RawDocument
-from .errors import ConfigError, DataError, InvariantError, is_str_list
+from .errors import ConfigError, DataError, InvariantError, is_str_list, read_input, read_json
 from .linguistics import (
     PENN_TABLE_TAGS,
     READABILITY_FEATURES,
@@ -267,10 +268,6 @@ class StandardizerParams:
     mean: np.ndarray
     stddev: np.ndarray
 
-    @property
-    def zero_variance(self) -> np.ndarray:
-        return self.stddev == 0.0
-
 
 def standardize_fit(matrix: np.ndarray) -> StandardizerParams:
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -321,11 +318,7 @@ def write_schema(path: str | Path, schema: FeatureSchema) -> None:
 
 
 def read_schema(path: str | Path) -> FeatureSchema:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"cannot read schema {path}: {exc}") from exc
+    payload = read_json(path, "schema")
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a schema must be a JSON object")
     if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
@@ -376,32 +369,37 @@ def write_feature_csv(
             writer.writerow(row)
 
 
+def _csv_rows(path: str | Path) -> Iterator[list[str]]:
+    reader = csv.reader(io.StringIO(read_input(path, "feature file"), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def read_feature_csv(
     path: str | Path, schema: FeatureSchema | None = None
 ) -> tuple[list[FeatureVector], list[str]]:
     """Read a feature matrix CSV; returns (vectors, column names)."""
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    rows = _csv_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty feature file")
+    if not header or header[0] != "doc_id":
+        raise DataError(f"{path}: first column must be doc_id")
+    has_label = bool(header) and header[-1] == "label"
+    names = header[1 : -1 if has_label else len(header)]
+    if schema is not None and tuple(names) != schema.names:
+        raise DataError(f"{path}: columns do not match the schema")
+    vectors = []
+    for lineno, row in enumerate(rows, start=2):
+        expected = 1 + len(names) + (1 if has_label else 0)
+        if len(row) != expected:
+            raise DataError(f"{path}:{lineno}: expected {expected} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty feature file") from None
-        if not header or header[0] != "doc_id":
-            raise DataError(f"{path}: first column must be doc_id")
-        has_label = bool(header) and header[-1] == "label"
-        names = header[1 : -1 if has_label else len(header)]
-        if schema is not None and tuple(names) != schema.names:
-            raise DataError(f"{path}: columns do not match the schema")
-        vectors = []
-        for lineno, row in enumerate(reader, start=2):
-            expected = 1 + len(names) + (1 if has_label else 0)
-            if len(row) != expected:
-                raise DataError(f"{path}:{lineno}: expected {expected} fields")
-            try:
-                values = np.array([float(v) for v in row[1 : 1 + len(names)]])
-                label = int(row[-1]) if has_label else None
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            vectors.append(FeatureVector(doc_id=row[0], values=values, label=label))
+            values = np.array([float(v) for v in row[1 : 1 + len(names)]])
+            label = int(row[-1]) if has_label else None
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        vectors.append(FeatureVector(doc_id=row[0], values=values, label=label))
     return vectors, names

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from ..errors import DataError
+from ..errors import DataError, read_input
 
 
 @dataclass
@@ -62,13 +62,7 @@ class CategoryDictionary:
 
 def load_dictionary(path: str | Path) -> CategoryDictionary:
     """Parse a .dic file; raises DataError naming the offending line."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read dictionary {path}: {exc}") from exc
-
-    lines = text.splitlines()
+    lines = read_input(path, "dictionary").splitlines()
     id_to_index: dict[str, int] = {}
     categories: list[str] = []
     patterns: list[tuple[str, tuple[int, ...]]] = []

@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-from ..errors import ConfigError, DataError, is_number_map, is_str_list
+from ..errors import ConfigError, DataError, is_number_map, is_str_list, read_json
 
 # The 33 morphological feature tags, in schema order. FOW is the foreign-word
 # tag (raw Penn FW).
@@ -380,10 +380,7 @@ class PerceptronTagger:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"tagger weights file not found: {path}")
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"cannot read tagger weights {path}: {exc}") from exc
+        payload = read_json(path, "tagger weights")
         if not isinstance(payload, dict) or payload.get("kind") != "perceptron-tagger":
             raise DataError(f"{path}: not a tagger weights file")
         if payload.get("format_version") != WEIGHTS_FORMAT_VERSION:

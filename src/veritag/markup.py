@@ -380,6 +380,16 @@ def _paragraphs(parts: list[str]) -> str:
     return "\n".join(p for p in cleaned if p)
 
 
+def _outermost(paragraphs: list[Element]) -> list[Element]:
+    """Drop each paragraph nested inside an earlier one, whose text the
+    outer paragraph's text already holds."""
+    kept: list[Element] = []
+    for p in paragraphs:
+        if not kept or p.index >= kept[-1].end:
+            kept.append(p)
+    return kept
+
+
 def extract_article(tree: Document) -> Article:
     """Headline/body extraction cascade; notes record which rule fired."""
     notes: list[str] = []
@@ -412,7 +422,7 @@ def extract_article(tree: Document) -> Article:
     content = ""
     article_el = tree.find("article")
     if article_el is not None:
-        inner = tree.find_all("p", article_el)
+        inner = _outermost(tree.find_all("p", article_el))
         if inner:
             content = _paragraphs([p.text() for p in inner])
         else:
@@ -420,7 +430,7 @@ def extract_article(tree: Document) -> Article:
         notes.append("content: article")
     else:
         scope = tree.find("body") or tree
-        paragraphs = tree.find_all("p", scope)
+        paragraphs = _outermost(tree.find_all("p", scope))
         if paragraphs:
             content = _paragraphs([p.text() for p in paragraphs])
             notes.append("content: paragraphs")

@@ -128,15 +128,6 @@ class BaselineFeaturizer:
         self.fit(texts)
         return np.stack([self._row(t) for t in texts])
 
-    @property
-    def feature_names(self) -> list[str]:
-        self._require_fitted()
-        return (
-            ["tfidf." + t for t in self.vocabulary]
-            + ["L." + c for c in self.dictionary.categories]
-            + ["R." + r for r in READABILITY_FEATURES]
-        )
-
     def _require_fitted(self) -> None:
         if not self.fitted:
             raise ConfigError("baseline featurizer is not fitted")

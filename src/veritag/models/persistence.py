@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, parse_json, read_input
 from ..featureset import FeatureSchema, StandardizerParams
 from ..linguistics import CategoryDictionary
 from .baseline import BaselineFeaturizer
@@ -169,11 +169,7 @@ def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
 
 
 def load_pipeline(path: str | Path) -> TrainedPipeline:
-    path = Path(path)
-    try:
-        body = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"corrupt model file {path}: {exc}") from exc
+    body = parse_json(read_input(path, "model file"), f"corrupt model file {path}")
     if not isinstance(body, dict) or "checksum" not in body:
         raise DataError(f"corrupt model file {path}: missing checksum")
     recorded = body.pop("checksum")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,13 +104,6 @@ class TrainedPipeline:
                 self.featurizer.granularity,
             ]
         )
-
-    def check_schema(self, schema: FeatureSchema) -> None:
-        if self.kind != "tag":
-            raise ConfigError("baseline pipelines do not accept feature matrices")
-        assert self.schema is not None
-        if tuple(schema.names) != self.schema.names:
-            raise DataError("feature schema does not match the trained pipeline")
 
     def predict_matrix(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, scores) for rows already aligned to the pipeline's

@@ -12,6 +12,8 @@ from functools import lru_cache
 from importlib import resources as _res
 from pathlib import Path
 
+from ..errors import read_input
+
 
 def _read_resource(name: str) -> str:
     return _res.files(__package__).joinpath(name).read_text(encoding="utf-8")
@@ -20,7 +22,7 @@ def _read_resource(name: str) -> str:
 def load_wordlist(path: str | Path | None = None, *, resource: str | None = None) -> frozenset[str]:
     """Load a one-entry-per-line list, lowercased, ignoring blanks and # comments."""
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_input(path, "word list")
     elif resource is not None:
         text = _read_resource(resource)
     else:

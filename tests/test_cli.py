@@ -364,6 +364,61 @@ class TestMalformedInputFiles:
                          "--out", str(tmp_path / "predictions.csv")]) == 2
         assert "corrupt model file" in caplog.text
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["extract", "--schema", "{bad}"], 2),
+            (["predict", "--model", "{bad}"], 2),
+            (["extract", "--config", "{bad}"], 1),
+            (["extract", "--dictionary", "{bad}"], 2),
+            (["extract", "--ad-domains", "{bad}"], 2),
+            (["extract", "--tagger", "perceptron:{bad}"], 2),
+            (["filter-political", "--model", "{bad}"], 2),
+            (["filter-political", "--topics", "{bad}"], 2),
+            (["filter-political", "--topics", "{missing}"], 2),
+            (["train", "--features", "{bad}"], 2),
+            (["train", "--features", "{missing}"], 2),
+            (["select", "--features", "{bad}"], 2),
+            (["select", "--features", "{missing}"], 2),
+        ],
+        ids=["schema", "model", "config", "dictionary", "ad-domains", "tagger",
+             "filter-model", "topics", "missing-topics", "train-features",
+             "train-missing-features", "select-features", "select-missing-features"],
+    )
+    def test_unreadable_input_file_is_one_clean_error(
+        self, demo_corpus_dir, tmp_path, caplog, argv, code
+    ):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"doc_id,\xff\xfe{}")
+        paths = {"bad": bad, "missing": tmp_path / "absent"}
+        argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+        if argv[0] != "select":
+            argv += ["--corpus", str(demo_corpus_dir)]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(argv) == code
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+    @pytest.mark.parametrize("name", ["manifest.jsonl", "site_labels.json"])
+    def test_non_utf8_corpus_file_is_a_data_error(self, demo_corpus_dir, tmp_path, caplog, name):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(demo_corpus_dir, corpus)
+        with (corpus / name).open("ab") as fh:
+            fh.write(b"\xff\n")
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["ingest", "--corpus", str(corpus)]) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+
+    @pytest.mark.parametrize(
+        "argv", [["extract"], ["evaluate", "--protocol", "cv", "--folds", "2"]],
+        ids=["extract", "evaluate"],
+    )
+    def test_out_in_a_missing_directory_exits_1(self, demo_corpus_dir, tmp_path, caplog, argv):
+        out = tmp_path / "absent" / "out.csv"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([*argv, "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert str(out) in caplog.text
+
 
 class TestMalformedPages:
     """One odd page must not fail a whole extraction run."""

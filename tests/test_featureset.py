@@ -8,6 +8,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from veritag import (
     PENN_TABLE_TAGS,
@@ -41,15 +43,27 @@ _PAGE = """
 """
 
 
-def _doc(html: str = _PAGE, doc_id: str = "d-1") -> RawDocument:
+def _doc(html: str | bytes = _PAGE, doc_id: str = "d-1") -> RawDocument:
     return RawDocument(
         id=doc_id,
         url="https://news.example/a",
         site="news.example",
         label="reliable",
         year=2016,
-        html=html.encode(),
+        html=html if isinstance(html, bytes) else html.encode(),
     )
+
+
+# Markup pieces, out-of-range and NUL character references, invalid UTF-8,
+# NUL, BOM and U+2028, for byte soups no page generator would write.
+_SOUP_PIECES = (
+    b"<html>", b"<head>", b"<title>", b"</title>", b"<body>", b"<article>", b"</article>",
+    b"<p>", b"</p>", b"<div>", b"</div>", b"<h1>", b"<script>", b"</script>", b"<!--", b"-->",
+    b"<![CDATA[", b"]]>", b'<meta property="og:title" content="', b'<a href="http://ads.example/x">',
+    b'<img src="//[::1">', b'<span class="byline">', b'">', b"&#x110000;", b"&#0;", b"&amp;",
+    b"&", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\xef\xbb\xbf",
+    "\u2028".encode(), b"The council voted. ", b"Sad news! ", b"1999", b" ", b"\n",
+)
 
 
 class TestBuildSchema:
@@ -209,6 +223,21 @@ class TestExtractDocument:
         assert values["R.W"] > 100_000 and values["R.LX"] > 10_000
 
 
+    @given(st.lists(st.sampled_from(_SOUP_PIECES), max_size=60).map(b"".join))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_give_finite_features_or_a_data_error(
+        self, demo_dictionary, resources, html
+    ):
+        schema = build_schema("HC", ("N", "L", "R", "W"), demo_dictionary)
+        try:
+            vector = extract_document(
+                _doc(html), schema, demo_dictionary, resources.tagger, resources.ad_domains
+            )
+        except DataError:
+            return
+        assert vector.values.shape == (len(schema.names),)
+        assert np.all(np.isfinite(vector.values))
+
 class TestPaperPruning:
     def test_markup_keep_set(self, demo_dictionary):
         schema = build_schema("HC", ("N", "L", "R", "W"), demo_dictionary)
@@ -300,6 +329,16 @@ class TestFeatureCsv:
         write_feature_csv(path, schema, self._vectors(schema))
         with pytest.raises(DataError):
             read_feature_csv(path, other)
+
+    @pytest.mark.parametrize(
+        "text", ["", "a,label\n", 'doc_id,H.R.W,label\nx,"' + "9" * 200_000 + '",1\n'],
+        ids=["empty", "no-doc-id", "field-over-csv-limit"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError):
+            read_feature_csv(path)
 
     def test_width_mismatch_rejected(self, tmp_path):
         schema = build_schema("H", ("R",))

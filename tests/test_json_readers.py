@@ -1,8 +1,10 @@
-"""Every JSON reader reports a file nested too deep to decode as bad input.
+"""Every input-file reader reports a missing, unreadable or malformed file
+as bad input.
 
 ``json.loads`` raises ``RecursionError``, not ``JSONDecodeError``, on deep
-nesting; a reader that let it escape would turn a corrupt file into an
-internal error (exit 3) instead of a data or config error.
+nesting, and decoding a non-UTF-8 file raises ``UnicodeDecodeError``; a
+reader that let either escape would turn a bad file into an internal error
+(exit 3) instead of a data or config error.
 """
 
 from __future__ import annotations
@@ -14,49 +16,79 @@ import pytest
 from veritag.config import load_config
 from veritag.corpus import PoliticalFilterModel, load_manifest, load_topic_corpus
 from veritag.errors import ConfigError, DataError
-from veritag.featureset import read_schema
+from veritag.featureset import read_feature_csv, read_schema
+from veritag.linguistics import load_dictionary
 from veritag.linguistics.tagger import PerceptronTagger
 from veritag.models.persistence import load_pipeline
+from veritag.resources import load_wordlist
 
-DEEP = "[" * 100_000
+DEEP = b"[" * 100_000
+NOT_UTF8 = b'{"id": "\xff"}\n'
+LABELS = json.dumps({"a.example": "reliable"}).encode()
 
 
-def _file(tmp_path, name="deep.json"):
+def _file(tmp_path, content, name="input.json"):
+    """A file holding ``content``, or a path to no file when it is None."""
     path = tmp_path / name
-    path.write_text(DEEP, encoding="utf-8")
+    if content is not None:
+        path.write_bytes(content)
     return path
 
 
-def _corpus(tmp_path, labels: str, manifest: str):
-    (tmp_path / "site_labels.json").write_text(labels, encoding="utf-8")
-    (tmp_path / "manifest.jsonl").write_text(manifest, encoding="utf-8")
+def _corpus(tmp_path, labels, manifest):
+    _file(tmp_path, labels, "site_labels.json")
+    _file(tmp_path, manifest, "manifest.jsonl")
     return tmp_path
 
 
-READERS = {
-    "model": (lambda tmp: load_pipeline(_file(tmp)), DataError),
-    "config": (lambda tmp: load_config(_file(tmp)), ConfigError),
-    "schema": (lambda tmp: read_schema(_file(tmp)), DataError),
-    "filter model": (lambda tmp: PoliticalFilterModel.load(_file(tmp)), DataError),
-    "tagger weights": (lambda tmp: PerceptronTagger.load(_file(tmp)), DataError),
-    "topic corpus": (lambda tmp: load_topic_corpus(_file(tmp, "topics.jsonl")), DataError),
-    "site labels": (
-        lambda tmp: load_manifest(_corpus(tmp, DEEP, "")), DataError,
+# reader name -> (read a file of the given bytes, error for bad bytes,
+# error for a missing file)
+JSON_READERS = {
+    "model": (lambda tmp, b: load_pipeline(_file(tmp, b)), DataError, DataError),
+    "config": (lambda tmp, b: load_config(_file(tmp, b)), ConfigError, ConfigError),
+    "schema": (lambda tmp, b: read_schema(_file(tmp, b)), DataError, DataError),
+    "filter model": (
+        lambda tmp, b: PoliticalFilterModel.load(_file(tmp, b)), DataError, DataError,
     ),
+    "tagger weights": (
+        lambda tmp, b: PerceptronTagger.load(_file(tmp, b)), DataError, ConfigError,
+    ),
+    "topic corpus": (
+        lambda tmp, b: load_topic_corpus(_file(tmp, b, "topics.jsonl")), DataError, DataError,
+    ),
+    "site labels": (lambda tmp, b: load_manifest(_corpus(tmp, b, b"")), DataError, DataError),
     "manifest line": (
-        lambda tmp: load_manifest(
-            _corpus(tmp, json.dumps({"a.example": "reliable"}), DEEP + "\n")
-        ),
-        DataError,
+        lambda tmp, b: load_manifest(_corpus(tmp, LABELS, b and b"\n" + b + b"\n")),
+        DataError, DataError,
+    ),
+}
+READERS = {
+    **JSON_READERS,
+    "feature csv": (
+        lambda tmp, b: read_feature_csv(_file(tmp, b, "features.csv")), DataError, DataError,
+    ),
+    "dictionary": (
+        lambda tmp, b: load_dictionary(_file(tmp, b, "words.dic")), DataError, DataError,
+    ),
+    "word list": (
+        lambda tmp, b: load_wordlist(path=_file(tmp, b, "ad_domains.txt")), DataError, DataError,
     ),
 }
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
 def test_deep_nesting_is_bad_input(reader, tmp_path):
-    read, error = READERS[reader]
+    read, error, _ = JSON_READERS[reader]
     with pytest.raises(error):
-        read(tmp_path)
+        read(tmp_path, DEEP)
+
+
+@pytest.mark.parametrize("content", [NOT_UTF8, None], ids=["not-utf8", "missing"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_unreadable_file_is_bad_input(reader, content, tmp_path):
+    read, error, missing_error = READERS[reader]
+    with pytest.raises(missing_error if content is None else error):
+        read(tmp_path, content)
 
 
 _TAGGER = {"kind": "perceptron-tagger", "format_version": 1, "classes": ["NN"],
@@ -100,3 +132,11 @@ def test_well_formed_payload_loads(load, payload, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     load(path)
+
+
+def test_jsonl_splits_only_at_line_ends(tmp_path):
+    # str.splitlines would also split inside these strings
+    texts = ["vote tax", "a\x85b", "c\x1cd\x1ee"]
+    lines = [json.dumps({"text": t, "topic": "p"}, ensure_ascii=False) for t in texts]
+    path = _file(tmp_path, "\r\n".join(lines).encode("utf-8"), "topics.jsonl")
+    assert load_topic_corpus(path) == [(t, "p") for t in texts]

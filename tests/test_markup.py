@@ -115,6 +115,22 @@ class TestExtractArticle:
         html = "<html><body><p>one</p><div><p>two</p></div></body></html>"
         assert extract_article(parse_html(html)).content == "one\ntwo"
 
+    @pytest.mark.parametrize(
+        "body, content",
+        [
+            ("<p>a<div><p>b</p></div></p>", "ab"),
+            ("<p>a<div><p>b</p></div>c</p><p>d</p>", "abc\nd"),
+            ("<p>a<span><p>b</span>c</p>", "abc"),
+            ("<p>a<div><p>b</div>c</p>d", "abc"),
+            ("<p>a<div><p>b<div><p>c", "abc"),
+            ("<article><p>a<div><p>b</p></div></p><p>c</p></article>", "ab\nc"),
+        ],
+        ids=["nested", "nested-then-sibling", "crossed", "crossed-div", "unclosed", "article"],
+    )
+    def test_nested_paragraph_counted_once(self, body, content):
+        # only the outermost paragraph is kept: its text holds the inner one's
+        assert extract_article(parse_html(f"<body>{body}</body>")).content == content
+
     def test_stripped_body_last_resort(self):
         html = (
             "<html><body><nav>menu</nav><div>bare text</div>"
