@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -52,6 +54,7 @@ from .evaluation import (
     write_term_report_csv,
 )
 from .featureset import (
+    GROUPS,
     FeatureSchema,
     apply_paper_pruning,
     build_schema,
@@ -136,6 +139,17 @@ def _read_features(
     if y is None:
         raise DataError(f"{args.features}: {purpose} needs a label column")
     if not args.schema:
+        seen: set[str] = set()
+        for name in names:
+            group, _, base = name.partition(".")
+            if group not in GROUPS or not base:
+                raise DataError(
+                    f"{args.features}: column {name!r} is not GROUP.NAME with GROUP "
+                    f"one of {', '.join(GROUPS)}"
+                )
+            if name in seen:
+                raise DataError(f"{args.features}: column {name!r} appears twice")
+            seen.add(name)
         groups = tuple(dict.fromkeys(name.split(".", 1)[0] for name in names))
         schema = FeatureSchema(names=tuple(names), granularity=cfg.granularity, groups=groups)
         return X, y, schema
@@ -148,6 +162,33 @@ def _read_features(
         )
     column = {name: i for i, name in enumerate(names)}
     return X.take([column[n] for n in schema.names], axis=1), y, schema
+
+
+# every flag naming a file a subcommand writes
+_OUTPUT_FLAGS = ("out", "report", "schema_out", "save_model")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Raise the ``OSError`` that opening an output would raise, before any
+    input is read: each output's directory must exist and be writable, and
+    an output that exists must be a writable file. Creates and truncates
+    nothing."""
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None or path == "-":
+            continue
+        target = Path(path)
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not target.parent.exists():
+            code = errno.ENOENT
+        elif not target.parent.is_dir():
+            code = errno.ENOTDIR
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
 
 
 def _out_handle(path: str | None):
@@ -379,7 +420,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget; outputs are identical for any value")
+                        help="accepted and currently unused: every run uses one "
+                             "process; must be >= 1")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -507,6 +549,7 @@ def main(argv: list[str] | None = None) -> int:
         log.error("--jobs must be >= 1")
         return 1
     try:
+        _check_outputs(args)
         return args.handler(args)
     except ConfigError as exc:
         log.error("%s", exc)

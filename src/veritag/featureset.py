@@ -163,8 +163,8 @@ def extract_vectors(
 ) -> list[FeatureVector]:
     """One vector per schema from a single parse, article extraction and
     markup pass over the page. Each granularity's text is tokenized once,
-    and only the groups some schema of that granularity asks for are
-    computed."""
+    the N, L and R groups read one census of its tokens, and only the
+    groups some schema of that granularity asks for are computed."""
     groups: dict[str, set[str]] = {}
     for schema in schemas:
         groups.setdefault(schema.granularity, set()).update(schema.groups)
@@ -183,13 +183,14 @@ def extract_vectors(
         tokenized = tokenize(granularity_text(article, granularity))
         if "N" in wanted:
             counts = morphological_features(
-                tokenized.tokens, tagger, sentences=tokenized.sentences
+                tokenized.tokens, tagger, tokenized.sentences, tokenized.counts
             )
             for tag, count in counts.items():
                 values["N." + tag] = float(count)
         if "L" in wanted:
             assert dictionary is not None
-            for cat, pct in dictionary_scores(tokenized.tokens, dictionary).items():
+            scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
+            for cat, pct in scores.items():
                 values["L." + cat] = pct
         if "R" in wanted:
             for rname, val in readability_features(tokenized).as_features().items():

@@ -9,12 +9,14 @@ everything else matches by case-insensitive equality.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..errors import DataError, read_input
+from .text import lowered_census, token_census
+
+_NO_HITS: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -50,14 +52,21 @@ class CategoryDictionary:
 
     def match(self, token: str) -> frozenset[int]:
         """Category indices whose patterns match the token."""
-        t = token.lower()
-        hits: set[int] = set()
-        hits.update(self._literal.get(t, ()))
+        return self._match_lowered(token.lower())
+
+    def _match_lowered(self, token: str) -> frozenset[int]:
+        """``match`` for a token that is already lowercased. A token that
+        one pattern hits gets that pattern's stored set; only a token that
+        several hit builds a new one."""
+        hits = self._literal.get(token, _NO_HITS)
+        prefix = self._prefix
         for k in self._prefix_lens:
-            if k > len(t):
+            if k > len(token):
                 break
-            hits.update(self._prefix.get(t[:k], ()))
-        return frozenset(hits)
+            found = prefix.get(token[:k])
+            if found is not None:
+                hits = hits | found if hits else found
+        return hits
 
 
 def load_dictionary(path: str | Path) -> CategoryDictionary:
@@ -113,17 +122,23 @@ def load_dictionary(path: str | Path) -> CategoryDictionary:
 
 
 def dictionary_scores(
-    tokens: Sequence[str], dictionary: CategoryDictionary
+    tokens: Sequence[str],
+    dictionary: CategoryDictionary,
+    lowered: Mapping[str, int] | None = None,
 ) -> dict[str, float]:
     """Percent of tokens matching each category; all 0 for empty input.
 
     A token may count toward several categories but counts once per category.
     Matching is case-insensitive, so each distinct lowercased token is
-    matched once and weighted by its count.
+    matched once and weighted by its count. ``lowered`` is the tokens'
+    lowercased census (``TokenizedText.lowered``); without it one is taken.
     """
+    if lowered is None:
+        lowered = lowered_census(token_census(tokens))
+    match = dictionary._match_lowered
     counts = [0] * len(dictionary.categories)
-    for token, n in Counter(map(str.lower, tokens)).items():
-        for idx in dictionary.match(token):
+    for token, n in lowered.items():
+        for idx in match(token):
             counts[idx] += n
     total = len(tokens)
     if total == 0:

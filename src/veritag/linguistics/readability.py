@@ -8,7 +8,6 @@ and counts are 0.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,17 +103,12 @@ def readability_features(
             dw=0, lw=0, ps=0.0, url=0,
         )
 
-    # every per-token count below is computed once per distinct token and
-    # weighted by how often it occurs
-    counts = Counter(tokens)
-    syllables_of = {t: count_syllables(t) for t in counts}
-    sy = complex_words = cw_cap = lw = url = letters = 0
-    lowered: Counter[str] = Counter()
-    for t, n in counts.items():
-        s = syllables_of[t]
-        sy += s * n
-        if s >= 3:
-            complex_words += n
+    # every per-token count below is computed once per distinct token of
+    # the text's census and weighted by how often it occurs. Syllables are
+    # counted once per lowercased word: count_syllables lowercases first,
+    # and str.lower is idempotent.
+    cw_cap = lw = url = letters = 0
+    for t, n in tokenized.counts.items():
         if t[:1].isupper():
             cw_cap += n
         t_letters = _letters(t)
@@ -123,10 +117,20 @@ def readability_features(
             lw += n
         if is_url_token(t):
             url += n
-        lowered[t.lower()] += n
+    lowered = tokenized.lowered
+    syllables_of = {t: count_syllables(t) for t in lowered}
+    sy = complex_words = dw = stopped = 0
+    for t, n in lowered.items():
+        s = syllables_of[t]
+        sy += s * n
+        if s >= 3:
+            complex_words += n
+        if t not in easy:
+            dw += n
+        if t in stop:
+            stopped += n
     lx = len(lowered)
-    dw = sum(n for t, n in lowered.items() if t not in easy)
-    ps = 100.0 * sum(n for t, n in lowered.items() if t in stop) / w
+    ps = 100.0 * stopped / w
 
     ws = w / stc
     sy_per_w = sy / w
@@ -137,7 +141,7 @@ def readability_features(
     cli = 0.0588 * (100.0 * letters / w) - 0.296 * (100.0 * stc / w) - 15.8
     ari = 4.71 * (ch / w) + 0.5 * ws - 21.43
     lwi = _linsear_write(
-        [syllables_of[t] for t in tokens[:_LINSEAR_SAMPLE]], tokenized.sentences
+        [syllables_of[t.lower()] for t in tokens[:_LINSEAR_SAMPLE]], tokenized.sentences
     )
 
     return ReadabilityScores(

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..errors import ConfigError, DataError, is_number_map, is_str_list, read_json
+from .text import token_census
 
 # The 33 morphological feature tags, in schema order. FOW is the foreign-word
 # tag (raw Penn FW).
@@ -200,10 +201,15 @@ class Tagger(Protocol):
     def tag(self, tokens: Sequence[str]) -> list[str]: ...
 
     def count_tags(
-        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+        self,
+        tokens: Sequence[str],
+        sentences: Sequence[tuple[int, int]],
+        counts: Mapping[str, int] | None = None,
     ) -> Counter[str]:
         """Raw tag counts over the tokens, each sentence range tagged as
-        its own sequence; the ranges partition ``[0, len(tokens))``."""
+        its own sequence; the ranges partition ``[0, len(tokens))``.
+        ``counts``, when given, is the tokens' census
+        (``TokenizedText.counts``)."""
         ...
 
 
@@ -221,28 +227,34 @@ class RuleTagger:
         return tags
 
     def count_tags(
-        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+        self,
+        tokens: Sequence[str],
+        sentences: Sequence[tuple[int, int]],
+        counts: Mapping[str, int] | None = None,
     ) -> Counter[str]:
         """A token's tag depends only on the token and on whether it opens
-        its sentence, so each distinct token is tagged once at an inside
-        position. Only a word the lexicon does not know can tag differently
-        when it opens a sentence (capitalized, it is NNP inside and falls
-        through to the suffix rules as an opener), so such openers are
-        recounted."""
-        counts: Counter[str] = Counter()
+        its sentence, so each distinct token of the census is tagged once
+        at an inside position. Only a word the lexicon does not know can
+        tag differently when it opens a sentence (capitalized, it is NNP
+        inside and falls through to the suffix rules as an opener), so
+        such openers are recounted."""
+        if counts is None:
+            counts = token_census(tokens)
+        lexicon = self.lexicon
+        tags: Counter[str] = Counter()
         proper: set[str] = set()  # NNP inside a sentence, by fallback only
-        for token, n in Counter(tokens).items():
-            tag = self.lexicon.get(token.lower())
+        for token, n in counts.items():
+            tag = lexicon.get(token.lower())
             if tag is None:
                 tag = _fallback_tag(token, 1)
                 if tag == "NNP":
                     proper.add(token)
-            counts[tag] += n
+            tags[tag] += n
         for start, end in sentences:
             if start < end and tokens[start] in proper:
-                counts["NNP"] -= 1
-                counts[_fallback_tag(tokens[start], 0)] += 1
-        return counts
+                tags["NNP"] -= 1
+                tags[_fallback_tag(tokens[start], 0)] += 1
+        return tags
 
 
 _START = ("-S1-", "-S2-")
@@ -307,13 +319,17 @@ class PerceptronTagger:
         return tags
 
     def count_tags(
-        self, tokens: Sequence[str], sentences: Sequence[tuple[int, int]]
+        self,
+        tokens: Sequence[str],
+        sentences: Sequence[tuple[int, int]],
+        counts: Mapping[str, int] | None = None,
     ) -> Counter[str]:
         # a tag depends on the tags before it, so every sentence is tagged
-        counts: Counter[str] = Counter()
+        # and the census is not used
+        tags: Counter[str] = Counter()
         for start, end in sentences:
-            counts.update(self.tag(tokens[start:end]))
-        return counts
+            tags.update(self.tag(tokens[start:end]))
+        return tags
 
     def train(
         self,
@@ -431,22 +447,24 @@ def morphological_features(
     tokens: Sequence[str],
     tagger: Tagger | None = None,
     sentences: Sequence[tuple[int, int]] | None = None,
+    counts: Mapping[str, int] | None = None,
 ) -> dict[str, int]:
     """Counts over the 33-tag table; raw tags outside it are dropped.
 
     When sentence ranges are given (they partition ``[0, len(tokens))``, as
     ``TokenizedText.sentences`` does), each sentence is tagged as its own
     sequence so position-0 capitalization rules reset per sentence;
-    without them the tokens are one sequence.
+    without them the tokens are one sequence. ``counts`` is the tokens'
+    census (``TokenizedText.counts``); without it the tagger takes its own.
     """
     if sentences is None:
         sentences = [(0, len(tokens))] if tokens else []
     raw_counts = (_DEFAULT_TAGGER if tagger is None else tagger).count_tags(
-        tokens, sentences
+        tokens, sentences, counts
     )
-    counts = dict.fromkeys(PENN_TABLE_TAGS, 0)
+    table_counts = dict.fromkeys(PENN_TABLE_TAGS, 0)
     for raw, n in raw_counts.items():
         table = _RAW_TO_TABLE.get(raw)
         if table is not None:
-            counts[table] += n
-    return counts
+            table_counts[table] += n
+    return table_counts

@@ -15,8 +15,11 @@ group is built on, so their behavior is pinned exactly:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from typing import Iterable, Mapping
 
 from .. import resources
 
@@ -39,11 +42,41 @@ _WHITESPACE = (
 
 @dataclass
 class TokenizedText:
-    """Tokens plus sentence index ranges partitioning [0, len(tokens))."""
+    """Tokens plus sentence index ranges partitioning [0, len(tokens)).
+
+    The census of the tokens is built on first use and kept, so the
+    feature groups that read it count the tokens once between them.
+    """
 
     tokens: list[str]
     sentences: list[tuple[int, int]]
     char_count: int
+
+    @cached_property
+    def counts(self) -> Counter[str]:
+        """How often each distinct token occurs."""
+        return token_census(self.tokens)
+
+    @cached_property
+    def lowered(self) -> dict[str, int]:
+        """How often each distinct lowercased token occurs."""
+        return lowered_census(self.counts)
+
+
+def token_census(tokens: Iterable[str]) -> Counter[str]:
+    """How often each distinct token occurs."""
+    return Counter(tokens)
+
+
+def lowered_census(counts: Mapping[str, int]) -> dict[str, int]:
+    """Merge a token census by lowercased token: each distinct token is
+    lowercased once, not each occurrence."""
+    lowered: dict[str, int] = {}
+    get = lowered.get
+    for token, n in counts.items():
+        low = token.lower()
+        lowered[low] = get(low, 0) + n
+    return lowered
 
 
 def is_url_token(token: str) -> bool:

@@ -48,7 +48,7 @@ def baseline_texts(
     texts = []
     for article in articles:
         tokenized = tokenize(granularity_text(article, granularity))
-        scores = dictionary_scores(tokenized.tokens, dictionary)
+        scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
         readability = readability_features(tokenized).as_features()
         lowered = list(map(str.lower, tokenized.tokens))
         texts.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import shlex
@@ -184,6 +185,24 @@ def artifacts(demo_corpus_dir, tmp_path_factory):
     return paths
 
 
+# sha256 of the demo corpus feature CSVs with all four groups, recorded
+# before the N, L and R groups read one token census: any change to the
+# bytes extraction writes fails here
+_GOLDEN_FEATURE_DIGESTS = {
+    "H": "e9b678cde8e65fa0341e1b8cef97c0059f8bffc0d8731f7180a67c8b212051af",
+    "C": "771caafa275e93727adaa04936e22c90b36b260a503fb3d6f9f50582381fa049",
+    "HC": "5766cc0a1ea393a98b4c2124211fcc3768e6b18787460e30dbbb69bbb05f68aa",
+}
+
+
+@pytest.mark.parametrize("granularity", sorted(_GOLDEN_FEATURE_DIGESTS))
+def test_demo_feature_csv_bytes_are_pinned(demo_corpus_dir, tmp_path, granularity):
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--corpus", str(demo_corpus_dir), "--granularity", granularity,
+                 "--groups", "N,L,R,W", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FEATURE_DIGESTS[granularity]
+
+
 class TestFeatureFlow:
     def test_extract_writes_labeled_matrix(self, artifacts):
         header = _lines(artifacts["features"])[0].split(",")
@@ -280,6 +299,26 @@ class TestFeatureFlow:
                      "--out", str(tmp_path / "legacy.csv")]) == 0
 
     @pytest.mark.parametrize("command", ["train", "select"])
+    @pytest.mark.parametrize(
+        "header, column",
+        [("doc_id,a,label", "a"), ("doc_id,N.DT,X.Y,label", "X.Y"),
+         ("doc_id,N,label", "N"), ("doc_id,R.W,R.W,label", "R.W")],
+        ids=["no-group", "unknown-group", "no-name", "twice"],
+    )
+    def test_bad_feature_column_is_a_data_error(self, tmp_path, caplog, command, header, column):
+        features = tmp_path / "features.csv"
+        width = header.count(",") - 1
+        features.write_text(
+            header + "\n" + "d1," + "0.5," * width + "1\n" + "d2," + "1.5," * width + "0\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, "--features", str(features),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert str(features) in caplog.text and repr(column) in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "select"])
     def test_schema_naming_a_missing_column_is_a_data_error(
         self, artifacts, demo_corpus_dir, tmp_path, command
     ):
@@ -323,6 +362,21 @@ class TestFeatureFlow:
                      "--corpus", str(demo_corpus_dir)]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "doc_id,predicted_label,score"
+
+
+def _forbid_page_parsing(monkeypatch):
+    """Make every page parse in the package raise, wherever it is bound."""
+    import veritag.markup
+
+    def parse_html(html):
+        raise AssertionError("a page was parsed")
+
+    original = veritag.markup.parse_html
+    for name, module in list(sys.modules.items()):
+        if name == "veritag" or name.startswith("veritag."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, parse_html)
 
 
 class TestMalformedInputFiles:
@@ -409,15 +463,65 @@ class TestMalformedInputFiles:
         assert [r.levelname for r in caplog.records] == ["ERROR"]
 
     @pytest.mark.parametrize(
-        "argv", [["extract"], ["evaluate", "--protocol", "cv", "--folds", "2"]],
-        ids=["extract", "evaluate"],
+        "argv",
+        [
+            ["extract"],
+            ["evaluate", "--protocol", "cv", "--folds", "2"],
+            ["evaluate", "--protocol", "grid"],
+            ["predict", "--model", "{missing}"],
+            ["train", "--classifier", "baseline-svm"],
+            ["sample", "--cap", "1"],
+            ["report-terms"],
+            ["filter-political", "--topics", "{missing}"],
+        ],
+        ids=["extract", "evaluate", "grid", "predict", "train-baseline", "sample",
+             "report-terms", "filter-political"],
     )
-    def test_out_in_a_missing_directory_exits_1(self, demo_corpus_dir, tmp_path, caplog, argv):
+    def test_out_in_a_missing_directory_exits_1(
+        self, demo_corpus_dir, tmp_path, caplog, monkeypatch, argv
+    ):
+        _forbid_page_parsing(monkeypatch)
         out = tmp_path / "absent" / "out.csv"
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
         with caplog.at_level("ERROR", logger="veritag"):
             assert main([*argv, "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert str(out) in caplog.text
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["extract", "--out", "{ok}", "--corpus", "{corpus}"], "--schema-out"),
+            (["select", "--features", "{missing}", "--out", "{ok}"], "--report"),
+            (["select", "--features", "{missing}", "--report", "{ok}"], "--out"),
+            (["train", "--features", "{missing}"], "--out"),
+            (["filter-political", "--topics", "{missing}", "--corpus", "{corpus}"],
+             "--save-model"),
+        ],
+        ids=["schema-out", "report", "select-out", "train-out", "save-model"],
+    )
+    @pytest.mark.parametrize("fault", ["missing-directory", "is-a-directory", "file-as-directory"])
+    def test_unwritable_output_fails_before_any_input_is_read(
+        self, demo_corpus_dir, tmp_path, caplog, monkeypatch, argv, flag, fault
+    ):
+        _forbid_page_parsing(monkeypatch)
+        (tmp_path / "file").write_text("keep", encoding="utf-8")
+        bad = {
+            "missing-directory": tmp_path / "absent" / "out",
+            "is-a-directory": tmp_path,
+            "file-as-directory": tmp_path / "file" / "out",
+        }[fault]
+        ok = tmp_path / "ok.csv"
+        argv = [a.format(missing=tmp_path / "missing", ok=ok, corpus=demo_corpus_dir)
+                for a in argv]
+        with caplog.at_level("ERROR", logger="veritag"):
+            # the missing input would exit 2 if it were read first
+            assert main([*argv, flag, str(bad)]) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "cannot write output" in caplog.text and str(bad) in caplog.text
+        assert not ok.exists()
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "keep"
 
 
 class TestMalformedPages:
