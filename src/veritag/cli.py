@@ -164,19 +164,29 @@ def _read_features(
     return X.take([column[n] for n in schema.names], axis=1), y, schema
 
 
-# every flag naming a file a subcommand writes
+# every flag naming a file a subcommand writes, and the subcommands whose
+# --out is stdout when it is "-"
 _OUTPUT_FLAGS = ("out", "report", "schema_out", "save_model")
+_STDOUT_COMMANDS = ("predict", "filter-political", "report-terms")
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Raise the ``OSError`` that opening an output would raise, before any
-    input is read: each output's directory must exist and be writable, and
-    an output that exists must be a writable file. Creates and truncates
-    nothing."""
+    """Before any input is read, raise a ConfigError for a "-" that is not
+    a streaming --out or for two outputs naming one file, or the ``OSError``
+    that opening an output would raise: each output's directory must exist
+    and be writable, and an output that exists must be a writable file.
+    Creates and truncates nothing."""
+    seen: dict[str, str] = {}  # real path -> the first flag naming it
     for flag in _OUTPUT_FLAGS:
         path = getattr(args, flag, None)
-        if path is None or path == "-":
+        if path is None or (path == "-" and flag == "out" and args.command in _STDOUT_COMMANDS):
             continue
+        option = "--" + flag.replace("_", "-")
+        if path == "-":
+            raise ConfigError(f"{args.command} {option} cannot be - (stdout); name a file")
+        first = seen.setdefault(os.path.realpath(path), option)
+        if first != option:
+            raise ConfigError(f"{first} and {option} both name {path}")
         target = Path(path)
         if target.is_dir():
             code = errno.EISDIR

@@ -180,6 +180,8 @@ def _prepare(
     """Extract the corpus once for specs of one kind, one per granularity:
     each page is parsed once and, page by page, yields its row or text for
     every spec."""
+    if not docs:
+        raise DataError("cannot evaluate an empty corpus")
     y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
     dictionary = resources.dictionary
     if specs[0].kind == "baseline":

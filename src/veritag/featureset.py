@@ -284,13 +284,18 @@ def standardize_apply(params: StandardizerParams, matrix: np.ndarray) -> np.ndar
     matrix = np.asarray(matrix, dtype=np.float64)
     safe = np.where(params.stddev == 0.0, 1.0, params.stddev)
     out = (matrix - params.mean) / safe
-    if matrix.ndim == 1:
-        out = np.where(params.stddev == 0.0, 0.0, out)
-    else:
-        out[:, params.stddev == 0.0] = 0.0
+    out[..., params.stddev == 0.0] = 0.0
     if not np.all(np.isfinite(out)):
         raise InvariantError("standardization produced non-finite values")
     return out
+
+
+def feature_rows(matrix: np.ndarray, width: int) -> np.ndarray:
+    """The matrix as float64 rows of ``width`` features, or a DataError."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != width:
+        raise DataError(f"matrix has shape {matrix.shape}, model expects {width} features per row")
+    return matrix
 
 
 def vectors_to_matrix(

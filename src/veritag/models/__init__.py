@@ -8,9 +8,7 @@ from .pipeline import (
     CLASSIFIER_NAMES,
     ClassifierSettings,
     TrainedPipeline,
-    classifier_predict,
     train_baseline_pipeline,
-    train_classifier,
     train_tag_pipeline,
 )
 from .svm import LinearSvmModel, svm_predict, svm_train
@@ -24,7 +22,6 @@ __all__ = [
     "MODEL_FORMAT_VERSION",
     "RandomForestModel",
     "TrainedPipeline",
-    "classifier_predict",
     "knn_predict",
     "knn_train",
     "load_pipeline",
@@ -34,6 +31,5 @@ __all__ = [
     "svm_predict",
     "svm_train",
     "train_baseline_pipeline",
-    "train_classifier",
     "train_tag_pipeline",
 ]

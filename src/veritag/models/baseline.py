@@ -128,16 +128,8 @@ class BaselineFeaturizer:
         self.fit(texts)
         return np.stack([self._row(t) for t in texts])
 
-    def _require_fitted(self) -> None:
-        if not self.fitted:
-            raise ConfigError("baseline featurizer is not fitted")
-
-    def transform(self, article: Article | BaselineText) -> np.ndarray:
-        """Row vector: L2-normalized raw-tf × idf block, then L, then R."""
-        self._require_fitted()
-        return self._row(self._texts([article])[0])
-
     def _row(self, text: BaselineText) -> np.ndarray:
+        """L2-normalized raw-tf × idf block, then L, then R."""
         hits = [i for i in map(self._columns.get, _ngrams(text.tokens)) if i is not None]
         tfidf = np.bincount(
             np.array(hits, dtype=np.intp), minlength=len(self.vocabulary)
@@ -149,5 +141,6 @@ class BaselineFeaturizer:
         return np.concatenate([tfidf, text.lr_block])
 
     def transform_many(self, articles: Texts) -> np.ndarray:
-        self._require_fitted()
+        if not self.fitted:
+            raise ConfigError("baseline featurizer is not fitted")
         return np.stack([self._row(t) for t in self._texts(articles)])

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import DataError
+from ..featureset import feature_rows
 
 DEFAULT_TREES = 100
 
@@ -168,7 +169,7 @@ def rf_train(
     return RandomForestModel(trees=trees, seed=seed, n_classes=int(y.max()) + 1, n_features=d)
 
 
-def _tree_class(tree: dict[str, list], x: np.ndarray) -> int:
+def _tree_class(tree: dict[str, list], x: list[float]) -> int:
     feature, threshold = tree["feature"], tree["threshold"]
     node = 0
     while (f := feature[node]) >= 0:
@@ -176,15 +177,13 @@ def _tree_class(tree: dict[str, list], x: np.ndarray) -> int:
     return int(np.argmax(tree["counts"][node]))  # tie -> lowest class id
 
 
-def rf_predict(model: RandomForestModel, x: np.ndarray) -> tuple[int, float]:
-    """(class, vote fraction); vote ties go to the lowest class id."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DataError(
-            f"vector has {x.shape} shape, model expects ({model.n_features},)"
-        )
-    votes = np.zeros(model.n_classes, dtype=np.int64)
-    for tree in model.trees:
-        votes[_tree_class(tree, x)] += 1
-    winner = int(np.argmax(votes))
-    return winner, float(votes[winner] / len(model.trees))
+def rf_predict(model: RandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, vote fractions) of the rows of X; vote ties go to the
+    lowest class id."""
+    X = feature_rows(X, model.n_features)
+    votes = np.zeros((len(X), model.n_classes), dtype=np.int64)
+    for row, x in enumerate(X.tolist()):
+        for tree in model.trees:
+            votes[row, _tree_class(tree, x)] += 1
+    classes = votes.argmax(axis=1)
+    return classes, votes[np.arange(len(X)), classes] / len(model.trees)

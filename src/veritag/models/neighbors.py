@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, InvariantError
+from ..featureset import feature_rows
 
 DEFAULT_K = 5
 
@@ -35,30 +36,30 @@ def knn_train(X: np.ndarray, y: np.ndarray, k: int = DEFAULT_K) -> KnnModel:
     return KnnModel(k=k, points=X, labels=y)
 
 
-def knn_predict(model: KnnModel, x: np.ndarray) -> tuple[int, float]:
-    """(class, vote fraction among the k nearest).
+def knn_predict(model: KnnModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, vote fractions among the k nearest) of the rows of X.
 
     Neighbor order is (distance, coordinates, label), so the result never
-    depends on the storage order of the training points. Vote ties break
+    depends on the storage order of the training points. Only the points
+    no farther than the k-th smallest distance are sorted. Vote ties break
     by the smaller summed distance, then the lower class id.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.points.shape[1],):
-        raise DataError(
-            f"vector has {x.shape} shape, model expects ({model.points.shape[1]},)"
-        )
-    diffs = model.points - x
-    dists = np.sqrt((diffs * diffs).sum(axis=1))
-    order = sorted(
-        range(len(dists)),
-        key=lambda i: (dists[i], tuple(model.points[i]), int(model.labels[i])),
-    )
-    chosen = order[: model.k]
-    votes: dict[int, int] = {}
-    summed: dict[int, float] = {}
-    for i in chosen:
-        c = int(model.labels[i])
-        votes[c] = votes.get(c, 0) + 1
-        summed[c] = summed.get(c, 0.0) + float(dists[i])
-    winner = min(votes, key=lambda c: (-votes[c], summed[c], c))
-    return winner, votes[winner] / model.k
+    points, labels, k = model.points, model.labels, model.k
+    X = feature_rows(X, points.shape[1])
+    classes = np.empty(len(X), dtype=np.int64)
+    scores = np.empty(len(X), dtype=np.float64)
+    for row, x in enumerate(X):
+        diffs = points - x
+        dists = np.sqrt((diffs * diffs).sum(axis=1))
+        near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+        # lexsort sorts by its last key first
+        order = np.lexsort([labels[near], *points[near].T[::-1], dists[near]])
+        votes: dict[int, int] = {}
+        summed: dict[int, float] = {}
+        for i in near[order[:k]].tolist():
+            c = int(labels[i])
+            votes[c] = votes.get(c, 0) + 1
+            summed[c] = summed.get(c, 0.0) + float(dists[i])
+        winner = min(votes, key=lambda c: (-votes[c], summed[c], c))
+        classes[row], scores[row] = winner, votes[winner] / k
+    return classes, scores

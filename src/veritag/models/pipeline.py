@@ -20,6 +20,7 @@ from ..featureset import (
     FeatureSchema,
     StandardizerParams,
     extract_document,
+    feature_rows,
     standardize_apply,
     standardize_fit,
 )
@@ -52,16 +53,6 @@ def train_classifier(X: np.ndarray, y: np.ndarray, settings: ClassifierSettings)
     if settings.name == "knn":
         return knn_train(X, y, k=settings.k)
     return rf_train(X, y, n_trees=settings.trees, seed=settings.seed)
-
-
-def classifier_predict(model, x: np.ndarray) -> tuple[int, float]:
-    if isinstance(model, LinearSvmModel):
-        return svm_predict(model, x)
-    if isinstance(model, KnnModel):
-        return knn_predict(model, x)
-    if isinstance(model, RandomForestModel):
-        return rf_predict(model, x)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
 
 
 def _hash_json(obj) -> str:
@@ -107,13 +98,15 @@ class TrainedPipeline:
 
     def predict_matrix(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, scores) for rows already aligned to the pipeline's
-        feature space (raw, unstandardized values)."""
-        X = np.asarray(X, dtype=np.float64)
-        Z = standardize_apply(self.standardizer, X)
-        out = [classifier_predict(self.classifier, z) for z in Z]
-        classes = np.array([c for c, _ in out], dtype=np.int64)
-        scores = np.array([s for _, s in out])
-        return classes, scores
+        feature space (raw, unstandardized values): one classifier call."""
+        Z = standardize_apply(self.standardizer, feature_rows(X, self.standardizer.mean.size))
+        if isinstance(self.classifier, LinearSvmModel):
+            return svm_predict(self.classifier, Z)
+        if isinstance(self.classifier, KnnModel):
+            return knn_predict(self.classifier, Z)
+        if isinstance(self.classifier, RandomForestModel):
+            return rf_predict(self.classifier, Z)
+        raise ConfigError(f"unknown model type {type(self.classifier).__name__}")
 
     def predict_documents(
         self,
@@ -122,6 +115,8 @@ class TrainedPipeline:
         tagger: Tagger | None = None,
         ad_domains: frozenset[str] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        if not docs:
+            return self.predict_matrix(np.empty((0, self.standardizer.mean.size)))
         if self.kind == "tag":
             assert self.schema is not None
             X = np.stack(

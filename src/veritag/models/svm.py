@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError, InvariantError
+from ..featureset import feature_rows
 
 DEFAULT_COST = 0.1
 DUALITY_GAP_TOL = 1e-4
@@ -39,15 +40,6 @@ class LinearSvmModel:
         if not np.all(np.isfinite(weights)) or not np.isfinite(self.bias):
             raise InvariantError("SVM parameters must be finite")
         object.__setattr__(self, "weights", weights)
-
-    def decision(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.weights.shape:
-            raise DataError(
-                f"vector has {x.shape[0]} features, model expects "
-                f"{self.weights.shape[0]}"
-            )
-        return float(self.weights @ x + self.bias)
 
 
 def _check_binary(y: np.ndarray) -> None:
@@ -168,7 +160,10 @@ def svm_train(
     return LinearSvmModel(weights=w[:-1].copy(), bias=float(w[-1]), cost=C)
 
 
-def svm_predict(model: LinearSvmModel, x: np.ndarray) -> tuple[int, float]:
-    """(class, signed margin); a margin of exactly 0 goes to class 0."""
-    margin = model.decision(x)
-    return (1 if margin > 0.0 else 0), margin
+def svm_predict(model: LinearSvmModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, signed margins) of the rows of X; a margin of exactly 0
+    goes to class 0. One dot product per row: ``X @ w`` rounds differently
+    from ``w @ x`` on most rows, which would change the margins."""
+    w, bias = model.weights, model.bias
+    margins = np.array([float(w @ x + bias) for x in feature_rows(X, w.size)], dtype=np.float64)
+    return (margins > 0.0).astype(np.int64), margins

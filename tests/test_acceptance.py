@@ -184,18 +184,18 @@ def test_criterion_4_classifier_suite(tmp_path):
         # pass and raises InvariantError on violation, so a completed fit
         # certifies the nonincreasing-objective requirement
         svm = svm_train(X, y, C=0.1)
-        svm_predictions = [svm_predict(svm, x)[0] for x in X]
+        svm_predictions = svm_predict(svm, X)[0].tolist()
         assert svm_predictions == y.tolist()
 
         knn = knn_train(X, y, k=1)
-        assert [knn_predict(knn, x)[0] for x in X] == y.tolist()
+        assert knn_predict(knn, X)[0].tolist() == y.tolist()
 
         xor_rng = np.random.default_rng(42)
         X_xor = xor_rng.uniform(-1.0, 1.0, size=(400, 2))
         y_xor = ((X_xor[:, 0] > 0) ^ (X_xor[:, 1] > 0)).astype(int)
         forest = rf_train(X_xor[:300], y_xor[:300], n_trees=100, seed=0)
-        held_out = [rf_predict(forest, x)[0] for x in X_xor[300:]]
-        assert np.mean(np.array(held_out) == y_xor[300:]) > 0.9
+        held_out = rf_predict(forest, X_xor[300:])[0]
+        assert np.mean(held_out == y_xor[300:]) > 0.9
 
         # bit-reproducibility: same data and seed, identical parameters,
         # identical predictions, identical serialized artifact
@@ -204,14 +204,14 @@ def test_criterion_4_classifier_suite(tmp_path):
         assert svm.bias == svm_again.bias
 
         knn_again = knn_train(X, y, k=1)
-        assert [knn_predict(knn_again, x) for x in X] == [
-            knn_predict(knn, x) for x in X
-        ]
+        for got, want in zip(knn_predict(knn_again, X), knn_predict(knn, X), strict=True):
+            assert got.tobytes() == want.tobytes()
 
         forest_again = rf_train(X_xor[:300], y_xor[:300], n_trees=100, seed=0)
-        assert [rf_predict(forest_again, x) for x in X_xor[300:]] == [
-            rf_predict(forest, x) for x in X_xor[300:]
-        ]
+        for got, want in zip(
+            rf_predict(forest_again, X_xor[300:]), rf_predict(forest, X_xor[300:]), strict=True
+        ):
+            assert got.tobytes() == want.tobytes()
 
         schema = FeatureSchema(names=("R.x1", "R.x2"), granularity="HC", groups=("R",))
         settings = ClassifierSettings(name="svm", c=0.1)

@@ -203,6 +203,44 @@ def test_demo_feature_csv_bytes_are_pinned(demo_corpus_dir, tmp_path, granularit
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FEATURE_DIGESTS[granularity]
 
 
+# sha256 of the demo predictions of each classifier, trained on the demo
+# corpus with default flags, recorded while every model still predicted
+# row by row: any change to the bytes prediction writes fails here
+_GOLDEN_PREDICTION_DIGESTS = {
+    "svm": "93229549939f7a0c9eb0a2a5cdfc6e9596235f32d4cfc861808a7c6fb1e5c16b",
+    "knn": "832a52bacc4b787502aeb95716800073866ca6d83b898f8cb6ef8532edbc19a2",
+    "rf": "3e4adfa8d93e3fcb2b4a5252ae2986d0ef4c57524a4b0bd666563560dfb3833f",
+    "baseline-svm": "332ab3175ef48b92ee62c8ab0d4ce3f3474e604068b6f7f1cc8c176c6f628ab3",
+}
+
+
+@pytest.mark.parametrize("classifier", sorted(_GOLDEN_PREDICTION_DIGESTS))
+def test_demo_prediction_bytes_are_pinned(artifacts, demo_corpus_dir, tmp_path, classifier):
+    model, out = tmp_path / "model.bin", tmp_path / "predictions.csv"
+    source = (["--corpus", str(demo_corpus_dir)] if classifier == "baseline-svm"
+              else ["--features", str(artifacts["features"])])
+    assert main(["train", "--classifier", classifier, *source, "--out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--corpus", str(demo_corpus_dir),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_PREDICTION_DIGESTS[classifier]
+
+
+# sha256 of the demo cv reports of the two classifiers whose predict paths
+# are not a dot product, recorded alongside the prediction digests
+_GOLDEN_CV_DIGESTS = {
+    "knn": "411d3b7adf06c2117370ddb6670733023cfbe24410509b8c04059bb86b13b720",
+    "rf": "6acd0aca3897ca6ad82792b9dee5e8fdf5ba23739c245a50e5217ad0adbce894",
+}
+
+
+@pytest.mark.parametrize("classifier", sorted(_GOLDEN_CV_DIGESTS))
+def test_demo_cv_report_bytes_are_pinned(demo_corpus_dir, tmp_path, classifier):
+    out = tmp_path / "cv.csv"
+    assert main(["evaluate", "--protocol", "cv", "--classifier", classifier,
+                 "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_CV_DIGESTS[classifier]
+
+
 class TestFeatureFlow:
     def test_extract_writes_labeled_matrix(self, artifacts):
         header = _lines(artifacts["features"])[0].split(",")
@@ -522,6 +560,111 @@ class TestMalformedInputFiles:
         assert "cannot write output" in caplog.text and str(bad) in caplog.text
         assert not ok.exists()
         assert (tmp_path / "file").read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--corpus", "{corpus}", "--out", "-"],
+            ["extract", "--corpus", "{corpus}", "--out", "{ok}", "--schema-out", "-"],
+            ["select", "--features", "{missing}", "--out", "-", "--report", "-"],
+            ["select", "--features", "{missing}", "--out", "{ok}", "--report", "-"],
+            ["train", "--features", "{missing}", "--out", "-"],
+            ["sample", "--corpus", "{corpus}", "--cap", "1", "--out", "-"],
+            ["evaluate", "--protocol", "cv", "--corpus", "{corpus}", "--out", "-"],
+            ["filter-political", "--topics", "{missing}", "--corpus", "{corpus}",
+             "--save-model", "-"],
+        ],
+        ids=["extract-out", "schema-out", "select-out-and-report", "report", "train-out",
+             "sample-out", "evaluate-out", "save-model"],
+    )
+    def test_dash_is_stdout_only_for_a_streaming_out(
+        self, demo_corpus_dir, tmp_path, caplog, monkeypatch, argv
+    ):
+        _forbid_page_parsing(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(missing=tmp_path / "missing", ok=tmp_path / "ok.csv",
+                         corpus=demo_corpus_dir) for a in argv]
+        with caplog.at_level("ERROR", logger="veritag"):
+            # the missing input would exit 2 if it were read first
+            assert main(argv) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert "cannot be - (stdout)" in caplog.text
+        assert list(tmp_path.iterdir()) == []  # no file named "-", nothing else
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["extract", "--corpus", "{corpus}", "--out", "{out}"], "--schema-out"),
+            (["select", "--features", "{missing}", "--out", "{out}"], "--report"),
+            (["filter-political", "--topics", "{missing}", "--corpus", "{corpus}",
+              "--out", "{out}"], "--save-model"),
+        ],
+        ids=["extract", "select", "filter-political"],
+    )
+    @pytest.mark.parametrize("spelling", ["same", "relative", "through-a-symlink"])
+    def test_two_outputs_naming_one_file_is_a_usage_error(
+        self, demo_corpus_dir, tmp_path, caplog, monkeypatch, argv, flag, spelling
+    ):
+        _forbid_page_parsing(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        out = tmp_path / "out.csv"
+        other = {"same": str(out), "relative": "out.csv",
+                 "through-a-symlink": str(tmp_path / "link" / "out.csv")}[spelling]
+        argv = [a.format(missing=tmp_path / "missing", out=out, corpus=demo_corpus_dir)
+                for a in argv]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([*argv, flag, other]) == 1
+        assert [r.getMessage() for r in caplog.records] == [f"--out and {flag} both name {other}"]
+        assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["predict", "--model", "{model}"], ["filter-political", "--topics", "{topics}"],
+         ["report-terms"]],
+        ids=["predict", "filter-political", "report-terms"],
+    )
+    def test_dash_out_streams_to_stdout(
+        self, artifacts, demo_corpus_dir, topic_fixture_path, tmp_path, capsys, monkeypatch, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [a.format(model=artifacts["model"], topics=topic_fixture_path) for a in argv]
+        assert main([*argv, "--corpus", str(demo_corpus_dir), "--out", "-"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) > 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEmptyCorpus:
+    """A corpus whose manifest lists no page."""
+
+    @pytest.fixture
+    def empty_corpus(self, demo_corpus_dir, tmp_path):
+        corpus = tmp_path / "empty"
+        corpus.mkdir()
+        shutil.copy(demo_corpus_dir / "site_labels.json", corpus)
+        (corpus / "manifest.jsonl").write_text("", encoding="utf-8")
+        return corpus
+
+    @pytest.mark.parametrize("source", ["features", "corpus"], ids=["tag", "baseline"])
+    def test_predict_writes_only_the_header(
+        self, artifacts, demo_corpus_dir, empty_corpus, tmp_path, source
+    ):
+        model, out = tmp_path / "model.bin", tmp_path / "predictions.csv"
+        train = (["--features", str(artifacts["features"])] if source == "features"
+                 else ["--classifier", "baseline-svm", "--corpus", str(demo_corpus_dir)])
+        assert main(["train", *train, "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), "--corpus", str(empty_corpus),
+                     "--out", str(out)]) == 0
+        assert _lines(out) == ["doc_id,predicted_label,score"]
+
+    @pytest.mark.parametrize("protocol", ["cv", "grid"])
+    def test_evaluate_is_a_data_error(self, empty_corpus, tmp_path, caplog, protocol):
+        out = tmp_path / "report.csv"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["evaluate", "--protocol", protocol, "--corpus", str(empty_corpus),
+                         "--out", str(out)]) == 2
+        assert [r.getMessage() for r in caplog.records] == ["cannot evaluate an empty corpus"]
+        assert not out.exists()
 
 
 class TestMalformedPages:

@@ -27,6 +27,7 @@ from veritag import (
 )
 from veritag.errors import ConfigError, DataError, InvariantError
 from veritag.featureset import standardize_apply, standardize_fit
+from veritag.models.svm import LinearSvmModel
 from veritag.markup import Article
 
 
@@ -52,7 +53,7 @@ class TestSvm:
     def test_separable_reaches_full_accuracy(self):
         X, y = _separated_set()
         model = svm_train(X, y, C=0.1)
-        predictions = [svm_predict(model, x)[0] for x in X]
+        predictions = svm_predict(model, X)[0].tolist()
         assert predictions == y.tolist()
 
     def test_bit_reproducible(self):
@@ -73,8 +74,8 @@ class TestSvm:
     def test_margin_sign_decides_class(self):
         X, y = _separated_set(seed=5)
         model = svm_train(X, y)
-        cls, margin = svm_predict(model, X[0])
-        assert (cls == 1) == (margin > 0.0)
+        classes, margins = svm_predict(model, X)
+        assert np.array_equal(classes == 1, margins > 0.0)
 
     def test_pass_cap_warns_once(self, caplog):
         X, y = _xor_set(n=60, seed=1)
@@ -107,7 +108,7 @@ class TestSvm:
         X, y = _separated_set(n=20)
         model = svm_train(X, y)
         with pytest.raises(DataError):
-            svm_predict(model, np.ones(5))
+            svm_predict(model, np.ones((1, 5)))
 
 
 def _reference_svm_train(X, y, C=0.1, tol=1e-4, max_passes=10_000):
@@ -220,20 +221,20 @@ class TestKnn:
         if len(set(y.tolist())) < 2:
             y[0] = 1 - y[0]
         model = knn_train(X, y, k=1)
-        assert all(knn_predict(model, x)[0] == c for x, c in zip(X, y))
+        assert knn_predict(model, X)[0].tolist() == y.tolist()
 
     def test_vote_tie_breaks_by_summed_distance(self):
         # class 1 point is nearer, so the 1-1 vote tie goes to class 1
         X = np.array([[0.0], [1.9]])
         y = np.array([0, 1])
         model = knn_train(X, y, k=2)
-        assert knn_predict(model, np.array([1.0]))[0] == 1
+        assert knn_predict(model, np.array([[1.0]]))[0].tolist() == [1]
 
     def test_exact_tie_takes_lower_class_id(self):
         X = np.array([[0.0], [2.0]])
         y = np.array([1, 0])
         model = knn_train(X, y, k=2)
-        cls, score = knn_predict(model, np.array([1.0]))
+        (cls,), (score,) = knn_predict(model, np.array([[1.0]]))
         assert cls == 0
         assert score == 0.5
 
@@ -247,8 +248,8 @@ class TestKnn:
         a = knn_train(X, y, k=5)
         b = knn_train(X[perm], y[perm], k=5)
         queries = rng.normal(size=(20, 2))
-        for x in queries:
-            assert knn_predict(a, x) == knn_predict(b, x)
+        for got, want in zip(knn_predict(a, queries), knn_predict(b, queries), strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_k_bounds(self):
         X = np.ones((3, 1))
@@ -259,12 +260,120 @@ class TestKnn:
             knn_train(X, y, k=4)
 
 
+def _reference_knn_predict(model, x):
+    """knn_predict as it was before it took a matrix, kept as the reference:
+    one query, every training point sorted by (distance, coordinates,
+    label); (class, vote fraction)."""
+    diffs = model.points - x
+    dists = np.sqrt((diffs * diffs).sum(axis=1))
+    order = sorted(
+        range(len(dists)),
+        key=lambda i: (dists[i], tuple(model.points[i]), int(model.labels[i])),
+    )
+    votes: dict[int, int] = {}
+    summed: dict[int, float] = {}
+    for i in order[: model.k]:
+        c = int(model.labels[i])
+        votes[c] = votes.get(c, 0) + 1
+        summed[c] = summed.get(c, 0.0) + float(dists[i])
+    winner = min(votes, key=lambda c: (-votes[c], summed[c], c))
+    return winner, votes[winner] / model.k
+
+
+@st.composite
+def knn_problems(draw):
+    """Points on a coarse integer grid, so that many distances tie, with
+    signed zeros, 2 or 3 classes, and duplicated points carrying another
+    label; queries on the grid, halfway between grid points and off it;
+    k from 1 to n."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    points = np.where(rng.random((n, d)) < 0.3, -points, points)
+    labels = rng.integers(0, n_classes, size=n)
+    labels[:2] = (0, 1)
+    for i in range(draw(st.integers(0, n // 2))):
+        points[n - 1 - i] = points[i]
+        labels[n - 1 - i] = (labels[i] + 1) % n_classes
+    queries = np.vstack([
+        points[: draw(st.integers(0, n))],
+        rng.integers(-2, 3, size=(3, d)) + 0.5,
+        rng.normal(size=(3, d)),
+    ])
+    return knn_train(points, labels, k=draw(st.integers(1, n))), queries
+
+
+class TestKnnMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(knn_problems())
+    def test_classes_and_scores(self, problem):
+        model, queries = problem
+        classes, scores = knn_predict(model, queries)
+        assert classes.dtype == np.int64 and scores.dtype == np.float64
+        assert list(zip(classes.tolist(), scores.tolist())) == [
+            _reference_knn_predict(model, x) for x in queries
+        ]
+
+
+class TestSvmMargins:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.integers(0, 40))
+    def test_each_margin_is_the_per_row_dot(self, seed, d, n):
+        rng = np.random.default_rng(seed)
+        model = LinearSvmModel(weights=rng.normal(size=d), bias=float(rng.normal()), cost=0.1)
+        X = rng.normal(size=(n, d)) * rng.random(d) * 10
+        classes, margins = svm_predict(model, X)
+        expected = np.array([float(model.weights @ x + model.bias) for x in X], dtype=np.float64)
+        assert margins.tobytes() == expected.tobytes()
+        assert classes.dtype == np.int64
+        assert classes.tolist() == [int(m > 0.0) for m in expected.tolist()]
+
+    def test_zero_margin_goes_to_class_0(self):
+        model = LinearSvmModel(weights=np.array([1.0, -1.0]), bias=0.0, cost=0.1)
+        classes, margins = svm_predict(model, np.array([[2.0, 2.0], [2.0, 1.0]]))
+        assert classes.tolist() == [0, 1]
+        assert margins.tolist() == [0.0, 1.0]
+
+
+_TRAIN_AND_PREDICT = {
+    "svm": (lambda X, y: svm_train(X, y), svm_predict),
+    "knn": (lambda X, y: knn_train(X, y, k=3), knn_predict),
+    "rf": (lambda X, y: rf_train(X, y, n_trees=5, seed=0), rf_predict),
+}
+
+
+class TestPredictShapes:
+    @pytest.mark.parametrize("name", sorted(_TRAIN_AND_PREDICT))
+    def test_zero_rows_give_two_empty_arrays(self, name):
+        train, predict = _TRAIN_AND_PREDICT[name]
+        pipeline, X3, _ = _tag_pipeline(classifier=name)
+        for classes, scores in (
+            predict(train(*_separated_set(n=20)), np.empty((0, 2))),
+            pipeline.predict_matrix(np.empty((0, 3))),
+        ):
+            assert classes.dtype == np.int64 and classes.shape == (0,)
+            assert scores.dtype == np.float64 and scores.shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(_TRAIN_AND_PREDICT))
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 5), (2,), (1, 2, 2)])
+    def test_wrong_width_names_both_widths(self, name, shape):
+        train, predict = _TRAIN_AND_PREDICT[name]
+        model = train(*_separated_set(n=20))
+        with pytest.raises(DataError, match=rf"shape \({shape[0]},.*expects 2 features"):
+            predict(model, np.ones(shape))
+        pipeline, _, _ = _tag_pipeline(classifier=name)
+        with pytest.raises(DataError, match=rf"shape \({shape[0]},.*expects 3 features"):
+            pipeline.predict_matrix(np.ones(shape))
+
+
 class TestRandomForest:
     def test_xor_generalizes(self):
         X, y = _xor_set()
         model = rf_train(X[:300], y[:300], n_trees=100, seed=0)
-        held_out = [rf_predict(model, x)[0] for x in X[300:]]
-        accuracy = float(np.mean(np.array(held_out) == y[300:]))
+        held_out = rf_predict(model, X[300:])[0]
+        accuracy = float(np.mean(held_out == y[300:]))
         assert accuracy > 0.9
 
     def test_bit_reproducible(self):
@@ -282,9 +391,9 @@ class TestRandomForest:
     def test_vote_fraction_bounds(self):
         X, y = _xor_set(n=80, seed=10)
         model = rf_train(X, y, n_trees=15, seed=0)
-        cls, score = rf_predict(model, X[0])
-        assert cls in (0, 1)
-        assert 0.0 < score <= 1.0
+        classes, scores = rf_predict(model, X)
+        assert set(classes.tolist()) <= {0, 1}
+        assert np.all((0.0 < scores) & (scores <= 1.0))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -400,7 +509,7 @@ class TestBaselinePipeline:
 
         featurizer = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary)
         with pytest.raises(ConfigError):
-            featurizer.transform(_ARTICLES[0])
+            featurizer.transform_many(_ARTICLES[:1])
 
     def test_empty_corpus_rejected(self, demo_dictionary):
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
@@ -472,7 +581,7 @@ class TestBaselineMatchesReference:
                 assert featurizer.vocabulary == vocabulary
                 assert featurizer.idf == idf
                 assert featurizer.transform_many(rows_of).tobytes() == X.tobytes()
-                assert featurizer.transform(rows_of[1]).tobytes() == X[1].tobytes()
+                assert featurizer.transform_many(rows_of[1:2]).tobytes() == X[1].tobytes()
                 assert featurizer.fit_transform(fit_on).tobytes() == X[::2].tobytes()
 
     def test_texts_share_one_string_per_word(self, demo_docs, demo_dictionary):

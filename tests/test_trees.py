@@ -241,8 +241,11 @@ class TestGrowerMatchesReference:
         reference = _reference_forest(X, y, 4, seed)
         for tree, ref in zip(model.trees, reference, strict=True):
             assert {k: v for k, v in tree.items() if k != "decrease"} == _flatten(ref)
-        for x in np.vstack([X, fresh]):
-            assert rf_predict(model, x) == _reference_predict(reference, model.n_classes, x)
+        rows = np.vstack([X, fresh])
+        classes, scores = rf_predict(model, rows)
+        assert list(zip(classes.tolist(), scores.tolist())) == [
+            _reference_predict(reference, model.n_classes, x) for x in rows
+        ]
 
 
 def test_deep_tree_needs_no_recursion(tmp_path):
@@ -266,7 +269,7 @@ pipeline = TrainedPipeline(
 )
 save_pipeline(pipeline, {str(tmp_path / "deep.model")!r})
 classes, scores = load_pipeline({str(tmp_path / "deep.model")!r}).predict_matrix(X)
-assert classes.tolist() == [rf_predict(model, x)[0] for x in X]
+assert classes.tolist() == rf_predict(model, X)[0].tolist()
 depth = [0] * len(model.trees[0]["feature"])
 for i, f in enumerate(model.trees[0]["feature"]):  # parents come before children
     if f >= 0:
