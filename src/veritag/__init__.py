@@ -25,8 +25,6 @@ from .markup import (  # noqa: E402
     Article,
     Element,
     WebMarkupFeatures,
-    count_ads,
-    detect_author,
     extract_article,
     markup_features,
     parse_html,

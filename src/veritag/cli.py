@@ -234,16 +234,20 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_political(args: argparse.Namespace) -> int:
+    if args.topics and args.model:
+        raise ConfigError("filter-political takes --model or --topics, not both")
+    if not (args.topics or args.model):
+        raise ConfigError("filter-political needs --model or --topics")
+    if args.save_model and not args.topics:
+        raise ConfigError("filter-political --save-model needs --topics to train a model")
     cfg = _resolve_config(args)
     if args.topics:
         model = train_political_filter(load_topic_corpus(args.topics))
         if args.save_model:
             model.save(args.save_model)
             log.info("filter model written to %s", args.save_model)
-    elif args.model:
-        model = PoliticalFilterModel.load(args.model)
     else:
-        raise ConfigError("filter-political needs --model or --topics")
+        model = PoliticalFilterModel.load(args.model)
     _, docs = _load_docs(args.corpus, cfg)
     handle, close = _out_handle(args.out)
     kept = 0
@@ -465,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter-political", help="score pages with the topic filter")
     _add_config_flags(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--model", help="trained filter model path")
+    p.add_argument("--model", help="trained filter model path (instead of --topics)")
     p.add_argument("--topics", help="topic-labeled JSONL to train the filter from")
-    p.add_argument("--save-model", dest="save_model", help="where to save a freshly trained filter")
+    p.add_argument("--save-model", dest="save_model",
+                   help="where to save the filter trained from --topics")
     p.add_argument("--threshold", dest="political_threshold", type=float, default=None)
     p.add_argument("--out", default=None, help="decision CSV (default stdout)")
     p.set_defaults(handler=cmd_filter_political)

@@ -228,13 +228,11 @@ def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def train_political_filter(
-    labeled_texts: Sequence[tuple[str, str]], alpha: float = 1.0
-) -> PoliticalFilterModel:
+def train_political_filter(labeled_texts: Sequence[tuple[str, str]]) -> PoliticalFilterModel:
     """Fit the topic model on (text, topic) pairs.
 
     Term weights are sublinear tf (1 + ln count) times smooth idf
-    (ln((1+N)/(1+df)) + 1); per-class term mass gets Laplace smoothing.
+    (ln((1+N)/(1+df)) + 1); per-class term mass gets Laplace (add-one) smoothing.
     """
     if not labeled_texts:
         raise DataError("empty topic-training corpus")
@@ -271,9 +269,9 @@ def train_political_filter(
     log_likelihoods: dict[str, dict[str, float]] = {t: {} for t in vocabulary}
     for c in classes:
         mass = class_mass[c]
-        denom = sum(mass.values()) + alpha * v
+        denom = sum(mass.values()) + v
         for t in vocabulary:
-            log_likelihoods[t][c] = math.log((mass.get(t, 0.0) + alpha) / denom)
+            log_likelihoods[t][c] = math.log((mass.get(t, 0.0) + 1.0) / denom)
 
     log_priors = {c: math.log(class_docs[c] / n_docs) for c in classes}
     return PoliticalFilterModel(

@@ -245,8 +245,9 @@ def _drift_pool(label: str, year_index: int) -> tuple[str, ...]:
     return DRIFT_POOL_B
 
 
-def build_drift_corpus(root: str | Path, seed: int = 0, docs_per_class_year: int = 12) -> Path:
-    """Write the two-year vocabulary-swap corpus; returns the directory.
+def build_drift_corpus(root: str | Path, seed: int = 0) -> Path:
+    """Write the two-year vocabulary-swap corpus, 12 pages per class and
+    year; returns the directory.
 
     For a given document index the text rng is replayed for every
     (year, label) variant, so all four variants share sentence structure
@@ -260,7 +261,7 @@ def build_drift_corpus(root: str | Path, seed: int = 0, docs_per_class_year: int
     for year_index, year in enumerate(years):
         for site, label in sites.items():
             pool = _drift_pool(label, year_index)
-            for i in range(docs_per_class_year):
+            for i in range(12):
                 counter += 1
                 doc_id = f"drift-{counter:04d}"
                 text_rng = random.Random(f"{seed}:drift-text:{i}")

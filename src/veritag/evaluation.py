@@ -16,6 +16,7 @@ import numpy as np
 from .corpus import LABEL_TO_CLASS, RawDocument
 from .errors import ConfigError, DataError, InvariantError
 from .featureset import (
+    GRANULARITIES,
     FeatureSchema,
     apply_paper_pruning,
     build_schema,
@@ -145,6 +146,15 @@ class _Fitter:
         return dataclasses.replace(
             self, spec=spec, schema=schema, columns=np.array(columns, dtype=np.intp)
         )
+
+    def problem(self) -> object:
+        """A key for the data the folds read: fitters of one corpus and
+        classifier with equal keys give the same cv. The baseline's texts
+        are prepared once per granularity; a tag view is its column values."""
+        if self.spec.kind == "baseline":
+            return self.spec.granularity
+        view = self.X[:, self.columns]
+        return view.shape, view.tobytes()
 
     def fit(self, train_idx: np.ndarray, settings: ClassifierSettings) -> TrainedPipeline:
         y_train = self.y[train_idx]
@@ -292,45 +302,41 @@ def feature_grid_eval(
     spec: PipelineSpec,
     resources: ExtractionResources,
     group_sets: Sequence[Sequence[str]],
-    granularities: Sequence[str] = ("H", "C", "HC"),
     k: int = 5,
     seed: int = 0,
 ) -> list[EvalReport]:
     """kfold_cv per (feature groups, granularity) cell. Groups share no
     inputs, so one page-major pass parses each page once and extracts one
     wide row per granularity with every requested group, and each cell
-    reads its schema's columns of that. The baseline ignores the groups,
-    so it is cross-validated once per granularity and each of its cells
-    echoes its own config."""
-    if not group_sets or not granularities:
+    reads its schema's columns of that. Cells that pose the same problem
+    (the W group at every granularity; the baseline, which ignores the
+    groups, per granularity) are cross-validated once, and each echoes its
+    own config."""
+    if not group_sets:
         return []
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
-    distinct = tuple(dict.fromkeys(granularities))
     wide_specs = [
         dataclasses.replace(spec, groups=union, pruning="none", granularity=granularity)
-        for granularity in distinct
+        for granularity in GRANULARITIES
     ]
-    wide = dict(zip(distinct, _prepare(docs, wide_specs, resources)))
-    baseline_cv: dict[str, EvalReport] = {}
+    wide = dict(zip(GRANULARITIES, _prepare(docs, wide_specs, resources)))
+    done: dict[object, EvalReport] = {}
     reports = []
     for groups in group_sets:
-        for granularity in granularities:
+        for granularity in GRANULARITIES:
             cell = dataclasses.replace(spec, groups=tuple(groups), granularity=granularity)
-            if spec.kind == "baseline" and granularity in baseline_cv:
-                done = baseline_cv[granularity]
-                reports.append(dataclasses.replace(done, config={**done.config, **cell.echo()}))
-                continue
-            report = _cv(wide[granularity].view(cell), k, seed)
-            if spec.kind == "baseline":
-                baseline_cv[granularity] = report
-            reports.append(report)
+            fitter = wide[granularity].view(cell)
+            key = fitter.problem()
+            if key not in done:
+                done[key] = _cv(fitter, k, seed)
+            report = done[key]
+            reports.append(dataclasses.replace(report, config={**report.config, **cell.echo()}))
     return reports
 
 
 def term_frequency_report(
     docs: Sequence[RawDocument],
     n_top: int,
-    ngram_max: int = 2,
     stopword_list: frozenset[str] | None = None,
 ) -> TermFrequencyReport:
     """Top lowercased unigrams+bigrams per year; grams containing a
@@ -342,7 +348,7 @@ def term_frequency_report(
         text = granularity_text(article, "HC")
         tokens = [t.lower() for t in tokenize(text).tokens]
         year_counts = counts.setdefault(doc.year, {})
-        for size in range(1, ngram_max + 1):
+        for size in (1, 2):
             for i in range(len(tokens) - size + 1):
                 parts = tokens[i : i + size]
                 if any(p in stop for p in parts):

@@ -512,16 +512,6 @@ def _is_author_tag(el: Element) -> bool:
     return bool(rel) and "author" in rel.lower().split()
 
 
-def count_ads(tree: Document, ad_domain_list: frozenset[str] | None = None) -> int:
-    """Heuristic advertisement-element count; each element counted once."""
-    return markup_features(tree, ad_domain_list).ads_count
-
-
-def detect_author(tree: Document) -> int:
-    """1 iff the page carries any of the pinned author/byline markers."""
-    return markup_features(tree).author_present
-
-
 def markup_features(tree: Document, ad_domain_list: frozenset[str] | None = None) -> WebMarkupFeatures:
     """Count each group-table tag occurrence; tags outside the table count nowhere."""
     domains = ad_domain_list if ad_domain_list is not None else resources.ad_domains()

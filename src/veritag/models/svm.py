@@ -54,12 +54,11 @@ def svm_train(
     X: np.ndarray,
     y: np.ndarray,
     C: float = DEFAULT_COST,
-    tol: float = DUALITY_GAP_TOL,
     max_passes: int = MAX_PASSES,
 ) -> LinearSvmModel:
     """Fit by cyclic dual coordinate descent.
 
-    Stops when the relative duality gap falls under tol or after
+    Stops when the relative duality gap falls under DUALITY_GAP_TOL or after
     max_passes sweeps, with a warning in the latter case. The solver's
     objective (the dual) is asserted monotone per pass within 1e-9 relative
     slack; the primal is tracked only for the gap test, since dual steps do
@@ -87,31 +86,30 @@ def svm_train(
     alpha = [0.0] * n
     w = np.zeros(d + 1)
 
-    # Skip certificate. Let grad_i be coordinate i's gradient z_i.w' - 1 as
-    # computed when the path length of w in this pass (the sum of
-    # |delta| ||z_k|| over its updates) stood at `since`, and g what a visit
-    # would compute now. By Cauchy-Schwarz plus the rounding of the dot
-    # products and of the updates of w (at most n in a pass),
-    #   |g - grad_i| <= ||z_i|| (grow (path - since) + pad_rate (1 + w_norm + path)),
+    # Skip certificate. Let grad_i be coordinate i's gradient z_i.w - 1 as
+    # the primal's matvec computed it at the start of a pass, and g what a
+    # visit would compute once w has moved a path length `path` in this pass
+    # (the sum of |delta| ||z_k|| over its updates). By Cauchy-Schwarz plus
+    # the rounding of the dot products and of the updates of w (at most n in
+    # a pass),
+    #   |g - grad_i| <= ||z_i|| (grow path + pad_rate (1 + w_norm + path)),
     # w_norm being ||w|| at the start of the pass: pad_rate holds
     # (n + 2(d + 1) + 8) eps per unit of ||w|| eight times over, which also
     # covers the rounding of this bookkeeping, and ||z_i|| >= 1 absorbs
     # eps |grad_i|. If alpha_i is 0 and g > 0, or alpha_i is C and g < 0,
     # the clipped step is exactly 0. So with s = +1 at 0 and -1 at C, the
     # visit is proven to change nothing while path < budget_i, where
-    #   budget_i (grow + pad_rate) = s grad_i / ||z_i|| - pad_rate (1 + w_norm) + grow since.
-    # A free alpha_i gets a negative budget: it is always visited.
+    #   budget_i (grow + pad_rate) = s grad_i / ||z_i|| - pad_rate (1 + w_norm).
+    # Budgets are set once per pass, at its start. A free alpha_i gets a
+    # negative budget, so it is always visited, and so is every coordinate
+    # in the first pass.
     pad_rate = 8.0 * (n + 2 * (d + 1) + 8) * _EPS
     grow = 1.0 + pad_rate
     slope = grow + pad_rate
-    tilt = grow / slope
     norm_rows = np.sqrt(q_rows)  # ||z_i||
     norms = norm_rows.tolist()
     inv_rows = 1.0 / (norm_rows * slope)
-    inv = inv_rows.tolist()
-    shift = pad_rate / slope
-    never = -math.inf
-    budget = [never] * n
+    budget = [-math.inf] * n
 
     prev_dual = 0.0
     gap = math.inf
@@ -126,12 +124,8 @@ def svm_train(
             a_new = a - g / q[i]  # clipped to [0, C] as min(max(., 0.0), C) would
             if a_new < 0.0:
                 a_new = 0.0
-                budget[i] = g * inv[i] - shift + tilt * path
             elif a_new > cost:
                 a_new = cost
-                budget[i] = -g * inv[i] - shift + tilt * path
-            else:
-                budget[i] = never
             delta = a_new - a
             if delta != 0.0:
                 alpha[i] = a_new
@@ -145,7 +139,7 @@ def svm_train(
         if dl < prev_dual - _MONOTONE_SLACK * max(1.0, abs(prev_dual)):
             raise InvariantError("dual objective decreased during training")
         prev_dual = dl
-        if p - dl <= tol * max(1.0, abs(p)):
+        if p - dl <= DUALITY_GAP_TOL * max(1.0, abs(p)):
             break
         gap = (p - dl) / max(1.0, abs(p))
         # Fresh gradients from the primal's matvec, so budgets span one pass.

@@ -124,15 +124,14 @@ def l1_score(
     X: np.ndarray,
     y: np.ndarray,
     lam: float = DEFAULT_L1_LAMBDA,
-    tol: float = _L1_TOL,
     max_sweeps: int = _L1_MAX_SWEEPS,
 ) -> np.ndarray:
     """|coefficients| of L1-regularized logistic regression.
 
     Fit by cyclic coordinate descent (intercept first, then features in
     column order) using a quadratic majorizer per coordinate, so the
-    objective never increases. Stops when no coordinate moves by tol in a
-    sweep, or after max_sweeps sweeps with a warning. Expects standardized
+    objective never increases. Stops when no coordinate moves by _L1_TOL in
+    a sweep, or after max_sweeps sweeps with a warning. Expects standardized
     X and binary y.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -142,34 +141,34 @@ def l1_score(
     if np.unique(y).size < 2:
         raise DataError("l1 score needs both classes present")
     n, d = X.shape
-    t = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    t = np.where(y == 1, 1.0, -1.0)
     H = 0.25 * (X * X).mean(axis=0)
     w = np.zeros(d)
-    b = 0.0
     f = np.zeros(n)
 
     max_step = math.inf
     for _ in range(max_sweeps):
-        max_step = 0.0
         # unpenalized intercept
         g_b = -np.mean(t * _sigmoid(-t * f))
         delta_b = -g_b / 0.25
-        b += delta_b
         f += delta_b
         max_step = abs(delta_b)
+        # the loss gradient's per-row weights change only when f does
+        weights = t * _sigmoid(-t * f)
         for j in range(d):
             if H[j] == 0.0:
                 continue
             col = X[:, j]
-            g = -np.dot(t * _sigmoid(-t * f), col) / n
+            g = -np.dot(weights, col) / n
             z = H[j] * w[j] - g
             w_new = math.copysign(max(abs(z) - lam, 0.0), z) / H[j]
             delta = w_new - w[j]
             if delta != 0.0:
                 f += col * delta
                 w[j] = w_new
+                weights = t * _sigmoid(-t * f)
             max_step = max(max_step, abs(delta))
-        if max_step < tol:
+        if max_step < _L1_TOL:
             break
     else:
         log.warning(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import veritag.models.pipeline
 from veritag.cli import main
 from veritag.demo import main as demo_main
 
@@ -156,6 +157,28 @@ class TestFilterPolitical:
     def test_needs_model_or_topics(self, demo_corpus_dir):
         assert main(["filter-political", "--corpus", str(demo_corpus_dir)]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "{missing}", "--save-model", "{saved}"],
+             "filter-political --save-model needs --topics to train a model"),
+            (["--model", "{missing}", "--topics", "{missing}"],
+             "filter-political takes --model or --topics, not both"),
+        ],
+        ids=["save-a-loaded-model", "model-and-topics"],
+    )
+    def test_a_flag_that_would_be_ignored_is_a_usage_error(
+        self, tmp_path, caplog, flags, message
+    ):
+        saved, missing = tmp_path / "saved.bin", tmp_path / "missing"
+        flags = [f.format(saved=saved, missing=missing) for f in flags]
+        with caplog.at_level("ERROR", logger="veritag"):
+            # the missing model, topics and corpus would exit 2 if read first
+            assert main(["filter-political", "--corpus", str(missing), *flags,
+                         "--out", str(tmp_path / "out.csv")]) == 1
+        assert [r.getMessage() for r in caplog.records] == [message]
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def artifacts(demo_corpus_dir, tmp_path_factory):
@@ -239,6 +262,90 @@ def test_demo_cv_report_bytes_are_pinned(demo_corpus_dir, tmp_path, classifier):
     assert main(["evaluate", "--protocol", "cv", "--classifier", classifier,
                  "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_CV_DIGESTS[classifier]
+
+
+def test_default_grid_cross_validates_each_distinct_problem_once(
+    demo_corpus_dir, tmp_path, monkeypatch
+):
+    # 5 group sets x 3 granularities x 5 folds, less the W cells at C and
+    # HC, which hold the same matrix as the W cell at H
+    calls = []
+    train = veritag.models.pipeline.svm_train
+    monkeypatch.setattr(veritag.models.pipeline, "svm_train",
+                        lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+    assert main(["evaluate", "--protocol", "grid", "--corpus", str(demo_corpus_dir),
+                 "--out", str(tmp_path / "grid.csv")]) == 0
+    assert len(calls) == 65
+    assert len(_lines(tmp_path / "grid.csv")) == 2 + 15
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the demo svm model and the select outputs of the shared flow,
+# recorded while every grid cell still ran its own cv
+_GOLDEN_FLOW_DIGESTS = {
+    "model": "c597950ababf23f420bed7e0e8fac463dbdd8c7c3837f1d22b903cdc32bd4ff0",
+    "pruned": "443c847b3e28306ea32d5901eca0664a44a3cb4f998f85cd381bbd6278482fd8",
+    "report": "55e038a152181cfc1a1b6510715bc712d68558fdc3935126b36f68936819d310",
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(_GOLDEN_FLOW_DIGESTS))
+def test_demo_flow_artifact_bytes_are_pinned(artifacts, artifact):
+    assert _sha256(artifacts[artifact]) == _GOLDEN_FLOW_DIGESTS[artifact]
+
+
+# sha256 of the demo grid reports, recorded alongside the flow digests
+_GOLDEN_GRID_DIGESTS = {
+    "svm": "d678df0a6e8d1c39bb0e25bf793a75f1fea93b74f94ffd84e3e3b5d5616a203f",
+    "rf": "1ed93a63e4b48b10365f26876bca9c635f4100ea95260a5687695cbc705ce3c7",
+    "baseline-svm": "9ac6023822f4867f764402c69677a73553971e5eaf6797111092340eba4c4d15",
+}
+
+
+@pytest.mark.parametrize("classifier", sorted(_GOLDEN_GRID_DIGESTS))
+def test_demo_grid_report_bytes_are_pinned(demo_corpus_dir, tmp_path, classifier):
+    out = tmp_path / "grid.csv"
+    trees = ["--trees", "7"] if classifier == "rf" else []
+    assert main(["evaluate", "--protocol", "grid", "--classifier", classifier, *trees,
+                 "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_GRID_DIGESTS[classifier]
+
+
+# sha256 of the drift corpus temporal reports, recorded alongside the flow digests
+_GOLDEN_TEMPORAL_DIGESTS = {
+    "svm": "17ab7d4000bf6efd56b417f8d090f4dffbace1476cd9ff9f59205b881bcac793",
+    "baseline-svm": "361764e99a103dae3f05668035583f0aa5e55cde08352d2bfe6148d7d9485fa4",
+}
+
+
+@pytest.mark.parametrize("classifier", sorted(_GOLDEN_TEMPORAL_DIGESTS))
+def test_drift_temporal_report_bytes_are_pinned(drift_corpus_dir, tmp_path, classifier):
+    out = tmp_path / "temporal.csv"
+    assert main(["evaluate", "--protocol", "temporal", "--classifier", classifier,
+                 "--corpus", str(drift_corpus_dir), "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_TEMPORAL_DIGESTS[classifier]
+
+
+# sha256 of the drift term report and the demo topic-filter decisions,
+# recorded alongside the flow digests
+_GOLDEN_TERM_DIGEST = "d12e5ea6ba89a0d31f0a0b583d73e0f47491a9852e831ec0afd373ccdfbaa29a"
+_GOLDEN_FILTER_DIGEST = "8caafb6f4d265a9e8b6172b5c8dabf8b30f40bb1a7522651758bec99857f3b2b"
+
+
+def test_drift_term_report_bytes_are_pinned(drift_corpus_dir, tmp_path):
+    out = tmp_path / "terms.csv"
+    assert main(["report-terms", "--corpus", str(drift_corpus_dir), "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_TERM_DIGEST
+
+
+def test_demo_filter_decision_bytes_are_pinned(demo_corpus_dir, topic_fixture_path, tmp_path):
+    out = tmp_path / "decisions.csv"
+    assert main(["filter-political", "--corpus", str(demo_corpus_dir),
+                 "--topics", str(topic_fixture_path), "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_FILTER_DIGEST
 
 
 class TestFeatureFlow:

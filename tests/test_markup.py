@@ -19,8 +19,6 @@ from veritag import (
     RawDocument,
     WebMarkupFeatures,
     build_schema,
-    count_ads,
-    detect_author,
     extract_article,
     extract_document,
     markup_features,
@@ -183,58 +181,62 @@ class TestMarkupFixtures:
 class TestCountAds:
     def test_subdomain_suffix_match(self):
         html = '<body><img src="https://static.cdn.taboola.com/x.jpg"></body>'
-        assert count_ads(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).ads_count == 1
 
     def test_bare_domain_match(self):
         html = '<body><iframe src="https://doubleclick.net/f"></iframe></body>'
-        assert count_ads(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).ads_count == 1
 
     def test_lookalike_domain_not_matched(self):
         html = '<body><img src="https://nottaboola.com/x.jpg"></body>'
-        assert count_ads(parse_html(html)) == 0
+        assert markup_features(parse_html(html)).ads_count == 0
 
     def test_token_requires_exact_word(self):
-        assert count_ads(parse_html('<body><div class="advertising">x</div></body>')) == 0
-        assert count_ads(parse_html('<body><div class="advert">x</div></body>')) == 1
+        html = '<body><div class="advertising">x</div></body>'
+        assert markup_features(parse_html(html)).ads_count == 0
+        html = '<body><div class="advert">x</div></body>'
+        assert markup_features(parse_html(html)).ads_count == 1
 
     def test_src_only_counts_for_embed_tags(self):
         # an anchor href to an ad domain is not an ad element
         html = '<body><a href="https://doubleclick.net/x">link</a></body>'
-        assert count_ads(parse_html(html)) == 0
+        assert markup_features(parse_html(html)).ads_count == 0
 
     def test_custom_domain_list(self):
         html = '<body><img src="https://ads.custom.example/x"></body>'
-        assert count_ads(parse_html(html), frozenset({"custom.example"})) == 1
+        assert markup_features(parse_html(html), frozenset({"custom.example"})).ads_count == 1
 
     def test_element_counted_once(self):
         # ad src AND ad class: still a single element
         html = '<body><img class="ad" src="https://cdn.taboola.com/x.jpg"></body>'
-        assert count_ads(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).ads_count == 1
 
 
 class TestDetectAuthor:
     def test_meta_author(self):
         html = '<head><meta name="author" content="Jane Roe"></head>'
-        assert detect_author(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).author_present == 1
 
     def test_meta_author_empty_content_ignored(self):
         html = '<head><meta name="author" content="  "></head>'
-        assert detect_author(parse_html(html)) == 0
+        assert markup_features(parse_html(html)).author_present == 0
 
     def test_article_author_property(self):
         html = '<head><meta property="article:author" content="Jane"></head>'
-        assert detect_author(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).author_present == 1
 
     def test_rel_author(self):
         html = '<body><a rel="author nofollow" href="/a">J</a></body>'
-        assert detect_author(parse_html(html)) == 1
+        assert markup_features(parse_html(html)).author_present == 1
 
     def test_byline_class_needs_text(self):
-        assert detect_author(parse_html('<body><div class="byline">By J</div></body>')) == 1
-        assert detect_author(parse_html('<body><div class="byline"></div></body>')) == 0
+        html = '<body><div class="byline">By J</div></body>'
+        assert markup_features(parse_html(html)).author_present == 1
+        html = '<body><div class="byline"></div></body>'
+        assert markup_features(parse_html(html)).author_present == 0
 
     def test_no_markers(self):
-        assert detect_author(parse_html("<body><p>plain</p></body>")) == 0
+        assert markup_features(parse_html("<body><p>plain</p></body>")).author_present == 0
 
 
 class TestGranularityIndependence:
@@ -571,7 +573,6 @@ class TestSinglePassFeatures:
         tree = parse_html(html)
         w = markup_features(tree)
         assert (w.tag_group_counts, w.ads_count, w.author_present) == _three_walk_features(tree)
-        assert (count_ads(tree), detect_author(tree)) == (w.ads_count, w.author_present)
 
     def test_nested_blank_bylines(self):
         # bylines inside a blank byline are not read again (3,000 nested

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,6 +22,7 @@ from veritag import (
     write_importance_report,
 )
 from veritag.errors import ConfigError, DataError
+from veritag.selection import _sigmoid
 
 
 class TestQuantileBin:
@@ -190,6 +193,68 @@ class TestL1Score:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             l1_score(np.ones((4, 1)), np.zeros(4, dtype=int))
+
+
+def _reference_l1_score(X, y, lam=0.05, tol=1e-6, max_sweeps=10_000):
+    """l1_score as it was while it recomputed the loss weights for every
+    coordinate, warning aside."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    t = np.where(np.asarray(y) == 1, 1.0, -1.0)
+    H = 0.25 * (X * X).mean(axis=0)
+    w = np.zeros(d)
+    b = 0.0
+    f = np.zeros(n)
+    for _ in range(max_sweeps):
+        max_step = 0.0
+        g_b = -np.mean(t * _sigmoid(-t * f))
+        delta_b = -g_b / 0.25
+        b += delta_b
+        f += delta_b
+        max_step = abs(delta_b)
+        for j in range(d):
+            if H[j] == 0.0:
+                continue
+            col = X[:, j]
+            g = -np.dot(t * _sigmoid(-t * f), col) / n
+            z = H[j] * w[j] - g
+            w_new = math.copysign(max(abs(z) - lam, 0.0), z) / H[j]
+            delta = w_new - w[j]
+            if delta != 0.0:
+                f += col * delta
+                w[j] = w_new
+            max_step = max(max_step, abs(delta))
+        if max_step < tol:
+            break
+    return np.abs(w)
+
+
+@st.composite
+def _l1_problems(draw):
+    """Standardized columns, some carrying the label, some constant (never
+    moved), with 0/1 labels of both classes."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.integers(1, 6))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    assume(0 < y.sum() < n)
+    columns = []
+    for _ in range(d):
+        noise = np.array(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), float)
+        col = draw(st.sampled_from([0.0, 0.5, 2.0])) * y + noise
+        std = col.std()
+        columns.append(np.zeros(n) if std == 0.0 else (col - col.mean()) / std)
+    lam = draw(st.sampled_from([0.01, 0.05, 0.2]))
+    return np.column_stack(columns), y, lam
+
+
+class TestL1MatchesReference:
+    @given(_l1_problems(), st.sampled_from([1, 2, 10_000]))
+    @settings(max_examples=150, deadline=None)
+    def test_scores_are_bit_equal(self, problem, max_sweeps):
+        X, y, lam = problem
+        expected = _reference_l1_score(X, y, lam=lam, max_sweeps=max_sweeps)
+        got = l1_score(X, y, lam=lam, max_sweeps=max_sweeps)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestCombineFactors:
