@@ -375,12 +375,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
     if args.protocol == "cv":
-        report = kfold_cv(docs, spec, resources, k=cfg.folds, seed=cfg.seed)
+        report = kfold_cv(docs, spec, resources, k=cfg.folds, seed=cfg.seed, jobs=args.jobs)
         write_cv_report_csv(args.out, report)
         log.info("cv mean accuracy %.4f over %d folds",
                  report.mean_accuracy, cfg.folds)
     elif args.protocol == "temporal":
-        report = temporal_eval(docs, spec, resources)
+        report = temporal_eval(docs, spec, resources, jobs=args.jobs)
         write_temporal_report_csv(args.out, report)
         log.info("temporal grid over years %s: %d cells",
                  list(report.years), len(report.cells))
@@ -388,7 +388,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if not args.test_corpus:
             raise ConfigError("cross-domain needs --test-corpus")
         _, test_docs = _load_docs(args.test_corpus, cfg)
-        results = cross_domain_eval(docs, test_docs, spec, resources)
+        results = cross_domain_eval(docs, test_docs, spec, resources, jobs=args.jobs)
         write_cross_domain_csv(args.out, results, {**spec.echo(), "seed": cfg.seed})
         log.info("cross-domain accuracies: %s",
                  {k: round(v, 4) for k, v in results.items()})
@@ -399,7 +399,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if part.strip()
         ]
         reports = feature_grid_eval(
-            docs, spec, resources, group_sets, k=cfg.folds, seed=cfg.seed
+            docs, spec, resources, group_sets, k=cfg.folds, seed=cfg.seed, jobs=args.jobs
         )
         write_grid_csv(args.out, reports)
         log.info("grid: %d cells -> %s", len(reports), args.out)
@@ -433,9 +433,10 @@ def cmd_report_terms(args: argparse.Namespace) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted and currently unused: every run uses one "
-                             "process; must be >= 1")
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="processes that evaluate may fit models in (default: "
+                             "the usable CPUs); other subcommands run in one "
+                             "process; outputs never depend on it; must be >= 1")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -560,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
+    if args.jobs is not None and args.jobs < 1:
         log.error("--jobs must be >= 1")
         return 1
     try:

@@ -7,9 +7,13 @@ import csv
 import dataclasses
 import json
 import logging
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -183,6 +187,129 @@ class _Fitter:
         predictions, _ = pipeline.predict_matrix(X)
         return accuracy(predictions, self.y[test_idx])
 
+    def score(
+        self, train_idx: np.ndarray, test_idx: np.ndarray, settings: ClassifierSettings
+    ) -> float:
+        return self.evaluate(self.fit(train_idx, settings), test_idx)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
+    """``[fn(item) for item in items]``, with the items dealt out to forked
+    processes.
+
+    At most ``min(jobs, usable CPUs, len(items))`` processes run, the caller
+    included; ``jobs=None`` means the usable CPUs. Child ``s`` takes items
+    ``s, s + n, s + 2n, ...`` of the ``n`` shares, reads them from the memory
+    it inherited, and pickles back one ``(index, (ok, value))`` per item: the
+    result, or the exception it raised. The caller runs share 0 itself, and
+    any share it cannot fork. Each share stops at its first failure, and the
+    first failure in item order is raised, as a serial loop would raise it;
+    a child that ends before reporting its share fails its next item with an
+    ``InvariantError``. No child outlives the call. Without ``os.fork`` the
+    loop runs serially."""
+    if jobs is not None and jobs < 1:
+        raise ConfigError("jobs must be >= 1")
+    cpus = _usable_cpus()
+    n = min(jobs or cpus, cpus, len(items))
+    if n <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)  # None: not run
+
+    def run_share(indices: Sequence[int], send: Callable) -> None:
+        for i in indices:
+            try:
+                result = (True, fn(items[i]))
+            except Exception as exc:
+                result = (False, exc)
+            send(i, result)
+            if not result[0]:
+                return
+
+    mine = list(range(0, len(items), n))
+    children: dict[int, tuple] = {}  # pid -> (pipe from the child, its share)
+    try:
+        _flush_stdio()  # else a child would write the caller's buffered output again
+        for s in range(1, n):
+            share = range(s, len(items), n)
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: the caller takes the share
+                os.close(read)
+                os.close(write)
+                mine.extend(share)
+                continue
+            if pid == 0:  # the child leaves only through os._exit
+                code = 1
+                try:
+                    os.close(read)
+                    with os.fdopen(write, "wb") as pipe:
+                        run_share(share, lambda i, result: _send(pipe, i, result))
+                    _flush_stdio()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = (os.fdopen(read, "rb"), share)
+        run_share(sorted(mine), results.__setitem__)
+        for pid, (pipe, share) in list(children.items()):
+            while True:
+                try:
+                    i, result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the end, or a child cut short
+                    break
+                results[i] = result
+            pipe.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            for i in share:
+                if results[i] is None:
+                    results[i] = (False, InvariantError(
+                        f"evaluation worker exited with status {status} "
+                        f"before reporting item {i}"
+                    ))
+                if not results[i][0]:
+                    break
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _send(pipe, i: int, result: tuple) -> None:
+    """Write one pickled ``(i, result)``; an exception that cannot make the
+    round trip goes as an ``InvariantError`` naming it."""
+    try:
+        data = pickle.dumps((i, result))
+        if not result[0]:
+            pickle.loads(data)
+    except Exception as exc:
+        error = InvariantError(f"{type(result[1]).__name__}: {result[1]} ({exc})")
+        data = pickle.dumps((i, (False, error)))
+    pipe.write(data)
+    pipe.flush()
+
 
 def _prepare(
     docs: Sequence[RawDocument], specs: Sequence[PipelineSpec], resources: ExtractionResources
@@ -213,20 +340,29 @@ def _prepare(
     ]
 
 
-def _cv(fitter: _Fitter, k: int, seed: int) -> EvalReport:
-    if np.unique(fitter.y).size < 2:
+def _cv(fitters: Sequence[_Fitter], k: int, seed: int, jobs: int | None) -> list[EvalReport]:
+    """One k-fold cv per fitter of one corpus; every fold of every fitter
+    is one task of one ``_fork_map``."""
+    y = fitters[0].y
+    if np.unique(y).size < 2:
         raise DataError("corpus has a single class")
-    folds = stratified_folds(fitter.y, k, seed)
-    accuracies = []
-    for f in range(k):
-        pipeline = fitter.fit(np.flatnonzero(folds != f), fitter.spec.classifier)
-        accuracies.append(fitter.evaluate(pipeline, np.flatnonzero(folds == f)))
-    return EvalReport(
-        protocol="cv",
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        config={"k": k, "seed": seed, **fitter.spec.echo()},
+    folds = stratified_folds(y, k, seed)
+    splits = [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in range(k)]
+    accuracies = _fork_map(
+        lambda task: task[0].score(task[1], task[2], task[0].spec.classifier),
+        [(fitter, train, test) for fitter in fitters for train, test in splits],
+        jobs,
     )
+    reports = []
+    for i, fitter in enumerate(fitters):
+        fold_accuracies = accuracies[i * k : (i + 1) * k]
+        reports.append(EvalReport(
+            protocol="cv",
+            fold_accuracies=tuple(fold_accuracies),
+            mean_accuracy=float(np.mean(fold_accuracies)),
+            config={"k": k, "seed": seed, **fitter.spec.echo()},
+        ))
+    return reports
 
 
 def kfold_cv(
@@ -235,43 +371,51 @@ def kfold_cv(
     resources: ExtractionResources,
     k: int = 5,
     seed: int = 0,
+    *,
+    jobs: int | None = None,
 ) -> EvalReport:
     """Stratified k-fold cross-validation. Standardizer and (for the
     baseline) the TF-IDF vocabulary are fit inside each fold on its
-    training part only."""
-    return _cv(_prepare(docs, [spec], resources)[0], k, seed)
+    training part only. The folds are fit by up to ``jobs`` processes
+    (default: the usable CPUs); the report does not depend on ``jobs``."""
+    return _cv(_prepare(docs, [spec], resources), k, seed, jobs)[0]
 
 
 def temporal_eval(
     docs: Sequence[RawDocument],
     spec: PipelineSpec,
     resources: ExtractionResources,
+    *,
+    jobs: int | None = None,
 ) -> TemporalReport:
     """Train on each year alone; test on every other year separately.
     Years whose training data holds a single class are skipped with a
-    warning and leave their row absent."""
+    warning and leave their row absent. The train years are fit by up to
+    ``jobs`` processes (default: the usable CPUs)."""
     years = tuple(sorted({d.year for d in docs}))
     if len(years) < 2:
         raise DataError("temporal evaluation needs at least 2 distinct years")
     (fitter,) = _prepare(docs, [spec], resources)
     doc_years = np.array([d.year for d in docs])
-    cells: dict[tuple[int, int], float] = {}
-    train_means: dict[int, float] = {}
+    year_idx = {year: np.flatnonzero(doc_years == year) for year in years}
+    train_years = []
     for train_year in years:
-        train_idx = np.flatnonzero(doc_years == train_year)
+        train_idx = year_idx[train_year]
         if np.unique(fitter.y[train_idx]).size < 2 or train_idx.size < 2:
             log.warning("year %s has a single class; temporal row skipped", train_year)
             continue
-        pipeline = fitter.fit(train_idx, spec.classifier)
-        row = []
-        for test_year in years:
-            if test_year == train_year:
-                continue
-            test_idx = np.flatnonzero(doc_years == test_year)
-            acc = fitter.evaluate(pipeline, test_idx)
-            cells[(train_year, test_year)] = acc
-            row.append(acc)
-        train_means[train_year] = float(np.mean(row))
+        train_years.append(train_year)
+
+    def row(train_year: int) -> list[float]:
+        pipeline = fitter.fit(year_idx[train_year], spec.classifier)
+        return [fitter.evaluate(pipeline, year_idx[year]) for year in years if year != train_year]
+
+    cells: dict[tuple[int, int], float] = {}
+    train_means: dict[int, float] = {}
+    for train_year, accuracies in zip(train_years, _fork_map(row, train_years, jobs)):
+        test_years = [year for year in years if year != train_year]
+        cells.update(zip(((train_year, year) for year in test_years), accuracies))
+        train_means[train_year] = float(np.mean(accuracies))
     return TemporalReport(
         years=years, cells=cells, train_means=train_means, config=spec.echo()
     )
@@ -283,18 +427,23 @@ def cross_domain_eval(
     spec: PipelineSpec,
     resources: ExtractionResources,
     classifiers: Sequence[str] = ("svm", "knn", "rf"),
+    *,
+    jobs: int | None = None,
 ) -> dict[str, float]:
     """Fit on the whole training corpus, score on the whole test corpus,
-    once per classifier; both corpora are extracted once."""
+    once per classifier; both corpora are extracted once. The classifiers
+    are fit by up to ``jobs`` processes (default: the usable CPUs)."""
     (fitter,) = _prepare([*train_docs, *test_docs], [spec], resources)
     train_idx = np.arange(len(train_docs))
     test_idx = np.arange(len(train_docs), fitter.y.size)
-    return {
-        name: fitter.evaluate(
-            fitter.fit(train_idx, dataclasses.replace(spec.classifier, name=name)), test_idx
-        )
-        for name in classifiers
-    }
+    accuracies = _fork_map(
+        lambda name: fitter.score(
+            train_idx, test_idx, dataclasses.replace(spec.classifier, name=name)
+        ),
+        classifiers,
+        jobs,
+    )
+    return dict(zip(classifiers, accuracies))
 
 
 def feature_grid_eval(
@@ -304,6 +453,8 @@ def feature_grid_eval(
     group_sets: Sequence[Sequence[str]],
     k: int = 5,
     seed: int = 0,
+    *,
+    jobs: int | None = None,
 ) -> list[EvalReport]:
     """kfold_cv per (feature groups, granularity) cell. Groups share no
     inputs, so one page-major pass parses each page once and extracts one
@@ -311,7 +462,8 @@ def feature_grid_eval(
     reads its schema's columns of that. Cells that pose the same problem
     (the W group at every granularity; the baseline, which ignores the
     groups, per granularity) are cross-validated once, and each echoes its
-    own config."""
+    own config. The folds of every distinct problem are fit by up to
+    ``jobs`` processes (default: the usable CPUs)."""
     if not group_sets:
         return []
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
@@ -320,18 +472,20 @@ def feature_grid_eval(
         for granularity in GRANULARITIES
     ]
     wide = dict(zip(GRANULARITIES, _prepare(docs, wide_specs, resources)))
-    done: dict[object, EvalReport] = {}
-    reports = []
+    problems: dict[object, _Fitter] = {}
+    cells = []
     for groups in group_sets:
         for granularity in GRANULARITIES:
             cell = dataclasses.replace(spec, groups=tuple(groups), granularity=granularity)
             fitter = wide[granularity].view(cell)
             key = fitter.problem()
-            if key not in done:
-                done[key] = _cv(fitter, k, seed)
-            report = done[key]
-            reports.append(dataclasses.replace(report, config={**report.config, **cell.echo()}))
-    return reports
+            problems.setdefault(key, fitter)
+            cells.append((cell, key))
+    done = dict(zip(problems, _cv(list(problems.values()), k, seed, jobs)))
+    return [
+        dataclasses.replace(done[key], config={**done[key].config, **cell.echo()})
+        for cell, key in cells
+    ]
 
 
 def term_frequency_report(

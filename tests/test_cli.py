@@ -268,13 +268,14 @@ def test_default_grid_cross_validates_each_distinct_problem_once(
     demo_corpus_dir, tmp_path, monkeypatch
 ):
     # 5 group sets x 3 granularities x 5 folds, less the W cells at C and
-    # HC, which hold the same matrix as the W cell at H
+    # HC, which hold the same matrix as the W cell at H; one process, so
+    # every call reaches the counter
     calls = []
     train = veritag.models.pipeline.svm_train
     monkeypatch.setattr(veritag.models.pipeline, "svm_train",
                         lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
     assert main(["evaluate", "--protocol", "grid", "--corpus", str(demo_corpus_dir),
-                 "--out", str(tmp_path / "grid.csv")]) == 0
+                 "--jobs", "1", "--out", str(tmp_path / "grid.csv")]) == 0
     assert len(calls) == 65
     assert len(_lines(tmp_path / "grid.csv")) == 2 + 15
 
@@ -399,6 +400,13 @@ class TestFeatureFlow:
         assert main(["extract", "--corpus", str(demo_corpus_dir),
                      "--jobs", "3", "--out", str(out)]) == 0
         assert out.read_bytes() == artifacts["features"].read_bytes()
+        reports = []
+        for jobs in ("1", "3"):
+            report = tmp_path / f"cv-j{jobs}.csv"
+            assert main(["evaluate", "--protocol", "cv", "--corpus", str(demo_corpus_dir),
+                         "--jobs", jobs, "--out", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_schema_projects_a_superset_csv(self, artifacts, demo_corpus_dir, tmp_path):
         pruned = str(artifacts["pruned"])

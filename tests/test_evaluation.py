@@ -311,7 +311,8 @@ class TestExtractOnce:
             veritag.evaluation, "train_baseline_pipeline",
             lambda *args, **kwargs: fits.append(args[2]) or train(*args, **kwargs),
         )
-        reports = feature_grid_eval(docs, spec, resources, group_sets, k=3, seed=1)
+        # one process, so every fit reaches the counter
+        reports = feature_grid_eval(docs, spec, resources, group_sets, k=3, seed=1, jobs=1)
         assert reports == expected
         assert sorted(fits) == sorted(["H", "C", "HC"] * 3)  # one 3-fold cv per granularity
 
@@ -376,11 +377,12 @@ class TestExtractOnce:
         calls = _count_calls(monkeypatch, "tokenize", "dictionary_scores", "readability_features")
         fits = _count_calls(monkeypatch, "BaselineFeaturizer.fit")
         spec = PipelineSpec(kind="baseline")
+        # one process, so every fit reaches the counter
         if protocol == "cv":
-            kfold_cv(docs, spec, resources, k=3, seed=1)
+            kfold_cv(docs, spec, resources, k=3, seed=1, jobs=1)
             assert fits["BaselineFeaturizer.fit"] == 3
         else:
-            report = temporal_eval(docs, spec, resources)
+            report = temporal_eval(docs, spec, resources, jobs=1)
             assert fits["BaselineFeaturizer.fit"] == len(report.train_means) > 1
         assert calls == {
             "tokenize": len(docs), "dictionary_scores": len(docs),
@@ -396,6 +398,31 @@ class TestExtractOnce:
         calls = _count_parses(monkeypatch)
         cross_domain_eval(train, test, PipelineSpec(kind=kind), resources)
         assert sorted(calls) == sorted(d.html for d in train + test)
+
+
+@pytest.mark.parametrize("classifier", ["svm", "knn", "rf", "baseline-svm"])
+def test_reports_do_not_depend_on_jobs(demo_docs, drift_docs, resources, classifier):
+    docs = _mixed(demo_docs, drift_docs)
+    if classifier == "baseline-svm":
+        spec = PipelineSpec(kind="baseline")
+    else:
+        spec = PipelineSpec(classifier=dataclasses.replace(
+            PipelineSpec().classifier, name=classifier, trees=7
+        ))
+    runs = [
+        (
+            kfold_cv(docs, spec, resources, k=3, seed=1, jobs=jobs),
+            temporal_eval(docs, spec, resources, jobs=jobs),
+            feature_grid_eval(
+                docs, spec, resources, [("R",), ("N", "L", "R", "W")], k=3, seed=1, jobs=jobs
+            ),
+            cross_domain_eval(docs[::2], docs[1::2], spec, resources, jobs=jobs),
+        )
+        for jobs in (1, 2, 64)  # 64 is capped at the usable CPUs
+    ]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    # the grid holds different numbers, so a swapped fold or cell shows
+    assert len({a for r in runs[0][2] for a in r.fold_accuracies}) > 1
 
 
 class TestTermFrequencyReport:
