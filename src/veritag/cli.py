@@ -16,12 +16,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import (
     CLI_CLASSIFIERS,
+    GROUPS,
     RunConfig,
     classifier_settings,
     load_config,
@@ -32,7 +32,6 @@ from .config import (
 )
 from .corpus import (
     CLASS_TO_LABEL,
-    LABEL_TO_CLASS,
     PoliticalFilterModel,
     apply_political_filter,
     balanced_sample,
@@ -41,39 +40,15 @@ from .corpus import (
     train_political_filter,
 )
 from .errors import ConfigError, DataError, InvariantError, VeritagError
-from .evaluation import (
-    cross_domain_eval,
-    feature_grid_eval,
-    kfold_cv,
-    temporal_eval,
-    term_frequency_report,
-    write_cross_domain_csv,
-    write_cv_report_csv,
-    write_grid_csv,
-    write_temporal_report_csv,
-    write_term_report_csv,
-)
-from .featureset import (
-    GROUPS,
-    FeatureSchema,
-    apply_paper_pruning,
-    build_schema,
-    extract_document,
-    granularity_text,
-    read_feature_csv,
-    read_schema,
-    vectors_to_matrix,
-    write_feature_csv,
-    write_schema,
-)
-from .markup import extract_article, parse_html
-from .models import (
-    load_pipeline,
-    save_pipeline,
-    train_baseline_pipeline,
-    train_tag_pipeline,
-)
-from .selection import select_features, write_importance_report
+from .markup import extract_article, granularity_text, parse_html
+
+# Only modules without numpy load at start-up; each handler imports the
+# featureset, selection, models and evaluation names it calls, so `--help`,
+# `ingest`, `sample` and `filter-political` never load numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .featureset import FeatureSchema
 
 log = logging.getLogger("veritag")
 
@@ -121,6 +96,8 @@ def _load_docs(corpus: str, cfg: RunConfig):
 
 def _schema_for(args: argparse.Namespace, cfg: RunConfig, resources) -> FeatureSchema:
     """Schema from --schema when given, else built from the config."""
+    from .featureset import apply_paper_pruning, build_schema, read_schema
+
     if args.schema:
         return read_schema(args.schema)
     schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary)
@@ -134,6 +111,8 @@ def _read_features(
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
     """Labeled matrix of --features and its schema. A --schema may name a
     subset of the feature columns; the matrix is projected to its order."""
+    from .featureset import FeatureSchema, read_feature_csv, read_schema, vectors_to_matrix
+
     vectors, names = read_feature_csv(args.features)
     X, y, _ = vectors_to_matrix(vectors)
     if y is None:
@@ -291,6 +270,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .featureset import extract_document, write_feature_csv, write_schema
+
     cfg = _resolve_config(args)
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
@@ -308,6 +289,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from .featureset import write_schema
+    from .selection import select_features, write_importance_report
+
     cfg = _resolve_config(args)
     X, y, schema = _read_features(args, cfg, "selection")
     pruned, scores = select_features(
@@ -324,6 +308,9 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .featureset import document_labels
+    from .models import save_pipeline, train_baseline_pipeline, train_tag_pipeline
+
     cfg = _resolve_config(args)
     settings = classifier_settings(cfg)
     if cfg.classifier == "baseline-svm":
@@ -332,9 +319,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         resources = load_run_resources(cfg)
         _, docs = _load_docs(args.corpus, cfg)
         articles = [extract_article(parse_html(d.html)) for d in docs]
-        y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
         pipeline = train_baseline_pipeline(
-            articles, y, cfg.granularity, resources.dictionary, settings,
+            articles, document_labels(docs), cfg.granularity, resources.dictionary, settings,
             min_df=cfg.min_df,
         )
     else:
@@ -348,6 +334,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .models import load_pipeline
+
     cfg = _resolve_config(args)
     pipeline = load_pipeline(args.model)
     resources = load_run_resources(cfg)
@@ -370,6 +358,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        cross_domain_eval,
+        feature_grid_eval,
+        kfold_cv,
+        temporal_eval,
+        write_cross_domain_csv,
+        write_cv_report_csv,
+        write_grid_csv,
+        write_temporal_report_csv,
+    )
+
     cfg = _resolve_config(args)
     spec = pipeline_spec(cfg)
     resources = load_run_resources(cfg)
@@ -407,6 +406,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report_terms(args: argparse.Namespace) -> int:
+    from .evaluation import term_frequency_report, write_term_report_csv
+
     if args.top < 1:
         raise ConfigError("top must be >= 1")
     cfg = _resolve_config(args)
@@ -433,10 +434,14 @@ def cmd_report_terms(args: argparse.Namespace) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, default=None)
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None,
                         help="processes that evaluate may fit models in (default: "
-                             "the usable CPUs); other subcommands run in one "
-                             "process; outputs never depend on it; must be >= 1")
+                             "the usable CPUs); extract, select, train and predict "
+                             "still run in one process; outputs never depend on it; "
+                             "must be >= 1")
 
 
 def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
@@ -487,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract feature vectors to CSV")
     _add_config_flags(p)
+    _add_jobs_flag(p)
     _add_feature_flags(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", help="extract exactly this schema (overrides flags)")
@@ -496,6 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="importance-based feature selection")
     _add_config_flags(p)
+    _add_jobs_flag(p)
     _add_feature_flags(p)
     p.add_argument("--features", required=True, help="labeled feature CSV")
     p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
@@ -508,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classification pipeline")
     _add_config_flags(p)
+    _add_jobs_flag(p)
     _add_feature_flags(p)
     _add_classifier_flags(p)
     p.add_argument("--features", help="labeled feature CSV (svm/knn/rf)")
@@ -519,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="classify a corpus with a trained model")
     _add_config_flags(p)
+    _add_jobs_flag(p)
     _add_feature_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
@@ -527,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
     _add_config_flags(p)
+    _add_jobs_flag(p)
     _add_feature_flags(p)
     _add_classifier_flags(p)
     p.add_argument("--protocol", required=True,
@@ -561,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 1
-    if args.jobs is not None and args.jobs < 1:
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
         log.error("--jobs must be >= 1")
         return 1
     try:

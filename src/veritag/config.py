@@ -4,19 +4,65 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import DEFAULT_YEAR_RANGE
 from .errors import ConfigError, read_json
-from .evaluation import ExtractionResources, PipelineSpec
-from .featureset import GRANULARITIES, GROUPS
-from .linguistics import load_dictionary, resolve_tagger
-from .models import CLASSIFIER_NAMES, ClassifierSettings
+from .linguistics import CategoryDictionary, Tagger, load_dictionary, resolve_tagger
 from .resources import ad_domains as _bundled_ad_domains
 from .resources import demo_dictionary_path, load_wordlist
 
+# The run's vocabulary lives here, free of numpy, so that validating a
+# config needs none of the modules that compute with it; featureset, models
+# and evaluation import these names from here.
+GRANULARITIES = ("H", "C", "HC")
+GROUPS = ("N", "L", "R", "W")
+CLASSIFIER_NAMES = ("svm", "knn", "rf")
 CLI_CLASSIFIERS = CLASSIFIER_NAMES + ("baseline-svm",)
+
+
+@dataclass(frozen=True)
+class ClassifierSettings:
+    name: str = "svm"
+    c: float = 0.1
+    k: int = 5
+    trees: int = 100
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.name not in CLASSIFIER_NAMES:
+            raise ConfigError(f"unknown classifier {self.name!r}")
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """What to train: feature configuration plus the classifier."""
+
+    kind: str = "tag"  # "tag" | "baseline"
+    granularity: str = "HC"
+    groups: tuple[str, ...] = ("N", "L", "R", "W")
+    pruning: str = "none"  # "none" | "paper"
+    classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
+    min_df: int = 2  # baseline TF-IDF vocabulary floor
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("tag", "baseline"):
+            raise ConfigError(f"unknown pipeline kind {self.kind!r}")
+        if self.pruning not in ("none", "paper"):
+            raise ConfigError(f"unknown pruning mode {self.pruning!r}")
+
+    def echo(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
+class ExtractionResources:
+    """Everything extraction needs besides the page itself."""
+
+    dictionary: CategoryDictionary | None = None
+    tagger: Tagger | None = None
+    ad_domains: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)

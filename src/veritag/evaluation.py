@@ -11,25 +11,25 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LABEL_TO_CLASS, RawDocument
+from .config import GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec
+from .corpus import RawDocument
 from .errors import ConfigError, DataError, InvariantError
 from .featureset import (
-    GRANULARITIES,
     FeatureSchema,
     apply_paper_pruning,
     build_schema,
+    document_labels,
     extract_vectors,
-    granularity_text,
 )
-from .linguistics import CategoryDictionary, Tagger, tokenize
-from .markup import extract_article, parse_html
-from .models import ClassifierSettings, TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
+from .linguistics import CategoryDictionary, tokenize
+from .markup import extract_article, granularity_text, parse_html
+from .models import TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
 from .models.baseline import BaselineText, baseline_texts
 from .resources import stopwords as _default_stopwords
 
@@ -44,36 +44,6 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
     if predictions.shape != labels.shape:
         raise DataError("predictions and labels differ in length")
     return float((predictions == labels).sum() / labels.size)
-
-
-@dataclass(frozen=True)
-class ExtractionResources:
-    """Everything extraction needs besides the page itself."""
-
-    dictionary: CategoryDictionary | None = None
-    tagger: Tagger | None = None
-    ad_domains: frozenset[str] | None = None
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """What to train: feature configuration plus the classifier."""
-
-    kind: str = "tag"  # "tag" | "baseline"
-    granularity: str = "HC"
-    groups: tuple[str, ...] = ("N", "L", "R", "W")
-    pruning: str = "none"  # "none" | "paper"
-    classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
-    min_df: int = 2  # baseline TF-IDF vocabulary floor
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("tag", "baseline"):
-            raise ConfigError(f"unknown pipeline kind {self.kind!r}")
-        if self.pruning not in ("none", "paper"):
-            raise ConfigError(f"unknown pruning mode {self.pruning!r}")
-
-    def echo(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -319,7 +289,7 @@ def _prepare(
     every spec."""
     if not docs:
         raise DataError("cannot evaluate an empty corpus")
-    y = np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
+    y = document_labels(docs)
     dictionary = resources.dictionary
     if specs[0].kind == "baseline":
         assert dictionary is not None

@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import GRANULARITIES, GROUPS
 from .corpus import LABEL_TO_CLASS, RawDocument
 from .errors import ConfigError, DataError, InvariantError, is_str_list, read_input, read_json
 from .linguistics import (
@@ -30,9 +31,9 @@ from .linguistics import (
     tokenize,
 )
 from .markup import (
-    Article,
     WebMarkupFeatures,
     extract_article,
+    granularity_text,
     markup_features,
     parse_html,
 )
@@ -40,9 +41,6 @@ from .markup import (
 MARKUP_GROUP_ORDER = WebMarkupFeatures.GROUP_ORDER
 
 log = logging.getLogger("veritag")
-
-GRANULARITIES = ("H", "C", "HC")
-GROUPS = ("N", "L", "R", "W")
 
 # Published pruning lists keyed by granularity, plus the retained
 # web-markup set. An entry matches a feature when the name minus its group
@@ -132,14 +130,6 @@ class FeatureVector:
         if not np.all(np.isfinite(values)):
             raise InvariantError(f"non-finite feature value for doc {self.doc_id!r}")
         object.__setattr__(self, "values", values)
-
-
-def granularity_text(article: Article, granularity: str) -> str:
-    if granularity == "H":
-        return article.headline
-    if granularity == "C":
-        return article.content
-    return article.headline + "\n" + article.content
 
 
 def extract_document(
@@ -310,6 +300,11 @@ def vectors_to_matrix(
         return X, None, ids
     y = np.array([v.label for v in vectors], dtype=np.int64)
     return X, y, ids
+
+
+def document_labels(docs: Sequence[RawDocument]) -> np.ndarray:
+    """The class of each page, in order."""
+    return np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
 
 
 def write_schema(path: str | Path, schema: FeatureSchema) -> None:

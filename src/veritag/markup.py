@@ -371,6 +371,14 @@ class Article:
     extraction_notes: list[str] = field(default_factory=list)
 
 
+def granularity_text(article: Article, granularity: str) -> str:
+    if granularity == "H":
+        return article.headline
+    if granularity == "C":
+        return article.content
+    return article.headline + "\n" + article.content
+
+
 def _normalize(text: str) -> str:
     return " ".join(text.split())
 

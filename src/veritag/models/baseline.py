@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..featureset import granularity_text
 from ..linguistics import (
     READABILITY_FEATURES,
     CategoryDictionary,
@@ -23,7 +22,7 @@ from ..linguistics import (
     readability_features,
     tokenize,
 )
-from ..markup import Article
+from ..markup import Article, granularity_text
 
 DEFAULT_MIN_DF = 2
 

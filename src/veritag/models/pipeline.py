@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import __version__ as package_version
+from ..config import CLASSIFIER_NAMES, ClassifierSettings  # noqa: F401  (re-exported by models)
 from ..corpus import RawDocument
 from ..errors import ConfigError, DataError
 from ..featureset import (
@@ -30,21 +31,6 @@ from .baseline import BaselineFeaturizer
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
 from .svm import LinearSvmModel, svm_predict, svm_train
-
-CLASSIFIER_NAMES = ("svm", "knn", "rf")
-
-
-@dataclass(frozen=True)
-class ClassifierSettings:
-    name: str = "svm"
-    c: float = 0.1
-    k: int = 5
-    trees: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.name not in CLASSIFIER_NAMES:
-            raise ConfigError(f"unknown classifier {self.name!r}")
 
 
 def train_classifier(X: np.ndarray, y: np.ndarray, settings: ClassifierSettings):

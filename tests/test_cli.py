@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import veritag.models.pipeline
-from veritag.cli import main
+from veritag.cli import build_parser, main
 from veritag.demo import main as demo_main
 
 
@@ -45,8 +46,44 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("veritag ")
 
-    def test_jobs_must_be_positive(self, demo_corpus_dir):
-        assert main(["ingest", "--corpus", str(demo_corpus_dir), "--jobs", "0"]) == 1
+    def test_jobs_must_be_positive(self, demo_corpus_dir, tmp_path, caplog):
+        out = tmp_path / "features.csv"
+        assert main(["extract", "--corpus", str(demo_corpus_dir), "--jobs", "0",
+                     "--out", str(out)]) == 1
+        assert "--jobs must be >= 1" in caplog.text
+        assert not out.exists()
+
+    def test_each_subcommand_takes_exactly_these_flags(self):
+        """A flag a subcommand accepts but never reads would come back
+        unnoticed; adding or dropping one has to change this table."""
+        config = {"--config", "--seed"}
+        features = {"--granularity", "--groups", "--pruning", "--dictionary", "--tagger",
+                    "--ad-domains"}
+        classifier = {"--classifier", "--c", "--k", "--trees"}
+        expected = {
+            "ingest": config | {"--corpus", "--check"},
+            "filter-political": config | {"--corpus", "--model", "--topics", "--save-model",
+                                          "--threshold", "--out"},
+            "sample": config | {"--corpus", "--cap", "--out"},
+            "extract": config | features | {"--jobs", "--corpus", "--schema", "--out",
+                                            "--schema-out"},
+            "select": config | features | {"--jobs", "--features", "--schema", "--bins",
+                                           "--trees", "--lambda", "--out", "--report"},
+            "train": config | features | classifier | {"--jobs", "--features", "--schema",
+                                                       "--corpus", "--min-df", "--out"},
+            "predict": config | features | {"--jobs", "--model", "--corpus", "--out"},
+            "evaluate": config | features | classifier | {
+                "--jobs", "--protocol", "--corpus", "--test-corpus", "--folds", "--min-df",
+                "--group-sets", "--out"},
+            "report-terms": config | {"--corpus", "--top", "--out"},
+        }
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert flags == expected
 
     def test_unexpected_exception_exits_3_without_traceback(self, demo_corpus_dir):
         # a fresh process, so stderr is exactly what a user would see
