@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .config import (
     CLI_CLASSIFIERS,
+    GRANULARITIES,
     GROUPS,
     RunConfig,
     classifier_settings,
@@ -75,6 +76,26 @@ def _split_groups(value: str) -> tuple[str, ...]:
     return tuple(g.strip() for g in value.split(",") if g.strip())
 
 
+def _group_sets(value: str) -> list[tuple[str, ...]]:
+    """--group-sets: ";"-separated sets, each held to the rule of --groups."""
+    sets = [_split_groups(part) for part in value.split(";")]
+    for groups in sets:
+        if not groups or not set(groups) <= set(GROUPS):
+            raise ConfigError(
+                f"--group-sets {value!r}: each set must be a non-empty subset of {GROUPS}"
+            )
+    return sets
+
+
+def _refuse(args: argparse.Namespace, context: str, options: tuple[str, ...]) -> None:
+    """ConfigError for the first of ``options`` given on the command line,
+    which ``context`` (such as ``--schema``) makes the run ignore. Config file
+    values are not refused: one file serves every subcommand."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"{args.command} {context} ignores {option}")
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     overrides = {
@@ -113,6 +134,8 @@ def _read_features(
     subset of the feature columns; the matrix is projected to its order."""
     from .featureset import FeatureSchema, read_feature_csv, read_schema, vectors_to_matrix
 
+    if args.schema:
+        _refuse(args, "--schema", ("--granularity",))
     vectors, names = read_feature_csv(args.features)
     X, y, _ = vectors_to_matrix(vectors)
     if y is None:
@@ -273,6 +296,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     from .featureset import extract_document, write_feature_csv, write_schema
 
     cfg = _resolve_config(args)
+    if args.schema:
+        _refuse(args, "--schema", ("--granularity", "--groups", "--pruning"))
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
     schema = _schema_for(args, cfg, resources)
@@ -314,6 +339,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     settings = classifier_settings(cfg)
     if cfg.classifier == "baseline-svm":
+        _refuse(args, "--classifier baseline-svm", ("--features", "--schema"))
         if not args.corpus:
             raise ConfigError("baseline-svm trains from pages: pass --corpus")
         resources = load_run_resources(cfg)
@@ -324,6 +350,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             min_df=cfg.min_df,
         )
     else:
+        _refuse(args, f"--classifier {cfg.classifier}", ("--corpus", "--dictionary"))
         if not args.features:
             raise ConfigError(f"{cfg.classifier} trains from features: pass --features")
         X, y, schema = _read_features(args, cfg, "training")
@@ -357,6 +384,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+# the evaluate flags each protocol never reads
+_IGNORED_BY_PROTOCOL = {
+    "cv": ("--test-corpus", "--group-sets"),
+    "temporal": ("--folds", "--test-corpus", "--group-sets"),
+    "cross-domain": ("--folds", "--group-sets"),
+    "grid": ("--granularity", "--groups", "--test-corpus"),
+}
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .evaluation import (
         cross_domain_eval,
@@ -370,6 +406,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
 
     cfg = _resolve_config(args)
+    _refuse(args, f"--protocol {args.protocol}", _IGNORED_BY_PROTOCOL[args.protocol])
+    if cfg.classifier == "baseline-svm":
+        _refuse(args, "--classifier baseline-svm", ("--tagger", "--ad-domains"))
+    if args.protocol == "cross-domain" and not args.test_corpus:
+        raise ConfigError("cross-domain needs --test-corpus")
+    if args.protocol == "grid":
+        group_sets = _group_sets(
+            DEFAULT_GRID_GROUP_SETS if args.group_sets is None else args.group_sets
+        )
     spec = pipeline_spec(cfg)
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
@@ -384,19 +429,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         log.info("temporal grid over years %s: %d cells",
                  list(report.years), len(report.cells))
     elif args.protocol == "cross-domain":
-        if not args.test_corpus:
-            raise ConfigError("cross-domain needs --test-corpus")
         _, test_docs = _load_docs(args.test_corpus, cfg)
         results = cross_domain_eval(docs, test_docs, spec, resources, jobs=args.jobs)
         write_cross_domain_csv(args.out, results, {**spec.echo(), "seed": cfg.seed})
         log.info("cross-domain accuracies: %s",
                  {k: round(v, 4) for k, v in results.items()})
     else:  # grid
-        group_sets = [
-            _split_groups(part)
-            for part in args.group_sets.split(";")
-            if part.strip()
-        ]
         reports = feature_grid_eval(
             docs, spec, resources, group_sets, k=cfg.folds, seed=cfg.seed, jobs=args.jobs
         )
@@ -431,33 +469,26 @@ def cmd_report_terms(args: argparse.Namespace) -> int:
 # --- parser wiring ---
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None)
+# flags that mean the same in every subcommand that takes them
+_SHARED_FLAGS: dict[str, dict] = {
+    "--config": {"help": "JSON config file; flags override it"},
+    "--seed": {"type": int},
+    "--granularity": {"choices": GRANULARITIES},
+    "--groups": {"help": "comma list from N,L,R,W"},
+    "--pruning": {"choices": ("none", "paper")},
+    "--dictionary": {"help": "category dictionary path"},
+    "--tagger": {"help": "'rules' or 'perceptron:PATH'"},
+    "--ad-domains": {"help": "ad-domain list path"},
+    "--classifier": {"choices": CLI_CLASSIFIERS},
+    "--c": {"type": float, "help": "SVM cost"},
+    "--k": {"type": int, "help": "KNN neighbor count"},
+    "--min-df": {"type": int, "help": "baseline TF-IDF vocabulary floor"},
+}
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="processes that evaluate may fit models in (default: "
-                             "the usable CPUs); extract, select, train and predict "
-                             "still run in one process; outputs never depend on it; "
-                             "must be >= 1")
-
-
-def _add_feature_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--granularity", choices=("H", "C", "HC"), default=None)
-    parser.add_argument("--groups", default=None, help="comma list from N,L,R,W")
-    parser.add_argument("--pruning", choices=("none", "paper"), default=None)
-    parser.add_argument("--dictionary", default=None, help="category dictionary path")
-    parser.add_argument("--tagger", default=None, help="'rules' or 'perceptron:PATH'")
-    parser.add_argument("--ad-domains", dest="ad_domains", default=None)
-
-
-def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--classifier", choices=CLI_CLASSIFIERS, default=None)
-    parser.add_argument("--c", type=float, default=None, help="SVM cost")
-    parser.add_argument("--k", type=int, default=None, help="KNN neighbor count")
-    parser.add_argument("--trees", type=int, default=None, help="forest size")
+def _add_flags(parser: argparse.ArgumentParser, *options: str) -> None:
+    for option in options:
+        parser.add_argument(option, **_SHARED_FLAGS[option])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,95 +497,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"veritag {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("ingest", parents=[], help="validate a corpus directory")
-    _add_config_flags(p)
+    p = sub.add_parser("ingest", help="validate a corpus directory")
+    _add_flags(p, "--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--check", action="store_true", help="also read every HTML file")
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("filter-political", help="score pages with the topic filter")
-    _add_config_flags(p)
+    _add_flags(p, "--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", help="trained filter model path (instead of --topics)")
     p.add_argument("--topics", help="topic-labeled JSONL to train the filter from")
-    p.add_argument("--save-model", dest="save_model",
-                   help="where to save the filter trained from --topics")
-    p.add_argument("--threshold", dest="political_threshold", type=float, default=None)
-    p.add_argument("--out", default=None, help="decision CSV (default stdout)")
+    p.add_argument("--save-model", help="where to save the filter trained from --topics")
+    p.add_argument("--threshold", dest="political_threshold", type=float)
+    p.add_argument("--out", help="decision CSV (default stdout)")
     p.set_defaults(handler=cmd_filter_political)
 
     p = sub.add_parser("sample", help="balanced per-site-per-year sample")
-    _add_config_flags(p)
+    _add_flags(p, "--config", "--seed")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cap", type=int, required=True, help="max pages per site-year")
     p.add_argument("--out", required=True, help="sampled manifest JSONL path")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("extract", help="extract feature vectors to CSV")
-    _add_config_flags(p)
-    _add_jobs_flag(p)
-    _add_feature_flags(p)
+    _add_flags(p, "--config", "--granularity", "--groups", "--pruning", "--dictionary",
+               "--tagger", "--ad-domains")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", help="extract exactly this schema (overrides flags)")
+    p.add_argument("--schema", help="extract exactly this schema (instead of "
+                                    "--granularity, --groups and --pruning)")
     p.add_argument("--out", required=True, help="feature CSV path")
-    p.add_argument("--schema-out", dest="schema_out", help="also write the schema JSON")
+    p.add_argument("--schema-out", help="also write the schema JSON")
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("select", help="importance-based feature selection")
-    _add_config_flags(p)
-    _add_jobs_flag(p)
-    _add_feature_flags(p)
+    _add_flags(p, "--config", "--seed", "--granularity")
     p.add_argument("--features", required=True, help="labeled feature CSV")
     p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--trees", dest="selection_trees", type=int, default=None)
-    p.add_argument("--lambda", dest="l1_lambda", type=float, default=None)
+    p.add_argument("--bins", type=int)
+    p.add_argument("--trees", dest="selection_trees", type=int)
+    p.add_argument("--lambda", dest="l1_lambda", type=float)
     p.add_argument("--out", required=True, help="pruned schema JSON path")
     p.add_argument("--report", help="per-feature importance CSV")
     p.set_defaults(handler=cmd_select)
 
     p = sub.add_parser("train", help="train a classification pipeline")
-    _add_config_flags(p)
-    _add_jobs_flag(p)
-    _add_feature_flags(p)
-    _add_classifier_flags(p)
+    _add_flags(p, "--config", "--seed", "--granularity", "--dictionary", "--classifier",
+               "--c", "--k", "--min-df")
+    p.add_argument("--trees", type=int, help="forest size")
     p.add_argument("--features", help="labeled feature CSV (svm/knn/rf)")
     p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
     p.add_argument("--corpus", help="corpus directory (baseline-svm)")
-    p.add_argument("--min-df", dest="min_df", type=int, default=None)
     p.add_argument("--out", required=True, help="model file path")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", help="classify a corpus with a trained model")
-    _add_config_flags(p)
-    _add_jobs_flag(p)
-    _add_feature_flags(p)
+    _add_flags(p, "--config", "--dictionary", "--tagger", "--ad-domains")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", default=None, help="predictions CSV (default stdout)")
+    p.add_argument("--out", help="predictions CSV (default stdout)")
     p.set_defaults(handler=cmd_predict)
 
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
-    _add_config_flags(p)
-    _add_jobs_flag(p)
-    _add_feature_flags(p)
-    _add_classifier_flags(p)
+    _add_flags(p, "--config", "--seed", "--granularity", "--groups", "--pruning",
+               "--dictionary", "--tagger", "--ad-domains", "--classifier", "--c", "--k",
+               "--min-df")
+    p.add_argument("--trees", type=int, help="forest size")
+    p.add_argument("--jobs", type=int, help="processes to fit models in (default: the "
+                                            "usable CPUs); outputs never depend on it; "
+                                            "must be >= 1")
     p.add_argument("--protocol", required=True,
                    choices=("cv", "temporal", "cross-domain", "grid"))
     p.add_argument("--corpus", required=True)
-    p.add_argument("--test-corpus", dest="test_corpus")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--min-df", dest="min_df", type=int, default=None)
-    p.add_argument("--group-sets", dest="group_sets", default=DEFAULT_GRID_GROUP_SETS,
-                   help="semicolon-separated group combos for --protocol grid")
+    p.add_argument("--test-corpus", help="test corpus of cross-domain")
+    p.add_argument("--folds", type=int, help="folds of cv and grid")
+    p.add_argument("--group-sets", help="semicolon-separated group combos for grid "
+                                        f"(default {DEFAULT_GRID_GROUP_SETS})")
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("report-terms", help="per-year top term frequencies")
-    _add_config_flags(p)
+    _add_flags(p, "--config", "--seed")
     p.add_argument("--corpus", required=True)
     p.add_argument("--top", type=int, default=20)
-    p.add_argument("--out", default=None, help="term CSV (default stdout)")
+    p.add_argument("--out", help="term CSV (default stdout)")
     p.set_defaults(handler=cmd_report_terms)
 
     return parser

@@ -436,6 +436,8 @@ def feature_grid_eval(
     ``jobs`` processes (default: the usable CPUs)."""
     if not group_sets:
         return []
+    if not all(group_sets):
+        raise ConfigError("every grid cell needs at least one feature group")
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
     wide_specs = [
         dataclasses.replace(spec, groups=union, pruning="none", granularity=granularity)
@@ -522,19 +524,16 @@ def write_cross_domain_csv(
             writer.writerow([name, "%.9g" % acc])
 
 
-def write_grid_csv(
-    path: str | Path, reports: Sequence[EvalReport], config: Mapping | None = None
-) -> None:
+def write_grid_csv(path: str | Path, reports: Sequence[EvalReport]) -> None:
     """One row per grid cell. The echoed config describes the shared run
     settings; per-cell groups/granularity live in the row itself."""
+    shared = {
+        k: v
+        for k, v in (reports[0].config.items() if reports else ())
+        if k not in ("groups", "granularity")
+    }
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        if config is None and reports:
-            config = {
-                k: v
-                for k, v in reports[0].config.items()
-                if k not in ("groups", "granularity")
-            }
-        fh.write(_config_comment(config or {}) + "\n")
+        fh.write(_config_comment(shared) + "\n")
         writer = csv.writer(fh)
         k = max((len(r.fold_accuracies) for r in reports), default=0)
         writer.writerow(

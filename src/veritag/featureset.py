@@ -58,6 +58,9 @@ CSV_FLOAT_FORMAT = "%.9g"
 
 SCHEMA_FORMAT_VERSION = 1
 
+# the pruning of a schema whose names feature selection computed
+COMPUTED_PRUNING = "computed:"
+
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -82,7 +85,7 @@ class FeatureSchema:
                 )
         if not (
             self.pruning in ("none", "paper")
-            or self.pruning.startswith("computed:")
+            or self.pruning.startswith(COMPUTED_PRUNING)
         ):
             raise ConfigError(f"invalid pruning mode {self.pruning!r}")
 
@@ -240,7 +243,7 @@ def apply_paper_pruning(schema: FeatureSchema) -> FeatureSchema:
     )
 
 
-def prune_to_names(schema: FeatureSchema, names: Sequence[str], mode: str) -> FeatureSchema:
+def prune_to_names(schema: FeatureSchema, names: Sequence[str]) -> FeatureSchema:
     """Restrict the schema to the given names, preserving schema order."""
     keep = set(names)
     unknown = keep - set(schema.names)
@@ -250,7 +253,7 @@ def prune_to_names(schema: FeatureSchema, names: Sequence[str], mode: str) -> Fe
         names=tuple(n for n in schema.names if n in keep),
         granularity=schema.granularity,
         groups=schema.groups,
-        pruning=mode,
+        pruning=COMPUTED_PRUNING,
     )
 
 

@@ -293,7 +293,7 @@ def select_features(
     survivors = [n for n, keep in zip(schema.names, scores.retained) if keep]
     if not survivors:
         raise DataError("every feature scored r = 0; data looks degenerate")
-    return prune_to_names(schema, survivors, "computed:"), scores
+    return prune_to_names(schema, survivors), scores
 
 
 REPORT_COLUMNS = (

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
+import re
 import shlex
 import shutil
 import subprocess
@@ -17,10 +19,20 @@ import pytest
 import veritag.models.pipeline
 from veritag.cli import build_parser, main
 from veritag.demo import main as demo_main
+from veritag.resources import demo_dictionary_path
 
 
 def _lines(path):
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def _subcommand_flags():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
 
 
 class TestEntryPoint:
@@ -47,43 +59,49 @@ class TestEntryPoint:
         assert proc.stdout.startswith("veritag ")
 
     def test_jobs_must_be_positive(self, demo_corpus_dir, tmp_path, caplog):
-        out = tmp_path / "features.csv"
-        assert main(["extract", "--corpus", str(demo_corpus_dir), "--jobs", "0",
-                     "--out", str(out)]) == 1
+        out = tmp_path / "cv.csv"
+        assert main(["evaluate", "--protocol", "cv", "--corpus", str(demo_corpus_dir),
+                     "--jobs", "0", "--out", str(out)]) == 1
         assert "--jobs must be >= 1" in caplog.text
         assert not out.exists()
 
     def test_each_subcommand_takes_exactly_these_flags(self):
         """A flag a subcommand accepts but never reads would come back
         unnoticed; adding or dropping one has to change this table."""
-        config = {"--config", "--seed"}
-        features = {"--granularity", "--groups", "--pruning", "--dictionary", "--tagger",
-                    "--ad-domains"}
-        classifier = {"--classifier", "--c", "--k", "--trees"}
+        resources = {"--dictionary", "--tagger", "--ad-domains"}
+        schema = {"--granularity", "--groups", "--pruning"}
+        classifier = {"--classifier", "--c", "--k", "--trees", "--min-df"}
         expected = {
-            "ingest": config | {"--corpus", "--check"},
-            "filter-political": config | {"--corpus", "--model", "--topics", "--save-model",
-                                          "--threshold", "--out"},
-            "sample": config | {"--corpus", "--cap", "--out"},
-            "extract": config | features | {"--jobs", "--corpus", "--schema", "--out",
-                                            "--schema-out"},
-            "select": config | features | {"--jobs", "--features", "--schema", "--bins",
-                                           "--trees", "--lambda", "--out", "--report"},
-            "train": config | features | classifier | {"--jobs", "--features", "--schema",
-                                                       "--corpus", "--min-df", "--out"},
-            "predict": config | features | {"--jobs", "--model", "--corpus", "--out"},
-            "evaluate": config | features | classifier | {
-                "--jobs", "--protocol", "--corpus", "--test-corpus", "--folds", "--min-df",
-                "--group-sets", "--out"},
-            "report-terms": config | {"--corpus", "--top", "--out"},
+            "ingest": {"--config", "--corpus", "--check"},
+            "filter-political": {"--config", "--corpus", "--model", "--topics",
+                                 "--save-model", "--threshold", "--out"},
+            "sample": {"--config", "--seed", "--corpus", "--cap", "--out"},
+            "extract": {"--config", *schema, *resources, "--corpus", "--schema", "--out",
+                        "--schema-out"},
+            "select": {"--config", "--seed", "--granularity", "--features", "--schema",
+                       "--bins", "--trees", "--lambda", "--out", "--report"},
+            "train": {"--config", "--seed", "--granularity", "--dictionary", *classifier,
+                      "--features", "--schema", "--corpus", "--out"},
+            "predict": {"--config", *resources, "--model", "--corpus", "--out"},
+            "evaluate": {"--config", "--seed", *schema, *resources, *classifier, "--jobs",
+                         "--protocol", "--corpus", "--test-corpus", "--folds",
+                         "--group-sets", "--out"},
+            "report-terms": {"--config", "--seed", "--corpus", "--top", "--out"},
         }
-        parser = build_parser()
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        flags = {
-            name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
-            for name, sub in commands.choices.items()
-        }
-        assert flags == expected
+        assert _subcommand_flags() == expected
+        assert sum(map(len, expected.values())) == 81
+
+    def test_readme_flag_table_matches_the_parser(self):
+        """The README's table of subcommands and their flags is the parser's."""
+        readme = Path(__file__).parents[1] / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| subcommand | flags |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+            command, flags = line.strip("|").split("|")
+            table[command.strip().strip("`")] = re.findall(r"`(--[a-z-]+)", flags)
+        assert {name: set(flags) for name, flags in table.items()} == _subcommand_flags()
+        assert all(len(set(flags)) == len(flags) for flags in table.values())
 
     def test_unexpected_exception_exits_3_without_traceback(self, demo_corpus_dir):
         # a fresh process, so stderr is exactly what a user would see
@@ -101,6 +119,108 @@ class TestEntryPoint:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == ["ERROR internal error: RuntimeError: boom"]
+
+
+def _ignored(context, *argv):
+    """A command line whose last flag the run would ignore because of the
+    flag ``context``. Its input paths are missing, except that ``{file}``
+    names a file that exists and ``{baseline}`` a config file choosing
+    baseline-svm."""
+    return pytest.param(list(argv), context, id=" ".join(a for a in argv if "{" not in a))
+
+
+IGNORED_COMBINATIONS = [
+    _ignored("--schema", "extract", "--corpus", "{missing}", "--schema", "{missing}",
+             "--granularity", "H"),
+    _ignored("--schema", "extract", "--corpus", "{missing}", "--schema", "{missing}",
+             "--groups", "R"),
+    _ignored("--schema", "extract", "--corpus", "{missing}", "--schema", "{missing}",
+             "--pruning", "paper"),
+    _ignored("--schema", "select", "--features", "{missing}", "--schema", "{missing}",
+             "--granularity", "H"),
+    _ignored("--schema", "train", "--features", "{missing}", "--schema", "{missing}",
+             "--granularity", "H"),
+    _ignored("--classifier", "train", "--features", "{missing}", "--corpus", "{missing}"),
+    _ignored("--classifier", "train", "--classifier", "knn", "--features", "{missing}",
+             "--corpus", "{missing}"),
+    _ignored("--classifier", "train", "--classifier", "rf", "--features", "{missing}",
+             "--corpus", "{missing}"),
+    _ignored("--classifier", "train", "--features", "{missing}", "--dictionary",
+             "{file}"),
+    _ignored("--classifier", "train", "--classifier", "baseline-svm", "--corpus", "{missing}",
+             "--features", "{missing}"),
+    _ignored("--classifier", "train", "--classifier", "baseline-svm", "--corpus", "{missing}",
+             "--schema", "{missing}"),
+    # the classifier comes from the config file
+    _ignored("--classifier", "train", "--config", "{baseline}", "--corpus", "{missing}",
+             "--features", "{missing}"),
+    _ignored("--protocol", "evaluate", "--protocol", "cv", "--corpus", "{missing}",
+             "--test-corpus", "{missing}"),
+    _ignored("--protocol", "evaluate", "--protocol", "temporal", "--corpus", "{missing}",
+             "--test-corpus", "{missing}"),
+    _ignored("--protocol", "evaluate", "--protocol", "grid", "--corpus", "{missing}",
+             "--test-corpus", "{missing}"),
+    _ignored("--protocol", "evaluate", "--protocol", "cv", "--corpus", "{missing}",
+             "--group-sets", "R"),
+    _ignored("--protocol", "evaluate", "--protocol", "temporal", "--corpus", "{missing}",
+             "--group-sets", "R"),
+    _ignored("--protocol", "evaluate", "--protocol", "cross-domain", "--corpus", "{missing}",
+             "--test-corpus", "{missing}", "--group-sets", "R"),
+    _ignored("--protocol", "evaluate", "--protocol", "temporal", "--corpus", "{missing}",
+             "--folds", "3"),
+    _ignored("--protocol", "evaluate", "--protocol", "cross-domain", "--corpus", "{missing}",
+             "--test-corpus", "{missing}", "--folds", "3"),
+    _ignored("--protocol", "evaluate", "--protocol", "grid", "--corpus", "{missing}",
+             "--groups", "R"),
+    _ignored("--protocol", "evaluate", "--protocol", "grid", "--corpus", "{missing}",
+             "--granularity", "H"),
+    _ignored("--classifier", "evaluate", "--protocol", "cv", "--classifier", "baseline-svm",
+             "--corpus", "{missing}", "--tagger", "rules"),
+    _ignored("--classifier", "evaluate", "--protocol", "temporal", "--classifier",
+             "baseline-svm", "--corpus", "{missing}", "--ad-domains", "{file}"),
+]
+
+
+class TestIgnoredFlags:
+    """A flag the run would ignore is a usage error before any input is read:
+    a read of the missing corpus, features or model would be exit 2."""
+
+    @staticmethod
+    def _refused(argv, tmp_path, caplog):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text('{"classifier": "baseline-svm"}', encoding="utf-8")
+        paths = {"missing": tmp_path / "absent", "file": demo_dictionary_path(),
+                 "baseline": baseline}
+        out = tmp_path / "out"
+        argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(argv) == 1
+        assert [r.levelname for r in caplog.records] == ["ERROR"]
+        assert not out.exists()
+        return caplog.records[0].getMessage()
+
+    @pytest.mark.parametrize("argv, context", IGNORED_COMBINATIONS)
+    def test_ignored_combination_is_refused(self, tmp_path, caplog, argv, context):
+        message = self._refused(argv, tmp_path, caplog)
+        assert context in message and argv[-2] in message
+
+    @pytest.mark.parametrize("group_sets", [";", "", "R; ,", "R;", "R;X"])
+    def test_each_grid_group_set_must_name_groups(self, tmp_path, caplog, group_sets):
+        argv = ["evaluate", "--protocol", "grid", "--corpus", "{missing}",
+                "--group-sets", group_sets]
+        assert "--group-sets" in self._refused(argv, tmp_path, caplog)
+
+    def test_config_file_values_are_not_refused(self, artifacts, demo_corpus_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"granularity": "H", "groups": ["R"], "pruning": "paper"}',
+                          encoding="utf-8")
+        outputs = []
+        for extra in ([], ["--config", str(config)]):
+            out = tmp_path / f"features{len(extra)}.csv"
+            assert main(["extract", "--corpus", str(demo_corpus_dir), *extra,
+                         "--schema", str(artifacts["pruned"]), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestIngest:
@@ -432,11 +552,7 @@ class TestFeatureFlow:
                      "--out", str(model2)]) == 0
         assert model2.read_bytes() == artifacts["model"].read_bytes()
 
-    def test_jobs_flag_never_changes_output(self, artifacts, demo_corpus_dir, tmp_path):
-        out = tmp_path / "features-j3.csv"
-        assert main(["extract", "--corpus", str(demo_corpus_dir),
-                     "--jobs", "3", "--out", str(out)]) == 0
-        assert out.read_bytes() == artifacts["features"].read_bytes()
+    def test_jobs_flag_never_changes_output(self, demo_corpus_dir, tmp_path):
         reports = []
         for jobs in ("1", "3"):
             report = tmp_path / f"cv-j{jobs}.csv"
@@ -636,7 +752,7 @@ class TestMalformedInputFiles:
         bad.write_bytes(b"doc_id,\xff\xfe{}")
         paths = {"bad": bad, "missing": tmp_path / "absent"}
         argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
-        if argv[0] != "select":
+        if argv[0] not in ("select", "train"):
             argv += ["--corpus", str(demo_corpus_dir)]
         with caplog.at_level("ERROR", logger="veritag"):
             assert main(argv) == code

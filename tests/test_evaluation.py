@@ -369,6 +369,12 @@ class TestExtractOnce:
         )
         assert sorted(calls) == sorted(d.html for d in docs)
 
+    def test_grid_refuses_a_cell_without_groups(self, demo_docs, resources, monkeypatch):
+        calls = _count_parses(monkeypatch)
+        with pytest.raises(ConfigError, match="at least one feature group"):
+            feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ()], k=2)
+        assert calls == []
+
     @pytest.mark.parametrize("protocol", ["cv", "temporal"])
     def test_baseline_featurizes_each_article_once(
         self, demo_docs, drift_docs, resources, monkeypatch, protocol
@@ -521,16 +527,6 @@ class TestCsvWriters:
             b"N-R,H,1,0.5,0.75\r\n"
             b"R,HC,1,1,1\r\n"
         )
-
-    def test_grid_csv_explicit_config_wins(self, tmp_path):
-        r1 = EvalReport(
-            "cv", (1.0,), 1.0,
-            {"k": 1, "seed": 0, "groups": ("R",), "granularity": "H"},
-        )
-        path = tmp_path / "grid.csv"
-        write_grid_csv(path, [r1], config={"x": 1})
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert first == '# config: {"x": 1}'
 
     def test_term_report_csv_bytes(self, tmp_path):
         report = TermFrequencyReport(per_year={2016: [("alpha", 3), ("beta", 2)]})
