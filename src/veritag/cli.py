@@ -8,7 +8,6 @@ goes to stderr; artifacts and machine-readable output go to files or stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
 import json
@@ -24,6 +23,7 @@ from .config import (
     GRANULARITIES,
     GROUPS,
     RunConfig,
+    check_groups,
     classifier_settings,
     load_config,
     load_run_resources,
@@ -40,7 +40,7 @@ from .corpus import (
     load_topic_corpus,
     train_political_filter,
 )
-from .errors import ConfigError, DataError, InvariantError, VeritagError
+from .errors import ConfigError, DataError, InvariantError, VeritagError, write_csv
 from .markup import extract_article, granularity_text, parse_html
 
 # Only modules without numpy load at start-up; each handler imports the
@@ -80,10 +80,7 @@ def _group_sets(value: str) -> list[tuple[str, ...]]:
     """--group-sets: ";"-separated sets, each held to the rule of --groups."""
     sets = [_split_groups(part) for part in value.split(";")]
     for groups in sets:
-        if not groups or not set(groups) <= set(GROUPS):
-            raise ConfigError(
-                f"--group-sets {value!r}: each set must be a non-empty subset of {GROUPS}"
-            )
+        check_groups(groups, f"--group-sets {value!r}: each set")
     return sets
 
 
@@ -115,16 +112,19 @@ def _load_docs(corpus: str, cfg: RunConfig):
     return manifest, list(manifest.iter_documents())
 
 
-def _schema_for(args: argparse.Namespace, cfg: RunConfig, resources) -> FeatureSchema:
-    """Schema from --schema when given, else built from the config."""
-    from .featureset import apply_paper_pruning, build_schema, read_schema
+def _check_extractable(schema: FeatureSchema, dictionary, source: str) -> None:
+    """DataError naming the first name of ``source``'s schema that
+    extraction with ``dictionary`` does not make; checked once, before any
+    page is parsed."""
+    from .featureset import build_schema
 
-    if args.schema:
-        return read_schema(args.schema)
-    schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary)
-    if cfg.pruning == "paper":
-        schema = apply_paper_pruning(schema)
-    return schema
+    made = set(build_schema(schema.granularity, schema.groups, dictionary).names)
+    missing = [name for name in schema.names if name not in made]
+    if missing:
+        raise DataError(
+            f"{source}: schema name {missing[0]!r} is not made by extraction (the N, R "
+            "and W names are fixed; the L names are the dictionary's categories)"
+        )
 
 
 def _read_features(
@@ -203,12 +203,6 @@ def _check_outputs(args: argparse.Namespace) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
-def _out_handle(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return Path(path).open("w", encoding="utf-8", newline=""), True
-
-
 # --- subcommand handlers ---
 
 
@@ -251,21 +245,19 @@ def cmd_filter_political(args: argparse.Namespace) -> int:
     else:
         model = PoliticalFilterModel.load(args.model)
     _, docs = _load_docs(args.corpus, cfg)
-    handle, close = _out_handle(args.out)
     kept = 0
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["doc_id", "score", "is_political"])
+
+    def decisions():  # streamed: a page that fails leaves the rows before it
+        nonlocal kept
         for doc in docs:
             article = extract_article(parse_html(doc.html))
             decision = apply_political_filter(
                 model, granularity_text(article, "HC"), cfg.political_threshold
             )
             kept += int(decision.is_political)
-            writer.writerow([doc.id, "%.9g" % decision.score, int(decision.is_political)])
-    finally:
-        if close:
-            handle.close()
+            yield [doc.id, decision.score, int(decision.is_political)]
+
+    write_csv(args.out, ["doc_id", "score", "is_political"], decisions())
     log.info("political filter kept %d of %d documents (threshold %.3g)",
              kept, len(docs), cfg.political_threshold)
     return 0
@@ -293,14 +285,20 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from .featureset import extract_document, write_feature_csv, write_schema
+    from .featureset import (
+        build_schema, extract_document, read_schema, write_feature_csv, write_schema,
+    )
 
     cfg = _resolve_config(args)
     if args.schema:
         _refuse(args, "--schema", ("--granularity", "--groups", "--pruning"))
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
-    schema = _schema_for(args, cfg, resources)
+    if args.schema:
+        schema = read_schema(args.schema)
+        _check_extractable(schema, resources.dictionary, args.schema)
+    else:
+        schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary, cfg.pruning)
     vectors = [
         extract_document(doc, schema, resources.dictionary, resources.tagger, resources.ad_domains)
         for doc in docs
@@ -367,18 +365,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pipeline = load_pipeline(args.model)
     resources = load_run_resources(cfg)
     _, docs = _load_docs(args.corpus, cfg)
+    if pipeline.schema is not None:
+        _check_extractable(pipeline.schema, resources.dictionary, args.model)
     classes, scores = pipeline.predict_documents(
         docs, resources.dictionary, resources.tagger, resources.ad_domains
     )
-    handle, close = _out_handle(args.out)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(["doc_id", "predicted_label", "score"])
-        for doc, cls, score in zip(docs, classes, scores):
-            writer.writerow([doc.id, CLASS_TO_LABEL[int(cls)], "%.9g" % score])
-    finally:
-        if close:
-            handle.close()
+    rows = (
+        [doc.id, CLASS_TO_LABEL[cls], score]
+        for doc, cls, score in zip(docs, classes.tolist(), scores.tolist())
+    )
+    write_csv(args.out, ["doc_id", "predicted_label", "score"], rows)
     log.info("predicted %d documents with %s pipeline",
              len(docs), pipeline.classifier_name)
     return 0
@@ -451,17 +447,9 @@ def cmd_report_terms(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _, docs = _load_docs(args.corpus, cfg)
     report = term_frequency_report(docs, n_top=args.top)
-    if args.out is None or args.out == "-":
-        rows = [
-            [year, rank, term, count]
-            for year in sorted(report.per_year)
-            for rank, (term, count) in enumerate(report.per_year[year], start=1)
-        ]
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["year", "rank", "term", "count"])
-        writer.writerows(rows)
-    else:
-        write_term_report_csv(args.out, report, {"top": args.top, "seed": cfg.seed})
+    # the stdout form echoes no config
+    config = None if args.out in (None, "-") else {"top": args.top, "seed": cfg.seed}
+    write_term_report_csv(args.out, report, config)
     log.info("term report over %d years", len(report.per_year))
     return 0
 

@@ -22,6 +22,15 @@ CLASSIFIER_NAMES = ("svm", "knn", "rf")
 CLI_CLASSIFIERS = CLASSIFIER_NAMES + ("baseline-svm",)
 
 
+def check_groups(groups, what: str) -> None:
+    """ConfigError unless ``groups`` names at least one feature group, each
+    one of N, L, R, W and none twice."""
+    if not groups or not all(g in GROUPS for g in groups) or len(set(groups)) < len(groups):
+        raise ConfigError(
+            f"{what} must name at least one feature group of {', '.join(GROUPS)}, none twice"
+        )
+
+
 @dataclass(frozen=True)
 class ClassifierSettings:
     name: str = "svm"
@@ -101,9 +110,7 @@ class RunConfig:
             object.__setattr__(self, name, tuple(value))
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}")
-        bad = [g for g in self.groups if g not in GROUPS]
-        if bad or not self.groups:
-            raise ConfigError(f"groups must be a non-empty subset of {GROUPS}")
+        check_groups(self.groups, "groups")
         if self.pruning not in ("none", "paper"):
             raise ConfigError("pruning must be 'none' or 'paper'")
         if self.classifier not in CLI_CLASSIFIERS:

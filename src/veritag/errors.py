@@ -1,13 +1,19 @@
-"""Exception hierarchy shared across the package, and the helpers every
+"""Exception hierarchy shared across the package, the helpers every
 input-file reader uses to turn bytes into text or JSON, and a missing,
-unreadable, non-UTF-8 or malformed file into a ``VeritagError``."""
+unreadable, non-UTF-8 or malformed file into a ``VeritagError``, and the
+one writer of every output CSV."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
+
+# every float an output CSV holds: 9 significant digits
+CSV_FLOAT_FORMAT = "%.9g"
 
 
 class VeritagError(Exception):
@@ -72,3 +78,26 @@ def is_number_map(value: object) -> bool:
     return isinstance(value, dict) and all(
         isinstance(v, (int, float)) for v in value.values()
     )
+
+
+def write_csv(
+    path: str | Path | None,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    config: Mapping | None = None,
+) -> None:
+    """Write an output CSV as UTF-8: a ``# config:`` line echoing ``config``
+    as sorted JSON when one is given, the header, then each row as it comes,
+    floats as ``CSV_FLOAT_FORMAT``. A path of None or ``-`` is stdout."""
+    import csv  # here, not at the top: every process loads this module, few write a CSV
+
+    with (
+        contextlib.nullcontext(sys.stdout) if path is None or path == "-"
+        else Path(path).open("w", encoding="utf-8", newline="")
+    ) as fh:
+        if config is not None:
+            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([CSV_FLOAT_FORMAT % v if isinstance(v, float) else v for v in row])

@@ -3,9 +3,7 @@ accuracy metric and per-year term-frequency reports."""
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import logging
 import os
 import pickle
@@ -17,16 +15,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec
-from .corpus import RawDocument
-from .errors import ConfigError, DataError, InvariantError
-from .featureset import (
-    FeatureSchema,
-    apply_paper_pruning,
-    build_schema,
-    document_labels,
-    extract_vectors,
+from .config import (
+    GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec, check_groups,
 )
+from .corpus import RawDocument
+from .errors import ConfigError, DataError, InvariantError, write_csv
+from .featureset import FeatureSchema, build_schema, document_labels, extract_vectors
 from .linguistics import CategoryDictionary, tokenize
 from .markup import extract_article, granularity_text, parse_html
 from .models import TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
@@ -91,11 +85,6 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> np.ndarray:
     return folds
 
 
-def _tag_schema(spec: PipelineSpec, dictionary: CategoryDictionary | None) -> FeatureSchema:
-    schema = build_schema(spec.granularity, spec.groups, dictionary)
-    return apply_paper_pruning(schema) if spec.pruning == "paper" else schema
-
-
 @dataclass(frozen=True)
 class _Fitter:
     """Trains and tests on index subsets of a corpus extracted once. A tag
@@ -115,7 +104,7 @@ class _Fitter:
         selection of this one's (same granularity, fewer groups or pruned)."""
         if spec.kind == "baseline":
             return dataclasses.replace(self, spec=spec)
-        schema = _tag_schema(spec, self.dictionary)
+        schema = build_schema(spec.granularity, spec.groups, self.dictionary, spec.pruning)
         columns = [self.columns[self.schema.index_of(n)] for n in schema.names]
         return dataclasses.replace(
             self, spec=spec, schema=schema, columns=np.array(columns, dtype=np.intp)
@@ -298,7 +287,9 @@ def _prepare(
             _Fitter(spec, y, dictionary, texts=baseline_texts(articles, spec.granularity, dictionary))
             for spec in specs
         ]
-    schemas = [_tag_schema(spec, dictionary) for spec in specs]
+    schemas = [
+        build_schema(spec.granularity, spec.groups, dictionary, spec.pruning) for spec in specs
+    ]
     rows = [
         extract_vectors(doc, schemas, dictionary, resources.tagger, resources.ad_domains)
         for doc in docs
@@ -436,8 +427,8 @@ def feature_grid_eval(
     ``jobs`` processes (default: the usable CPUs)."""
     if not group_sets:
         return []
-    if not all(group_sets):
-        raise ConfigError("every grid cell needs at least one feature group")
+    for groups in group_sets:
+        check_groups(groups, "a grid cell")
     union = tuple(dict.fromkeys(g for groups in group_sets for g in groups))
     wide_specs = [
         dataclasses.replace(spec, groups=union, pruning="none", granularity=granularity)
@@ -488,40 +479,21 @@ def term_frequency_report(
     return TermFrequencyReport(per_year=per_year)
 
 
-def _config_comment(config: Mapping) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True)
-
-
 def write_cv_report_csv(path: str | Path, report: EvalReport) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(report.config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "accuracy"])
-        for i, acc in enumerate(report.fold_accuracies, start=1):
-            writer.writerow([i, "%.9g" % acc])
-        writer.writerow(["mean", "%.9g" % report.mean_accuracy])
+    rows = [*enumerate(report.fold_accuracies, start=1), ("mean", report.mean_accuracy)]
+    write_csv(path, ["fold", "accuracy"], rows, report.config)
 
 
 def write_temporal_report_csv(path: str | Path, report: TemporalReport) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(report.config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["train_year", "test_year", "accuracy"])
-        for (train_year, test_year), acc in sorted(report.cells.items()):
-            writer.writerow([train_year, test_year, "%.9g" % acc])
-        for train_year, mean in sorted(report.train_means.items()):
-            writer.writerow([train_year, "mean", "%.9g" % mean])
+    rows = [(*cell, acc) for cell, acc in sorted(report.cells.items())]
+    rows += [(year, "mean", mean) for year, mean in sorted(report.train_means.items())]
+    write_csv(path, ["train_year", "test_year", "accuracy"], rows, report.config)
 
 
 def write_cross_domain_csv(
     path: str | Path, results: Mapping[str, float], config: Mapping
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(config) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", "accuracy"])
-        for name, acc in results.items():
-            writer.writerow([name, "%.9g" % acc])
+    write_csv(path, ["classifier", "accuracy"], results.items(), config)
 
 
 def write_grid_csv(path: str | Path, reports: Sequence[EvalReport]) -> None:
@@ -532,31 +504,24 @@ def write_grid_csv(path: str | Path, reports: Sequence[EvalReport]) -> None:
         for k, v in (reports[0].config.items() if reports else ())
         if k not in ("groups", "granularity")
     }
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(shared) + "\n")
-        writer = csv.writer(fh)
-        k = max((len(r.fold_accuracies) for r in reports), default=0)
-        writer.writerow(
-            ["groups", "granularity", *(f"fold_{i+1}" for i in range(k)), "mean"]
-        )
-        for r in reports:
-            writer.writerow(
-                [
-                    "-".join(r.config["groups"]),
-                    r.config["granularity"],
-                    *("%.9g" % a for a in r.fold_accuracies),
-                    "%.9g" % r.mean_accuracy,
-                ]
-            )
+    k = max((len(r.fold_accuracies) for r in reports), default=0)
+    header = ["groups", "granularity", *(f"fold_{i+1}" for i in range(k)), "mean"]
+    rows = (
+        ["-".join(r.config["groups"]), r.config["granularity"], *r.fold_accuracies,
+         r.mean_accuracy]
+        for r in reports
+    )
+    write_csv(path, header, rows, shared)
 
 
 def write_term_report_csv(
-    path: str | Path, report: TermFrequencyReport, config: Mapping | None = None
+    path: str | Path | None, report: TermFrequencyReport, config: Mapping | None = None
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(_config_comment(config or {}) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["year", "rank", "term", "count"])
-        for year in sorted(report.per_year):
-            for rank, (term, count) in enumerate(report.per_year[year], start=1):
-                writer.writerow([year, rank, term, count])
+    """The top terms of each year; ``config``, when given, is echoed. A
+    path of None or ``-`` is stdout."""
+    rows = (
+        [year, rank, term, count]
+        for year in sorted(report.per_year)
+        for rank, (term, count) in enumerate(report.per_year[year], start=1)
+    )
+    write_csv(path, ["year", "rank", "term", "count"], rows, config)

@@ -19,7 +19,9 @@ import numpy as np
 
 from .config import GRANULARITIES, GROUPS
 from .corpus import LABEL_TO_CLASS, RawDocument
-from .errors import ConfigError, DataError, InvariantError, is_str_list, read_input, read_json
+from .errors import (
+    ConfigError, DataError, InvariantError, is_str_list, read_input, read_json, write_csv,
+)
 from .linguistics import (
     PENN_TABLE_TAGS,
     READABILITY_FEATURES,
@@ -53,8 +55,6 @@ PRUNE_BY_GRANULARITY: dict[str, tuple[str, ...]] = {
     "HC": ("DT", "JJS", "PDT", "POS", "RBR", "RBS", "UH", "WRB"),
 }
 MARKUP_KEEP = ("IT", "AVT", "AU", "LKT", "ADS", "ST", "BT")
-
-CSV_FLOAT_FORMAT = "%.9g"
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -97,8 +97,12 @@ def build_schema(
     granularity: str,
     groups: Sequence[str],
     dictionary: CategoryDictionary | None = None,
+    pruning: str = "none",
 ) -> FeatureSchema:
-    """Full (unpruned) schema for the requested groups, in N, L, R, W order."""
+    """Schema of the requested groups, in N, L, R, W order: every feature
+    they make, or with ``pruning="paper"`` the published paper pruning."""
+    if pruning not in ("none", "paper"):
+        raise ConfigError(f"invalid pruning mode {pruning!r}")
     ordered = tuple(g for g in GROUPS if g in groups)
     if set(groups) - set(ordered):
         raise ConfigError(f"invalid feature groups {sorted(set(groups) - set(GROUPS))}")
@@ -117,7 +121,8 @@ def build_schema(
             names.extend("W." + m for m in MARKUP_GROUP_ORDER)
             names.append("W.ADS")
             names.append("W.AU")
-    return FeatureSchema(names=tuple(names), granularity=granularity, groups=ordered)
+    schema = FeatureSchema(names=tuple(names), granularity=granularity, groups=ordered)
+    return apply_paper_pruning(schema) if pruning == "paper" else schema
 
 
 @dataclass(frozen=True)
@@ -310,26 +315,24 @@ def document_labels(docs: Sequence[RawDocument]) -> np.ndarray:
     return np.array([LABEL_TO_CLASS[d.label] for d in docs], dtype=np.int64)
 
 
-def write_schema(path: str | Path, schema: FeatureSchema) -> None:
-    payload = {
-        "format_version": SCHEMA_FORMAT_VERSION,
+def encode_schema(schema: FeatureSchema) -> dict:
+    """The schema's JSON fields, as schema files and tag models store them."""
+    return {
         "names": list(schema.names),
         "granularity": schema.granularity,
         "groups": list(schema.groups),
         "pruning": schema.pruning,
     }
-    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
-def read_schema(path: str | Path) -> FeatureSchema:
-    payload = read_json(path, "schema")
+def decode_schema(payload: object, where: object) -> FeatureSchema:
+    """The schema that ``encode_schema`` gave ``payload``; a DataError
+    naming ``where`` for any other value."""
     if not isinstance(payload, dict):
-        raise DataError(f"{path}: a schema must be a JSON object")
-    if payload.get("format_version") != SCHEMA_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported schema format version")
+        raise DataError(f"{where}: a schema must be a JSON object")
     missing = sorted({"names", "granularity", "groups"} - payload.keys())
     if missing:
-        raise DataError(f"{path}: schema is missing {missing}")
+        raise DataError(f"{where}: schema is missing {missing}")
     names, groups = payload["names"], payload["groups"]
     granularity, pruning = payload["granularity"], payload.get("pruning", "none")
     if not (
@@ -337,7 +340,7 @@ def read_schema(path: str | Path) -> FeatureSchema:
         and isinstance(granularity, str) and isinstance(pruning, str)
     ):
         raise DataError(
-            f"{path}: schema names and groups must be lists of strings, "
+            f"{where}: schema names and groups must be lists of strings, "
             "granularity and pruning strings"
         )
     try:
@@ -346,31 +349,40 @@ def read_schema(path: str | Path) -> FeatureSchema:
             pruning=pruning,
         )
     except (ConfigError, InvariantError) as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
+
+
+def write_schema(path: str | Path, schema: FeatureSchema) -> None:
+    payload = {"format_version": SCHEMA_FORMAT_VERSION, **encode_schema(schema)}
+    Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+
+
+def read_schema(path: str | Path) -> FeatureSchema:
+    payload = read_json(path, "schema")
+    if isinstance(payload, dict) and payload.get("format_version") != SCHEMA_FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported schema format version")
+    return decode_schema(payload, path)
 
 
 def write_feature_csv(
     path: str | Path, schema: FeatureSchema, vectors: Sequence[FeatureVector]
 ) -> None:
     """Feature matrix CSV: doc_id first, schema columns, label last when
-    every vector has one. Floats carry 9 significant digits."""
+    every vector has one."""
     with_labels = bool(vectors) and all(v.label is not None for v in vectors)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["doc_id", *schema.names]
-        if with_labels:
-            header.append("label")
-        writer.writerow(header)
+
+    def rows() -> Iterator[list]:
         for vec in vectors:
             if len(vec.values) != len(schema.names):
                 raise DataError(
                     f"vector for {vec.doc_id!r} has {len(vec.values)} values, "
                     f"schema has {len(schema.names)}"
                 )
-            row = [vec.doc_id, *(CSV_FLOAT_FORMAT % v for v in vec.values)]
-            if with_labels:
-                row.append(str(vec.label))
-            writer.writerow(row)
+            row = [vec.doc_id, *vec.values.tolist()]
+            yield [*row, vec.label] if with_labels else row
+
+    header = ["doc_id", *schema.names] + (["label"] if with_labels else [])
+    write_csv(path, header, rows())
 
 
 def _csv_rows(path: str | Path) -> Iterator[list[str]]:

@@ -3,20 +3,27 @@
 Envelope: {format_version, model_type, schema_hash, payload, checksum},
 where checksum is the SHA-256 of the canonical JSON of the other four
 fields. Floats survive the JSON round trip exactly, so a reloaded pipeline
-predicts bit-identically.
+predicts bit-identically. The payload is checked field by field as it is
+decoded: a file whose checksum holds but whose payload is malformed is a
+DataError naming the file, and every tree of a loaded forest ends.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from ..errors import DataError, parse_json, read_input
-from ..featureset import FeatureSchema, StandardizerParams
-from ..linguistics import CategoryDictionary
+from ..config import CLASSIFIER_NAMES, GRANULARITIES
+from ..errors import DataError, is_str_list, parse_json, read_input
+from ..featureset import StandardizerParams, decode_schema, encode_schema
+from ..linguistics import READABILITY_FEATURES, CategoryDictionary
 from .baseline import BaselineFeaturizer
 from .forest import RandomForestModel
 from .neighbors import KnnModel
@@ -52,30 +59,6 @@ def _encode_classifier(model) -> dict:
     raise DataError(f"cannot serialize model type {type(model).__name__}")
 
 
-def _decode_classifier(data: dict):
-    kind = data.get("type")
-    if kind == "svm":
-        return LinearSvmModel(
-            weights=np.array(data["weights"], dtype=np.float64),
-            bias=float(data["bias"]),
-            cost=float(data["cost"]),
-        )
-    if kind == "knn":
-        return KnnModel(
-            k=int(data["k"]),
-            points=np.array(data["points"], dtype=np.float64),
-            labels=np.array(data["labels"], dtype=np.int64),
-        )
-    if kind == "rf":
-        return RandomForestModel(
-            trees=data["trees"],
-            seed=int(data["seed"]),
-            n_classes=int(data["n_classes"]),
-            n_features=int(data["n_features"]),
-        )
-    raise DataError(f"unknown classifier type {kind!r} in model file")
-
-
 def _encode_payload(pipeline: TrainedPipeline) -> dict:
     payload = {
         "kind": pipeline.kind,
@@ -89,12 +72,7 @@ def _encode_payload(pipeline: TrainedPipeline) -> dict:
     }
     if pipeline.kind == "tag":
         assert pipeline.schema is not None
-        payload["schema"] = {
-            "names": list(pipeline.schema.names),
-            "granularity": pipeline.schema.granularity,
-            "groups": list(pipeline.schema.groups),
-            "pruning": pipeline.schema.pruning,
-        }
+        payload["schema"] = encode_schema(pipeline.schema)
     else:
         f = pipeline.featurizer
         assert f is not None
@@ -111,45 +89,155 @@ def _encode_payload(pipeline: TrainedPipeline) -> dict:
     return payload
 
 
-def _decode_payload(payload: dict) -> TrainedPipeline:
-    standardizer = StandardizerParams(
-        mean=np.array(payload["standardizer"]["mean"], dtype=np.float64),
-        stddev=np.array(payload["standardizer"]["stddev"], dtype=np.float64),
+def _is_number(value: object) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or a huge int."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
     )
-    classifier = _decode_classifier(payload["classifier"])
-    kind = payload["kind"]
-    schema = None
-    featurizer = None
-    if kind == "tag":
-        s = payload["schema"]
-        schema = FeatureSchema(
-            names=tuple(s["names"]),
-            granularity=s["granularity"],
-            groups=tuple(s["groups"]),
-            pruning=s.get("pruning", "none"),
+
+
+def _is_int(value: object, low: float = -math.inf, high: float = math.inf) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value < high
+
+
+def _is_numbers(value: object) -> bool:
+    """A non-empty JSON array of finite numbers."""
+    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+
+
+def _is_pattern(entry: object) -> bool:
+    """A dictionary pattern: [text, [category index, ...]]."""
+    return (
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(_is_int(c, 0) for c in entry[1])
+    )
+
+
+def _is_tree(tree: object, n_features: int, n_classes: int) -> bool:
+    """Whether a loaded tree has the layout ``_grow`` gives, so that every
+    prediction walks down to a leaf: each split reads one of ``n_features``
+    columns at a numeric threshold and numbers both children after itself,
+    and each leaf (feature -1) holds ``n_classes`` counts."""
+    keys = ("feature", "threshold", "left", "right", "counts", "decrease")
+    if not (isinstance(tree, dict) and sorted(tree) == sorted(keys)):
+        return False
+    columns = [tree[k] for k in keys]
+    n = len(columns[0]) if isinstance(columns[0], list) else 0
+    if n == 0 or not all(isinstance(c, list) and len(c) == n for c in columns):
+        return False
+    for node, (f, threshold, left, right, counts, _) in enumerate(zip(*columns)):
+        if f == -1:
+            ok = _is_numbers(counts) and len(counts) == n_classes
+        else:
+            ok = (
+                _is_int(f, 0, n_features) and _is_number(threshold)
+                and _is_int(left, node + 1, n) and _is_int(right, node + 1, n)
+            )
+        if not ok:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class _Fields:
+    """One JSON object of a model payload. Each field read must be present
+    and pass its check, or a DataError names the file and the field."""
+
+    data: object
+    path: object
+    where: str = ""
+
+    def __call__(self, key: str, valid: Callable[[object], bool] = lambda v: True):
+        if not (isinstance(self.data, dict) and key in self.data and valid(self.data[key])):
+            raise DataError(f"{self.path}: model field {self.where}{key} is missing or malformed")
+        return self.data[key]
+
+    def object(self, key: str) -> _Fields:
+        return _Fields(self(key, lambda v: isinstance(v, dict)), self.path, f"{self.where}{key}.")
+
+
+def _decode_classifier(field: _Fields, width: int):
+    """The classifier of a model whose rows hold ``width`` features."""
+    kind = field("type", lambda v: v in ("svm", "knn", "rf"))
+    if kind == "svm":
+        weights = field("weights", lambda v: _is_numbers(v) and len(v) == width)
+        return LinearSvmModel(
+            weights=np.array(weights, dtype=np.float64),
+            bias=float(field("bias", _is_number)),
+            cost=float(field("cost", _is_number)),
         )
-    else:
-        f = payload["featurizer"]
+    if kind == "knn":
+        points = field("points", lambda v: isinstance(v, list) and bool(v) and all(
+            _is_numbers(p) and len(p) == width for p in v
+        ))
+        labels = field("labels", lambda v: isinstance(v, list) and len(v) == len(points)
+                       and all(_is_int(c, 0, 2) for c in v))
+        return KnnModel(
+            k=field("k", lambda v: _is_int(v, 1, len(points) + 1)),
+            points=np.array(points, dtype=np.float64),
+            labels=np.array(labels, dtype=np.int64),
+        )
+    n_classes = field("n_classes", lambda v: _is_int(v, 2, 3))
+    return RandomForestModel(
+        trees=field("trees", lambda v: isinstance(v, list) and bool(v) and all(
+            _is_tree(tree, width, n_classes) for tree in v
+        )),
+        seed=field("seed", _is_int),
+        n_classes=n_classes,
+        n_features=field("n_features", lambda v: v == width and _is_int(v)),
+    )
+
+
+def _decode_featurizer(field: _Fields, width: int) -> BaselineFeaturizer:
+    entries = field.object("dictionary")
+    patterns = entries("patterns", lambda v: isinstance(v, list) and all(map(_is_pattern, v)))
+    try:
         dictionary = CategoryDictionary(
-            categories=list(f["dictionary"]["categories"]),
-            patterns=[(p, tuple(cats)) for p, cats in f["dictionary"]["patterns"]],
+            categories=list(entries("categories", is_str_list)),
+            patterns=[(p, tuple(cats)) for p, cats in patterns],
         )
-        featurizer = BaselineFeaturizer(
-            granularity=f["granularity"],
-            dictionary=dictionary,
-            min_df=int(f["min_df"]),
-            vocabulary=tuple(f["vocabulary"]),
-            idf={k: float(v) for k, v in f["idf"].items()},
-            fitted=True,
-        )
+    except DataError as exc:
+        raise DataError(f"{field.path}: model dictionary: {exc}") from exc
+    vocabulary = field("vocabulary", lambda v: is_str_list(v) and len(set(v)) == len(v))
+    idf = field("idf", lambda v: isinstance(v, dict) and v.keys() == set(vocabulary)
+                and all(map(_is_number, v.values())))
+    if len(vocabulary) + len(dictionary.categories) + len(READABILITY_FEATURES) != width:
+        raise DataError(f"{field.path}: model featurizer rows are not {width} features wide")
+    return BaselineFeaturizer(
+        granularity=field("granularity", lambda v: v in GRANULARITIES),
+        dictionary=dictionary,
+        min_df=field("min_df", lambda v: _is_int(v, 1)),
+        vocabulary=tuple(vocabulary),
+        idf={term: float(v) for term, v in idf.items()},
+        fitted=True,
+    )
+
+
+def _decode_payload(field: _Fields) -> TrainedPipeline:
+    kind = field("kind", lambda v: v in ("tag", "baseline"))
+    standardizer = field.object("standardizer")
+    mean = standardizer("mean", _is_numbers)
+    stddev = standardizer("stddev", lambda v: _is_numbers(v) and len(v) == len(mean))
+    width = len(mean)
+    schema = featurizer = None
+    if kind == "tag":
+        schema = decode_schema(field("schema"), f"{field.path}: model schema")
+        if len(schema.names) != width:
+            raise DataError(f"{field.path}: model schema names {len(schema.names)} "
+                            f"features, its standardizer {width}")
+    else:
+        featurizer = _decode_featurizer(field.object("featurizer"), width)
     return TrainedPipeline(
         kind=kind,
-        classifier_name=payload["classifier_name"],
-        classifier=classifier,
-        standardizer=standardizer,
+        classifier_name=field("classifier_name", lambda v: v in CLASSIFIER_NAMES),
+        classifier=_decode_classifier(field.object("classifier"), width),
+        standardizer=StandardizerParams(
+            mean=np.array(mean, dtype=np.float64), stddev=np.array(stddev, dtype=np.float64)
+        ),
         schema=schema,
         featurizer=featurizer,
-        metadata=dict(payload.get("metadata", {})),
+        metadata=dict(field("metadata", lambda v: isinstance(v, dict))),
     )
 
 
@@ -183,7 +271,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         )
     if body.get("model_type") not in ("tag-pipeline", "baseline-pipeline"):
         raise DataError(f"{path}: unknown model type {body.get('model_type')!r}")
-    pipeline = _decode_payload(body["payload"])
+    pipeline = _decode_payload(_Fields(body, path).object("payload"))
     if pipeline.schema_hash() != body.get("schema_hash"):
         raise DataError(f"{path}: schema hash does not match payload")
     return pipeline

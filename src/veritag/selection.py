@@ -12,7 +12,6 @@ corrected. See the README discussion.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, DataError, InvariantError, write_csv
 from .featureset import FeatureSchema, prune_to_names, standardize_apply, standardize_fit
 from .models.forest import extra_tree
 
@@ -303,16 +302,9 @@ REPORT_COLUMNS = (
 
 
 def write_importance_report(path: str | Path, scores: ImportanceScores) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for i, name in enumerate(scores.names):
-            writer.writerow([
-                name,
-                *("%.9g" % v for v in (
-                    scores.se_raw[i], scores.tb_raw[i], scores.l1_raw[i],
-                    scores.mi_raw[i], scores.se_inv_norm[i], scores.tb_norm[i],
-                    scores.l1_norm[i], scores.mi_norm[i], scores.r[i],
-                )),
-                "1" if scores.retained[i] else "0",
-            ])
+    columns = [getattr(scores, column).tolist() for column in REPORT_COLUMNS[1:-1]]
+    rows = (
+        [name, *(column[i] for column in columns), int(scores.retained[i])]
+        for i, name in enumerate(scores.names)
+    )
+    write_csv(path, REPORT_COLUMNS, rows)

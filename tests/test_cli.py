@@ -10,6 +10,7 @@ import math
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -204,7 +205,7 @@ class TestIgnoredFlags:
         message = self._refused(argv, tmp_path, caplog)
         assert context in message and argv[-2] in message
 
-    @pytest.mark.parametrize("group_sets", [";", "", "R; ,", "R;", "R;X"])
+    @pytest.mark.parametrize("group_sets", [";", "", "R; ,", "R;", "R;X", "R,R", "N;R,W,R"])
     def test_each_grid_group_set_must_name_groups(self, tmp_path, caplog, group_sets):
         argv = ["evaluate", "--protocol", "grid", "--corpus", "{missing}",
                 "--group-sets", group_sets]
@@ -313,6 +314,30 @@ class TestFilterPolitical:
 
     def test_needs_model_or_topics(self, demo_corpus_dir):
         assert main(["filter-political", "--corpus", str(demo_corpus_dir)]) == 1
+
+    @pytest.mark.parametrize("out", ["file", "-"])
+    def test_decisions_stream_until_a_data_error(
+        self, demo_corpus_dir, topic_fixture_path, tmp_path, capsys, monkeypatch, out
+    ):
+        import veritag.cli
+        from veritag.errors import DataError
+
+        scored = []
+        score = veritag.cli.apply_political_filter
+
+        def fail_third(*args):
+            if len(scored) == 2:
+                raise DataError("third page")
+            scored.append(1)
+            return score(*args)
+
+        monkeypatch.setattr(veritag.cli, "apply_political_filter", fail_third)
+        path = tmp_path / "decisions.csv"
+        assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--topics",
+                     str(topic_fixture_path), "--out", str(path) if out == "file" else "-"]) == 2
+        written = path.read_bytes().decode() if out == "file" else capsys.readouterr().out
+        assert written.split("\r\n")[0] == "doc_id,score,is_political"
+        assert len(written.split("\r\n")) == 1 + 2 + 1  # header, two rows, the last "\r\n"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -504,6 +529,71 @@ def test_demo_filter_decision_bytes_are_pinned(demo_corpus_dir, topic_fixture_pa
     assert main(["filter-political", "--corpus", str(demo_corpus_dir),
                  "--topics", str(topic_fixture_path), "--out", str(out)]) == 0
     assert _sha256(out) == _GOLDEN_FILTER_DIGEST
+
+
+# sha256 of the demo models of the other classifiers, the full and the
+# paper-pruned demo schemas and the demo-to-drift cross-domain report,
+# recorded before the report writers shared one CSV writer
+_GOLDEN_MODEL_DIGESTS = {
+    "knn": "73b368cb939fae8424376d4c2facdd391daa607c3d075e224e352d554ced1634",
+    "rf": "a0dd51a1c018a9e40846b26af0334d3d65394c833854dab3a0c669794ed7a6a5",
+    "baseline-svm": "7fec8c4dfa261a94100358a1ce070e2a68933c59e7d90d29089ca8649857751d",
+}
+_GOLDEN_SCHEMA_DIGESTS = {
+    "none": "af3625c60cdc483c1e01cb2c75a53b13354a1def4754f0a1b05acf7c19a3df86",
+    "paper": "b36cf7a1ffc433f2083003c4bb28da7feca08d266fcfcfad2361bf1ad1ee3f38",
+}
+_GOLDEN_CROSS_DOMAIN_DIGEST = "978e68faf2cf235c92845657e44067229ed8688ecb27e1ba7bd98223b5e4780b"
+
+
+@pytest.mark.parametrize("classifier", sorted(_GOLDEN_MODEL_DIGESTS))
+def test_demo_model_bytes_are_pinned(artifacts, demo_corpus_dir, tmp_path, classifier):
+    model = tmp_path / "model.bin"
+    source = (["--corpus", str(demo_corpus_dir)] if classifier == "baseline-svm"
+              else ["--features", str(artifacts["features"])])
+    assert main(["train", "--classifier", classifier, *source, "--out", str(model)]) == 0
+    assert _sha256(model) == _GOLDEN_MODEL_DIGESTS[classifier]
+
+
+@pytest.mark.parametrize("pruning", sorted(_GOLDEN_SCHEMA_DIGESTS))
+def test_demo_schema_bytes_are_pinned(demo_corpus_dir, tmp_path, pruning):
+    schema = tmp_path / "schema.json"
+    assert main(["extract", "--corpus", str(demo_corpus_dir), "--pruning", pruning,
+                 "--out", str(tmp_path / "features.csv"), "--schema-out", str(schema)]) == 0
+    assert _sha256(schema) == _GOLDEN_SCHEMA_DIGESTS[pruning]
+
+
+def test_cross_domain_report_bytes_are_pinned(demo_corpus_dir, drift_corpus_dir, tmp_path):
+    out = tmp_path / "cross.csv"
+    assert main(["evaluate", "--protocol", "cross-domain", "--corpus", str(demo_corpus_dir),
+                 "--test-corpus", str(drift_corpus_dir), "--out", str(out)]) == 0
+    assert _sha256(out) == _GOLDEN_CROSS_DOMAIN_DIGEST
+
+
+# sha256 of the stdout of the three subcommands that stream a CSV there,
+# recorded with the cross-domain digest; report-terms writes no config line
+_GOLDEN_STDOUT_DIGESTS = {
+    "predict": "93229549939f7a0c9eb0a2a5cdfc6e9596235f32d4cfc861808a7c6fb1e5c16b",
+    "filter-political": "8caafb6f4d265a9e8b6172b5c8dabf8b30f40bb1a7522651758bec99857f3b2b",
+    "report-terms": "b4c41426b6ae1fc7f74c67df6a0dc628c9f0fdfbb7d524d478c87c6fbed4b408",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_STDOUT_DIGESTS))
+def test_stdout_csv_bytes_are_pinned(
+    artifacts, demo_corpus_dir, drift_corpus_dir, topic_fixture_path, capsys, command
+):
+    argv = {
+        "predict": ["predict", "--model", str(artifacts["model"]),
+                    "--corpus", str(demo_corpus_dir), "--out", "-"],
+        "filter-political": ["filter-political", "--corpus", str(demo_corpus_dir),
+                             "--topics", str(topic_fixture_path), "--out", "-"],
+        "report-terms": ["report-terms", "--corpus", str(drift_corpus_dir)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _GOLDEN_STDOUT_DIGESTS[command]
 
 
 class TestFeatureFlow:
@@ -900,6 +990,155 @@ class TestMalformedInputFiles:
         assert main([*argv, "--corpus", str(demo_corpus_dir), "--out", "-"]) == 0
         assert len(capsys.readouterr().out.splitlines()) > 1
         assert list(tmp_path.iterdir()) == []
+
+
+def _one_error(caplog):
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1, errors
+    return errors[0]
+
+
+class TestUnextractableSchemaName:
+    """A schema from a file or a model that names a feature extraction does
+    not make is a data error before any page is parsed."""
+
+    def test_extract_schema_with_an_unknown_name(self, demo_corpus_dir, tmp_path, caplog,
+                                                 monkeypatch):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "names": ["N.NN", "N.ZZZ"],
+                                      "granularity": "HC", "groups": ["N"]}), encoding="utf-8")
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["extract", "--corpus", str(demo_corpus_dir), "--schema", str(schema),
+                         "--out", str(tmp_path / "features.csv")]) == 2
+        message = _one_error(caplog)
+        assert str(schema) in message and "'N.ZZZ'" in message
+
+    def test_predict_with_another_dictionary(self, artifacts, demo_corpus_dir, tmp_path, caplog,
+                                             monkeypatch):
+        other = tmp_path / "other.dic"
+        other.write_text("%\n1\tXX.other\n%\nword\t1\n", encoding="utf-8")
+        out = tmp_path / "predictions.csv"
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["predict", "--model", str(artifacts["model"]), "--corpus",
+                         str(demo_corpus_dir), "--dictionary", str(other),
+                         "--out", str(out)]) == 2
+        message = _one_error(caplog)
+        assert str(artifacts["model"]) in message and "'L." in message
+        assert not out.exists()
+
+
+def _edit_model(source, target, edit):
+    """Copy a model file with ``edit`` applied to its payload and the
+    checksum recomputed, so that only the payload checks can refuse it."""
+    body = json.loads(source.read_text(encoding="utf-8"))
+    del body["checksum"]
+    body["payload"] = edit(body["payload"])
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body["checksum"] = hashlib.sha256(canonical).hexdigest()
+    target.write_text(json.dumps(body), encoding="utf-8")
+
+
+class _Deadline(BaseException):
+    """Raised by an alarm; not an ``Exception``, so ``main`` cannot catch it."""
+
+
+def _without(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _set(path, value):
+    """An edit that sets the payload field at ``path`` (keys and indexes)."""
+    def edit(payload):
+        node = payload
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        return payload
+    return edit
+
+
+def _set_first_split(**fields):
+    """An edit of the first split node of the forest's first tree."""
+    def edit(payload):
+        tree = payload["classifier"]["trees"][0]
+        node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        for key, value in fields.items():
+            tree[key][node] = node if value == "self" else value
+        return payload
+    return edit
+
+
+class TestMalformedModelPayload:
+    """A model file whose checksum holds but whose payload is malformed is
+    a data error naming the file, never an internal error or a hang."""
+
+    @pytest.fixture(scope="class")
+    def rf_model(self, artifacts, tmp_path_factory):
+        model = tmp_path_factory.mktemp("rf") / "rf.bin"
+        assert main(["train", "--classifier", "rf", "--trees", "3",
+                     "--features", str(artifacts["features"]), "--out", str(model)]) == 0
+        return model
+
+    @pytest.mark.parametrize(
+        "classifier, edit",
+        [
+            ("svm", _without("standardizer")),
+            ("svm", _set(["classifier", "weights"], "oops")),
+            ("svm", lambda payload: []),
+            ("svm", _set(["kind"], "weird")),
+            ("svm", _set(["schema", "granularity"], "X")),
+            ("rf", _set_first_split(feature=10**6)),
+            ("rf", _set_first_split(left="self", right="self")),
+        ],
+        ids=["no-standardizer", "weights-string", "payload-list", "kind-weird",
+             "granularity-X", "rf-feature-out-of-range", "rf-node-its-own-child"],
+    )
+    def test_predict_refuses_the_model(self, artifacts, rf_model, demo_corpus_dir, tmp_path,
+                                       caplog, classifier, edit):
+        source = artifacts["model"] if classifier == "svm" else rf_model
+        model = tmp_path / "model.bin"
+        _edit_model(source, model, edit)
+
+        def expire(signum, frame):
+            raise _Deadline("predict did not finish in 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            with caplog.at_level("ERROR", logger="veritag"):
+                code = main(["predict", "--model", str(model), "--corpus",
+                             str(demo_corpus_dir), "--out", str(tmp_path / "out.csv")])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert str(model) in _one_error(caplog)
+
+
+class TestRepeatedGroups:
+    """A feature group named twice is a usage error, from --groups or a
+    config file (--group-sets: TestIgnoredFlags)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--protocol", "cv", "--groups", "R,R"],
+            ["evaluate", "--protocol", "cv", "--config", "{config}"],
+            ["extract", "--groups", "N,R,N"],
+        ],
+        ids=["groups-flag", "groups-config", "extract-groups"],
+    )
+    def test_repeated_group_is_refused(self, demo_corpus_dir, tmp_path, caplog, argv):
+        config = tmp_path / "run.json"
+        config.write_text('{"groups": ["R", "R"]}', encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = [a.format(config=config) for a in argv]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([*argv, "--corpus", str(demo_corpus_dir), "--out", str(out)]) == 1
+        assert "twice" in _one_error(caplog)
+        assert not out.exists()
 
 
 class TestEmptyCorpus:

@@ -33,6 +33,8 @@ class TestRunConfig:
             {"granularity": "X"},
             {"groups": ()},
             {"groups": ("N", "Q")},
+            {"groups": ("R", "R")},
+            {"groups": ("N", "L", "N")},
             {"pruning": "half"},
             {"classifier": "mlp"},
             {"k": 0},

@@ -375,6 +375,12 @@ class TestExtractOnce:
             feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ()], k=2)
         assert calls == []
 
+    def test_grid_refuses_a_cell_with_a_repeated_group(self, demo_docs, resources, monkeypatch):
+        calls = _count_parses(monkeypatch)
+        with pytest.raises(ConfigError, match="twice"):
+            feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ("N", "R", "N")], k=2)
+        assert calls == []
+
     @pytest.mark.parametrize("protocol", ["cv", "temporal"])
     def test_baseline_featurizes_each_article_once(
         self, demo_docs, drift_docs, resources, monkeypatch, protocol

@@ -103,6 +103,18 @@ class TestBuildSchema:
         with pytest.raises(ConfigError):
             build_schema("HC", ("N", "Q"))
 
+    @pytest.mark.parametrize("granularity", ["H", "C", "HC"])
+    def test_paper_pruning_argument(self, demo_dictionary, granularity):
+        full = build_schema(granularity, ("N", "L", "R", "W"), demo_dictionary)
+        assert build_schema(granularity, ("N", "L", "R", "W"), demo_dictionary, "none") == full
+        assert build_schema(
+            granularity, ("N", "L", "R", "W"), demo_dictionary, pruning="paper"
+        ) == apply_paper_pruning(full)
+
+    def test_unknown_pruning_rejected(self):
+        with pytest.raises(ConfigError, match="pruning"):
+            build_schema("HC", ("N",), None, "half")
+
     def test_duplicate_names_rejected(self):
         from veritag.errors import InvariantError
 
@@ -355,6 +367,15 @@ class TestSchemaIo:
         path = tmp_path / "schema.json"
         write_schema(path, schema)
         assert read_schema(path) == schema
+
+    def test_encoded_fields_decode_back(self, demo_dictionary):
+        from veritag.featureset import decode_schema, encode_schema
+
+        schema = build_schema("H", ("N", "L"), demo_dictionary, "paper")
+        assert list(encode_schema(schema)) == ["names", "granularity", "groups", "pruning"]
+        assert decode_schema(encode_schema(schema), "model") == schema
+        with pytest.raises(DataError, match="^model: "):
+            decode_schema({**encode_schema(schema), "granularity": "X"}, "model")
 
     def test_version_gate(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -675,3 +675,91 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_pipeline(tmp_path / "absent.bin")
+
+
+class _Deadline(BaseException):
+    """Raised by an alarm: not an ``Exception``, so no handler swallows it."""
+
+
+def _expire(signum, frame):
+    raise _Deadline("load or predict did not finish in 10 s")
+
+
+# values of each JSON type that a mutation swaps in for another type's
+_SWAPS = (None, True, 0, -1, 2.5, 10**6, "x", [], [0], {}, {"a": 1})
+
+
+class TestMutatedModelPayload:
+    """A model file whose payload was edited and whose checksum was then
+    recomputed either loads and predicts, or is a DataError, in bounded time."""
+
+    @pytest.fixture(scope="class")
+    def bodies(self, demo_docs, resources, tmp_path_factory):
+        from veritag import build_schema, extract_document, vectors_to_matrix
+        from veritag.featureset import document_labels
+        from veritag.markup import extract_article, parse_html
+
+        schema = build_schema("HC", ("N", "L", "R", "W"), resources.dictionary)
+        vectors = [extract_document(d, schema, resources.dictionary, resources.tagger,
+                                    resources.ad_domains) for d in demo_docs]
+        X, y, _ = vectors_to_matrix(vectors)
+        pipelines = {
+            name: train_tag_pipeline(X, y, schema, ClassifierSettings(name=name, trees=3))
+            for name in ("svm", "knn", "rf")
+        }
+        pipelines["baseline-svm"] = train_baseline_pipeline(
+            [extract_article(parse_html(d.html)) for d in demo_docs], document_labels(demo_docs),
+            "HC", resources.dictionary, ClassifierSettings(),
+        )
+        path = tmp_path_factory.mktemp("models") / "model.bin"
+        out = {}
+        for name, pipeline in pipelines.items():
+            save_pipeline(pipeline, path)
+            out[name] = json.loads(path.read_text(encoding="utf-8"))
+        return out, path
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_loads_and_predicts_or_is_a_data_error(self, bodies, data):
+        import copy
+        import hashlib
+        import signal
+
+        models, path = bodies
+        body = copy.deepcopy(models[data.draw(st.sampled_from(sorted(models)))])
+        del body["checksum"]
+        parent, key = body, "payload"
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            node = parent[key]
+            parent, key = node, data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))
+            ))
+        value = parent[key]
+        mutation = data.draw(st.sampled_from(["drop", "swap", "shorten"]))
+        if mutation == "drop" and parent is not body:
+            del parent[key]
+        elif mutation == "shorten" and isinstance(value, list) and value:
+            parent[key] = value[: data.draw(st.integers(0, len(value) - 1))]
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                [v for v in _SWAPS if type(v) is not type(value)]
+            ))
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        body["checksum"] = hashlib.sha256(canonical).hexdigest()
+        path.unlink(missing_ok=True)  # a new file: truncating one can be slow
+        path.write_text(json.dumps(body), encoding="utf-8")
+
+        previous = signal.signal(signal.SIGALRM, _expire)
+        signal.alarm(10)
+        try:
+            pipeline = load_pipeline(path)
+            width = pipeline.standardizer.mean.size
+            classes, _ = pipeline.predict_matrix(np.zeros((2, width)))
+            if pipeline.featurizer is not None:
+                pipeline.predict_matrix(pipeline.featurizer.transform_many(_ARTICLES))
+            assert set(classes.tolist()) <= {0, 1}
+        except DataError:
+            pass
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
