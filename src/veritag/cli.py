@@ -141,6 +141,8 @@ def _read_features(
     if y is None:
         raise DataError(f"{args.features}: {purpose} needs a label column")
     if not args.schema:
+        if not names:
+            raise DataError(f"{args.features}: no feature columns")
         seen: set[str] = set()
         for name in names:
             group, _, base = name.partition(".")
@@ -286,7 +288,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     from .featureset import (
-        build_schema, extract_document, read_schema, write_feature_csv, write_schema,
+        build_schema, extract_document, map_pages, read_schema, write_feature_csv, write_schema,
     )
 
     cfg = _resolve_config(args)
@@ -299,10 +301,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
         _check_extractable(schema, resources.dictionary, args.schema)
     else:
         schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary, cfg.pruning)
-    vectors = [
-        extract_document(doc, schema, resources.dictionary, resources.tagger, resources.ad_domains)
-        for doc in docs
-    ]
+    vectors = map_pages(
+        lambda doc: extract_document(
+            doc, schema, resources.dictionary, resources.tagger, resources.ad_domains
+        ),
+        docs,
+        args.jobs,
+    )
     write_feature_csv(args.out, schema, vectors)
     if args.schema_out:
         write_schema(args.schema_out, schema)
@@ -320,7 +325,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     pruned, scores = select_features(
         X, y, schema,
         bins=cfg.bins, trees=cfg.selection_trees, lam=cfg.l1_lambda,
-        seed=cfg.seed,
+        seed=cfg.seed, jobs=args.jobs,
     )
     write_schema(args.out, pruned)
     if args.report:
@@ -333,6 +338,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from .featureset import document_labels
     from .models import save_pipeline, train_baseline_pipeline, train_tag_pipeline
+    from .models.baseline import document_texts
 
     cfg = _resolve_config(args)
     settings = classifier_settings(cfg)
@@ -342,17 +348,21 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ConfigError("baseline-svm trains from pages: pass --corpus")
         resources = load_run_resources(cfg)
         _, docs = _load_docs(args.corpus, cfg)
-        articles = [extract_article(parse_html(d.html)) for d in docs]
+        (texts,) = document_texts(
+            docs, [cfg.granularity], resources.dictionary, jobs=args.jobs
+        )
         pipeline = train_baseline_pipeline(
-            articles, document_labels(docs), cfg.granularity, resources.dictionary, settings,
-            min_df=cfg.min_df,
+            texts, document_labels(docs), cfg.granularity, resources.dictionary, settings,
+            min_df=cfg.min_df, jobs=args.jobs,
         )
     else:
-        _refuse(args, f"--classifier {cfg.classifier}", ("--corpus", "--dictionary"))
+        # only a forest's trees grow in workers
+        ignored = ("--corpus", "--dictionary") + (() if cfg.classifier == "rf" else ("--jobs",))
+        _refuse(args, f"--classifier {cfg.classifier}", ignored)
         if not args.features:
             raise ConfigError(f"{cfg.classifier} trains from features: pass --features")
         X, y, schema = _read_features(args, cfg, "training")
-        pipeline = train_tag_pipeline(X, y, schema, settings)
+        pipeline = train_tag_pipeline(X, y, schema, settings, jobs=args.jobs)
     save_pipeline(pipeline, args.out)
     log.info("trained %s pipeline -> %s", cfg.classifier, args.out)
     return 0
@@ -368,7 +378,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if pipeline.schema is not None:
         _check_extractable(pipeline.schema, resources.dictionary, args.model)
     classes, scores = pipeline.predict_documents(
-        docs, resources.dictionary, resources.tagger, resources.ad_domains
+        docs, resources.dictionary, resources.tagger, resources.ad_domains, jobs=args.jobs
     )
     rows = (
         [doc.id, CLASS_TO_LABEL[cls], score]
@@ -471,6 +481,8 @@ _SHARED_FLAGS: dict[str, dict] = {
     "--c": {"type": float, "help": "SVM cost"},
     "--k": {"type": int, "help": "KNN neighbor count"},
     "--min-df": {"type": int, "help": "baseline TF-IDF vocabulary floor"},
+    "--jobs": {"type": int, "help": "processes to run in (default: the usable CPUs); "
+                                    "outputs never depend on it; must be >= 1"},
 }
 
 
@@ -510,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract feature vectors to CSV")
     _add_flags(p, "--config", "--granularity", "--groups", "--pruning", "--dictionary",
-               "--tagger", "--ad-domains")
+               "--tagger", "--ad-domains", "--jobs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", help="extract exactly this schema (instead of "
                                     "--granularity, --groups and --pruning)")
@@ -519,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("select", help="importance-based feature selection")
-    _add_flags(p, "--config", "--seed", "--granularity")
+    _add_flags(p, "--config", "--seed", "--granularity", "--jobs")
     p.add_argument("--features", required=True, help="labeled feature CSV")
     p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
     p.add_argument("--bins", type=int)
@@ -531,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classification pipeline")
     _add_flags(p, "--config", "--seed", "--granularity", "--dictionary", "--classifier",
-               "--c", "--k", "--min-df")
+               "--c", "--k", "--min-df", "--jobs")
     p.add_argument("--trees", type=int, help="forest size")
     p.add_argument("--features", help="labeled feature CSV (svm/knn/rf)")
     p.add_argument("--schema", help="schema JSON naming some or all of the CSV's columns")
@@ -540,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", help="classify a corpus with a trained model")
-    _add_flags(p, "--config", "--dictionary", "--tagger", "--ad-domains")
+    _add_flags(p, "--config", "--dictionary", "--tagger", "--ad-domains", "--jobs")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="predictions CSV (default stdout)")
@@ -549,11 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
     _add_flags(p, "--config", "--seed", "--granularity", "--groups", "--pruning",
                "--dictionary", "--tagger", "--ad-domains", "--classifier", "--c", "--k",
-               "--min-df")
+               "--min-df", "--jobs")
     p.add_argument("--trees", type=int, help="forest size")
-    p.add_argument("--jobs", type=int, help="processes to fit models in (default: the "
-                                            "usable CPUs); outputs never depend on it; "
-                                            "must be >= 1")
     p.add_argument("--protocol", required=True,
                    choices=("cv", "temporal", "cross-domain", "grid"))
     p.add_argument("--corpus", required=True)

@@ -58,6 +58,7 @@ class PipelineSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("tag", "baseline"):
             raise ConfigError(f"unknown pipeline kind {self.kind!r}")
+        check_groups(self.groups, "a pipeline's groups")
         if self.pruning not in ("none", "paper"):
             raise ConfigError(f"unknown pruning mode {self.pruning!r}")
 

@@ -5,13 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
-import pickle
-import signal
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,12 +16,15 @@ from .config import (
 )
 from .corpus import RawDocument
 from .errors import ConfigError, DataError, InvariantError, write_csv
-from .featureset import FeatureSchema, build_schema, document_labels, extract_vectors
+from .featureset import (
+    FeatureSchema, build_schema, document_labels, extract_vectors, map_pages,
+)
 from .linguistics import CategoryDictionary, tokenize
 from .markup import extract_article, granularity_text, parse_html
 from .models import TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
-from .models.baseline import BaselineText, baseline_texts
+from .models.baseline import BaselineText, document_texts
 from .resources import stopwords as _default_stopwords
+from .workers import fork_map
 
 log = logging.getLogger("veritag")
 
@@ -152,150 +151,37 @@ class _Fitter:
         return self.evaluate(self.fit(train_idx, settings), test_idx)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_map(fn: Callable, items: Sequence, jobs: int | None) -> list:
-    """``[fn(item) for item in items]``, with the items dealt out to forked
-    processes.
-
-    At most ``min(jobs, usable CPUs, len(items))`` processes run, the caller
-    included; ``jobs=None`` means the usable CPUs. Child ``s`` takes items
-    ``s, s + n, s + 2n, ...`` of the ``n`` shares, reads them from the memory
-    it inherited, and pickles back one ``(index, (ok, value))`` per item: the
-    result, or the exception it raised. The caller runs share 0 itself, and
-    any share it cannot fork. Each share stops at its first failure, and the
-    first failure in item order is raised, as a serial loop would raise it;
-    a child that ends before reporting its share fails its next item with an
-    ``InvariantError``. No child outlives the call. Without ``os.fork`` the
-    loop runs serially."""
-    if jobs is not None and jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    cpus = _usable_cpus()
-    n = min(jobs or cpus, cpus, len(items))
-    if n <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)  # None: not run
-
-    def run_share(indices: Sequence[int], send: Callable) -> None:
-        for i in indices:
-            try:
-                result = (True, fn(items[i]))
-            except Exception as exc:
-                result = (False, exc)
-            send(i, result)
-            if not result[0]:
-                return
-
-    mine = list(range(0, len(items), n))
-    children: dict[int, tuple] = {}  # pid -> (pipe from the child, its share)
-    try:
-        _flush_stdio()  # else a child would write the caller's buffered output again
-        for s in range(1, n):
-            share = range(s, len(items), n)
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes or memory: the caller takes the share
-                os.close(read)
-                os.close(write)
-                mine.extend(share)
-                continue
-            if pid == 0:  # the child leaves only through os._exit
-                code = 1
-                try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        run_share(share, lambda i, result: _send(pipe, i, result))
-                    _flush_stdio()
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children[pid] = (os.fdopen(read, "rb"), share)
-        run_share(sorted(mine), results.__setitem__)
-        for pid, (pipe, share) in list(children.items()):
-            while True:
-                try:
-                    i, result = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):  # the end, or a child cut short
-                    break
-                results[i] = result
-            pipe.close()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            for i in share:
-                if results[i] is None:
-                    results[i] = (False, InvariantError(
-                        f"evaluation worker exited with status {status} "
-                        f"before reporting item {i}"
-                    ))
-                if not results[i][0]:
-                    break
-    finally:
-        for pid, (pipe, _) in children.items():
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):  # reaped already
-                pass
-    for ok, value in results:
-        if not ok:
-            raise value
-    return [value for _, value in results]
-
-
-def _flush_stdio() -> None:
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-
-
-def _send(pipe, i: int, result: tuple) -> None:
-    """Write one pickled ``(i, result)``; an exception that cannot make the
-    round trip goes as an ``InvariantError`` naming it."""
-    try:
-        data = pickle.dumps((i, result))
-        if not result[0]:
-            pickle.loads(data)
-    except Exception as exc:
-        error = InvariantError(f"{type(result[1]).__name__}: {result[1]} ({exc})")
-        data = pickle.dumps((i, (False, error)))
-    pipe.write(data)
-    pipe.flush()
-
-
 def _prepare(
-    docs: Sequence[RawDocument], specs: Sequence[PipelineSpec], resources: ExtractionResources
+    docs: Sequence[RawDocument],
+    specs: Sequence[PipelineSpec],
+    resources: ExtractionResources,
+    jobs: int | None,
 ) -> list[_Fitter]:
     """Extract the corpus once for specs of one kind, one per granularity:
     each page is parsed once and, page by page, yields its row or text for
-    every spec."""
+    every spec. The pages are cut among up to ``jobs`` processes."""
     if not docs:
         raise DataError("cannot evaluate an empty corpus")
     y = document_labels(docs)
     dictionary = resources.dictionary
     if specs[0].kind == "baseline":
         assert dictionary is not None
-        articles = [extract_article(parse_html(d.html)) for d in docs]
-        return [
-            _Fitter(spec, y, dictionary, texts=baseline_texts(articles, spec.granularity, dictionary))
-            for spec in specs
-        ]
+        texts = document_texts(docs, [spec.granularity for spec in specs], dictionary, jobs=jobs)
+        return [_Fitter(spec, y, dictionary, texts=t) for spec, t in zip(specs, texts)]
     schemas = [
         build_schema(spec.granularity, spec.groups, dictionary, spec.pruning) for spec in specs
     ]
-    rows = [
-        extract_vectors(doc, schemas, dictionary, resources.tagger, resources.ad_domains)
-        for doc in docs
-    ]
+    rows = map_pages(
+        lambda doc: [
+            v.values for v in extract_vectors(
+                doc, schemas, dictionary, resources.tagger, resources.ad_domains
+            )
+        ],
+        docs,
+        jobs,
+    )
     return [
-        _Fitter(spec, y, dictionary, schema, np.stack([r[j].values for r in rows]),
+        _Fitter(spec, y, dictionary, schema, np.stack([r[j] for r in rows]),
                 np.arange(len(schema.names)))
         for j, (spec, schema) in enumerate(zip(specs, schemas))
     ]
@@ -303,13 +189,13 @@ def _prepare(
 
 def _cv(fitters: Sequence[_Fitter], k: int, seed: int, jobs: int | None) -> list[EvalReport]:
     """One k-fold cv per fitter of one corpus; every fold of every fitter
-    is one task of one ``_fork_map``."""
+    is one item of one ``fork_map``."""
     y = fitters[0].y
     if np.unique(y).size < 2:
         raise DataError("corpus has a single class")
     folds = stratified_folds(y, k, seed)
     splits = [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in range(k)]
-    accuracies = _fork_map(
+    accuracies = fork_map(
         lambda task: task[0].score(task[1], task[2], task[0].spec.classifier),
         [(fitter, train, test) for fitter in fitters for train, test in splits],
         jobs,
@@ -337,9 +223,10 @@ def kfold_cv(
 ) -> EvalReport:
     """Stratified k-fold cross-validation. Standardizer and (for the
     baseline) the TF-IDF vocabulary are fit inside each fold on its
-    training part only. The folds are fit by up to ``jobs`` processes
-    (default: the usable CPUs); the report does not depend on ``jobs``."""
-    return _cv(_prepare(docs, [spec], resources), k, seed, jobs)[0]
+    training part only. The pages are extracted and the folds fit by up to
+    ``jobs`` processes (default: the usable CPUs); the report does not
+    depend on ``jobs``."""
+    return _cv(_prepare(docs, [spec], resources, jobs), k, seed, jobs)[0]
 
 
 def temporal_eval(
@@ -351,12 +238,13 @@ def temporal_eval(
 ) -> TemporalReport:
     """Train on each year alone; test on every other year separately.
     Years whose training data holds a single class are skipped with a
-    warning and leave their row absent. The train years are fit by up to
-    ``jobs`` processes (default: the usable CPUs)."""
+    warning and leave their row absent. The pages are extracted and the
+    train years fit by up to ``jobs`` processes (default: the usable
+    CPUs)."""
     years = tuple(sorted({d.year for d in docs}))
     if len(years) < 2:
         raise DataError("temporal evaluation needs at least 2 distinct years")
-    (fitter,) = _prepare(docs, [spec], resources)
+    (fitter,) = _prepare(docs, [spec], resources, jobs)
     doc_years = np.array([d.year for d in docs])
     year_idx = {year: np.flatnonzero(doc_years == year) for year in years}
     train_years = []
@@ -373,7 +261,7 @@ def temporal_eval(
 
     cells: dict[tuple[int, int], float] = {}
     train_means: dict[int, float] = {}
-    for train_year, accuracies in zip(train_years, _fork_map(row, train_years, jobs)):
+    for train_year, accuracies in zip(train_years, fork_map(row, train_years, jobs)):
         test_years = [year for year in years if year != train_year]
         cells.update(zip(((train_year, year) for year in test_years), accuracies))
         train_means[train_year] = float(np.mean(accuracies))
@@ -392,12 +280,13 @@ def cross_domain_eval(
     jobs: int | None = None,
 ) -> dict[str, float]:
     """Fit on the whole training corpus, score on the whole test corpus,
-    once per classifier; both corpora are extracted once. The classifiers
-    are fit by up to ``jobs`` processes (default: the usable CPUs)."""
-    (fitter,) = _prepare([*train_docs, *test_docs], [spec], resources)
+    once per classifier; both corpora are extracted once. The pages are
+    extracted and the classifiers fit by up to ``jobs`` processes (default:
+    the usable CPUs)."""
+    (fitter,) = _prepare([*train_docs, *test_docs], [spec], resources, jobs)
     train_idx = np.arange(len(train_docs))
     test_idx = np.arange(len(train_docs), fitter.y.size)
-    accuracies = _fork_map(
+    accuracies = fork_map(
         lambda name: fitter.score(
             train_idx, test_idx, dataclasses.replace(spec.classifier, name=name)
         ),
@@ -423,8 +312,8 @@ def feature_grid_eval(
     reads its schema's columns of that. Cells that pose the same problem
     (the W group at every granularity; the baseline, which ignores the
     groups, per granularity) are cross-validated once, and each echoes its
-    own config. The folds of every distinct problem are fit by up to
-    ``jobs`` processes (default: the usable CPUs)."""
+    own config. The pages are extracted and the folds of every distinct
+    problem fit by up to ``jobs`` processes (default: the usable CPUs)."""
     if not group_sets:
         return []
     for groups in group_sets:
@@ -434,7 +323,7 @@ def feature_grid_eval(
         dataclasses.replace(spec, groups=union, pruning="none", granularity=granularity)
         for granularity in GRANULARITIES
     ]
-    wide = dict(zip(GRANULARITIES, _prepare(docs, wide_specs, resources)))
+    wide = dict(zip(GRANULARITIES, _prepare(docs, wide_specs, resources, jobs)))
     problems: dict[object, _Fitter] = {}
     cells = []
     for groups in group_sets:

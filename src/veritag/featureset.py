@@ -13,11 +13,12 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .config import GRANULARITIES, GROUPS
+from . import workers
+from .config import GRANULARITIES, GROUPS, check_groups
 from .corpus import LABEL_TO_CLASS, RawDocument
 from .errors import (
     ConfigError, DataError, InvariantError, is_str_list, read_input, read_json, write_csv,
@@ -72,9 +73,7 @@ class FeatureSchema:
     def __post_init__(self) -> None:
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"invalid granularity {self.granularity!r}")
-        bad = [g for g in self.groups if g not in GROUPS]
-        if bad:
-            raise ConfigError(f"invalid feature groups {bad}")
+        check_groups(self.groups, "a schema's groups")
         if len(set(self.names)) != len(self.names):
             raise InvariantError("duplicate feature names in schema")
         for name in self.names:
@@ -150,6 +149,19 @@ def extract_document(
     """Parse a raw page and compute the schema's features for it. Only the
     schema's granularity and groups are computed."""
     return extract_vectors(doc, [schema], dictionary, tagger, ad_domains)[0]
+
+
+def map_pages(
+    fn: Callable[[RawDocument], object], docs: Sequence[RawDocument], jobs: int | None = None
+) -> list:
+    """``[fn(doc) for doc in docs]``, the pages cut into one contiguous chunk
+    per process of ``workers.fork_map``; a single page never forks."""
+    n = max(1, workers.processes(jobs, len(docs)))
+    cuts = [len(docs) * s // n for s in range(n + 1)]
+    chunks = workers.fork_map(
+        lambda s: [fn(doc) for doc in docs[cuts[s] : cuts[s + 1]]], range(n), jobs
+    )
+    return [value for chunk in chunks for value in chunk]
 
 
 def extract_vectors(

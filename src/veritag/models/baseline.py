@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..corpus import RawDocument
 from ..errors import ConfigError, DataError
+from ..featureset import map_pages
 from ..linguistics import (
     READABILITY_FEATURES,
     CategoryDictionary,
@@ -22,7 +24,7 @@ from ..linguistics import (
     readability_features,
     tokenize,
 )
-from ..markup import Article, granularity_text
+from ..markup import Article, extract_article, granularity_text, parse_html
 
 DEFAULT_MIN_DF = 2
 
@@ -37,30 +39,57 @@ class BaselineText:
     lr_block: np.ndarray
 
 
+def baseline_text(
+    article: Article, granularity: str, dictionary: CategoryDictionary
+) -> BaselineText:
+    """Tokenize the article's text at the granularity once."""
+    tokenized = tokenize(granularity_text(article, granularity))
+    scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
+    readability = readability_features(tokenized).as_features()
+    return BaselineText(
+        tokens=list(map(str.lower, tokenized.tokens)),
+        lr_block=np.array(
+            [scores[c] for c in dictionary.categories]
+            + [readability[r] for r in READABILITY_FEATURES],
+            dtype=np.float64,
+        ),
+    )
+
+
+def shared_tokens(texts: list[BaselineText]) -> list[BaselineText]:
+    """The texts, with equal tokens made one string object through one dict,
+    so the texts of a corpus take little more memory than its distinct
+    words."""
+    strings: dict[str, str] = {}
+    for text in texts:
+        text.tokens[:] = map(strings.setdefault, text.tokens, text.tokens)
+    return texts
+
+
 def baseline_texts(
     articles: Sequence[Article], granularity: str, dictionary: CategoryDictionary
 ) -> list[BaselineText]:
-    """Tokenize each article once. Equal lowercased tokens share one string
-    object through one dict per call, so the texts of a corpus take little
-    more memory than its distinct words."""
-    strings: dict[str, str] = {}
-    texts = []
-    for article in articles:
-        tokenized = tokenize(granularity_text(article, granularity))
-        scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
-        readability = readability_features(tokenized).as_features()
-        lowered = list(map(str.lower, tokenized.tokens))
-        texts.append(
-            BaselineText(
-                tokens=list(map(strings.setdefault, lowered, lowered)),
-                lr_block=np.array(
-                    [scores[c] for c in dictionary.categories]
-                    + [readability[r] for r in READABILITY_FEATURES],
-                    dtype=np.float64,
-                ),
-            )
-        )
-    return texts
+    """Each article's text at the granularity, tokens shared."""
+    return shared_tokens([baseline_text(a, granularity, dictionary) for a in articles])
+
+
+def document_texts(
+    docs: Sequence[RawDocument],
+    granularities: Sequence[str],
+    dictionary: CategoryDictionary,
+    *,
+    jobs: int | None = None,
+) -> list[list[BaselineText]]:
+    """Per granularity, the text of each page, tokens shared. Each page is
+    parsed once, and the pages are cut among up to ``jobs`` processes
+    (default: the usable CPUs)."""
+
+    def texts(doc: RawDocument) -> list[BaselineText]:
+        article = extract_article(parse_html(doc.html))
+        return [baseline_text(article, g, dictionary) for g in granularities]
+
+    pages = map_pages(texts, docs, jobs)
+    return [shared_tokens([page[j] for page in pages]) for j in range(len(granularities))]
 
 
 Texts = Sequence[Article] | Sequence[BaselineText]

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..featureset import feature_rows
+from ..workers import fork_map
 
 DEFAULT_TREES = 100
 
@@ -148,12 +149,14 @@ class RandomForestModel:
 
 
 def rf_train(
-    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0
+    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0,
+    *, jobs: int | None = None,
 ) -> RandomForestModel:
     """Each tree grows on a bootstrap sample to purity (or single-example
     leaves), choosing the best Gini split among sqrt(d) candidate features
     per node, left child first. Per-tree seeds spawn from the master
-    seed."""
+    seed, so the trees grow in up to ``jobs`` processes (default: the
+    usable CPUs) and come out the same for any ``jobs``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if n_trees < 1:
@@ -161,11 +164,13 @@ def rf_train(
     if np.unique(y).size < 2:
         raise DataError("training needs both classes present")
     n, d = X.shape
-    trees = []
-    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
+
+    def tree(child_seed: np.random.SeedSequence) -> dict[str, list]:
         rng = np.random.default_rng(child_seed)
         sample = rng.integers(0, n, size=n)
-        trees.append(_grow(X, y, sample, rng, _best_split, right_first=False))
+        return _grow(X, y, sample, rng, _best_split, right_first=False)
+
+    trees = fork_map(tree, np.random.SeedSequence(seed).spawn(n_trees), jobs)
     return RandomForestModel(trees=trees, seed=seed, n_classes=int(y.max()) + 1, n_features=d)
 
 

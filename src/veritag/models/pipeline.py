@@ -22,23 +22,27 @@ from ..featureset import (
     StandardizerParams,
     extract_document,
     feature_rows,
+    map_pages,
     standardize_apply,
     standardize_fit,
 )
 from ..linguistics import CategoryDictionary, Tagger
-from ..markup import Article, extract_article, parse_html
-from .baseline import BaselineFeaturizer
+from .baseline import BaselineFeaturizer, Texts, document_texts
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
 from .svm import LinearSvmModel, svm_predict, svm_train
 
 
-def train_classifier(X: np.ndarray, y: np.ndarray, settings: ClassifierSettings):
+def train_classifier(
+    X: np.ndarray, y: np.ndarray, settings: ClassifierSettings, *, jobs: int | None = None
+):
+    """The settings' classifier on X; a forest grows its trees in up to
+    ``jobs`` processes (default: the usable CPUs)."""
     if settings.name == "svm":
         return svm_train(X, y, C=settings.c)
     if settings.name == "knn":
         return knn_train(X, y, k=settings.k)
-    return rf_train(X, y, n_trees=settings.trees, seed=settings.seed)
+    return rf_train(X, y, n_trees=settings.trees, seed=settings.seed, jobs=jobs)
 
 
 def _hash_json(obj) -> str:
@@ -100,23 +104,29 @@ class TrainedPipeline:
         dictionary: CategoryDictionary | None = None,
         tagger: Tagger | None = None,
         ad_domains: frozenset[str] | None = None,
+        *,
+        jobs: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """(classes, scores) of the pages, extracted in up to ``jobs``
+        processes (default: the usable CPUs)."""
         if not docs:
             return self.predict_matrix(np.empty((0, self.standardizer.mean.size)))
         if self.kind == "tag":
             assert self.schema is not None
-            X = np.stack(
-                [
-                    extract_document(
-                        doc, self.schema, dictionary, tagger, ad_domains
-                    ).values
-                    for doc in docs
-                ]
-            )
+            X = np.stack(map_pages(
+                lambda doc: extract_document(
+                    doc, self.schema, dictionary, tagger, ad_domains
+                ).values,
+                docs,
+                jobs,
+            ))
         else:
-            assert self.featurizer is not None
-            articles = [extract_article(parse_html(doc.html)) for doc in docs]
-            X = self.featurizer.transform_many(articles)
+            featurizer = self.featurizer
+            assert featurizer is not None
+            (texts,) = document_texts(
+                docs, [featurizer.granularity], featurizer.dictionary, jobs=jobs
+            )
+            X = featurizer.transform_many(texts)
         return self.predict_matrix(X)
 
 
@@ -133,13 +143,16 @@ def train_tag_pipeline(
     y: np.ndarray,
     schema: FeatureSchema,
     settings: ClassifierSettings,
+    *,
+    jobs: int | None = None,
 ) -> TrainedPipeline:
-    """Standardize (fit on this data only), then train the classifier."""
+    """Standardize (fit on this data only), then train the classifier; a
+    forest grows its trees in up to ``jobs`` processes."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(schema.names):
         raise DataError("matrix does not match the schema")
     params = standardize_fit(X)
-    model = train_classifier(standardize_apply(params, X), y, settings)
+    model = train_classifier(standardize_apply(params, X), y, settings, jobs=jobs)
     metadata = _base_metadata(settings)
     metadata.update(granularity=schema.granularity, groups=list(schema.groups))
     return TrainedPipeline(
@@ -153,21 +166,24 @@ def train_tag_pipeline(
 
 
 def train_baseline_pipeline(
-    articles: Sequence[Article],
+    articles: Texts,
     y: np.ndarray,
     granularity: str,
     dictionary: CategoryDictionary,
     settings: ClassifierSettings,
     min_df: int = 2,
+    *,
+    jobs: int | None = None,
 ) -> TrainedPipeline:
-    """Fit the TF-IDF vocabulary and idf on these articles only, then
-    standardize the combined block and train the classifier."""
+    """Fit the TF-IDF vocabulary and idf on these articles (or their texts)
+    only, then standardize the combined block and train the classifier; a
+    forest grows its trees in up to ``jobs`` processes."""
     featurizer = BaselineFeaturizer(
         granularity=granularity, dictionary=dictionary, min_df=min_df
     )
     X = featurizer.fit_transform(articles)
     params = standardize_fit(X)
-    model = train_classifier(standardize_apply(params, X), y, settings)
+    model = train_classifier(standardize_apply(params, X), y, settings, jobs=jobs)
     metadata = _base_metadata(settings)
     metadata.update(granularity=granularity, groups=["tfidf", "L", "R"])
     return TrainedPipeline(

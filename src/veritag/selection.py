@@ -15,14 +15,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InvariantError, write_csv
 from .featureset import FeatureSchema, prune_to_names, standardize_apply, standardize_fit
 from .models.forest import extra_tree
+from .workers import fork_map
 
 DEFAULT_BINS = 10
 DEFAULT_TREES = 250
@@ -83,8 +85,50 @@ def mutual_info_score(
     return max(mi, 0.0)
 
 
+def _tree_scorers(
+    X: np.ndarray, y: np.ndarray, n_trees: int, seed: int
+) -> list[Callable[[], np.ndarray]]:
+    """One task per extremely randomized tree of ``tree_importance``: each
+    grows its tree from its own spawned seed and returns the tree's
+    impurity decrease per feature."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if n_trees < 1:
+        raise ConfigError("need at least one tree")
+    if np.unique(y).size < 2:
+        raise DataError("tree importance needs at least 2 classes")
+
+    def decreases(child_seed: np.random.SeedSequence) -> np.ndarray:
+        tree = extra_tree(X, y, np.random.default_rng(child_seed))
+        imp = np.zeros(X.shape[1])
+        for f, decrease in zip(tree["feature"], tree["decrease"]):
+            if f >= 0:
+                imp[f] += decrease
+        return imp
+
+    return [partial(decreases, s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+
+
+def _mean_importance(per_tree: Sequence[np.ndarray]) -> np.ndarray:
+    """The trees' decreases summed in tree order and averaged, normalized
+    to sum 1."""
+    importance = np.zeros_like(per_tree[0])
+    for imp in per_tree:
+        importance += imp
+    importance /= len(per_tree)
+    total = importance.sum()
+    if total > 0.0:
+        importance /= total
+    return importance
+
+
+def _run(task: Callable):
+    return task()
+
+
 def tree_importance(
-    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0
+    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0,
+    *, jobs: int | None = None,
 ) -> np.ndarray:
     """Impurity-decrease importance from an ensemble of extremely
     randomized trees, normalized to sum 1.
@@ -92,27 +136,11 @@ def tree_importance(
     Each tree grows on the full sample; at each node sqrt(d) candidate
     features are drawn without replacement, each gets one uniform random
     threshold inside its value range, and the best Gini decrease wins.
+    The trees grow in up to ``jobs`` processes (default: the usable CPUs);
+    their importances are summed in tree order, so the result does not
+    depend on ``jobs``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if n_trees < 1:
-        raise ConfigError("need at least one tree")
-    if np.unique(y).size < 2:
-        raise DataError("tree importance needs at least 2 classes")
-    d = X.shape[1]
-    importance = np.zeros(d)
-    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        tree = extra_tree(X, y, np.random.default_rng(child_seed))
-        tree_imp = np.zeros(d)
-        for f, decrease in zip(tree["feature"], tree["decrease"]):
-            if f >= 0:
-                tree_imp[f] += decrease
-        importance += tree_imp
-    importance /= n_trees
-    total = importance.sum()
-    if total > 0.0:
-        importance /= total
-    return importance
+    return _mean_importance(fork_map(_run, _tree_scorers(X, y, n_trees, seed), jobs))
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -274,21 +302,33 @@ def select_features(
     trees: int = DEFAULT_TREES,
     lam: float = DEFAULT_L1_LAMBDA,
     seed: int = 0,
+    *,
+    jobs: int | None = None,
 ) -> tuple[FeatureSchema, ImportanceScores]:
     """One-shot selection: score every feature, drop those with r = 0.
 
     X is the raw feature matrix; it is standardized internally for the L1
-    scorer only. Survivors keep their schema order.
+    scorer only. Survivors keep their schema order. The per-column scorers,
+    the L1 scorer and each tree of the tree scorer are one item each of a
+    round in up to ``jobs`` processes (default: the usable CPUs).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(schema.names):
         raise DataError("matrix does not match the schema")
-    se = np.array([shannon_entropy_score(X[:, j], bins) for j in range(X.shape[1])])
-    mi = np.array([mutual_info_score(X[:, j], y, bins) for j in range(X.shape[1])])
-    tb = tree_importance(X, y, n_trees=trees, seed=seed)
-    params = standardize_fit(X)
-    l1 = l1_score(standardize_apply(params, X), y, lam=lam)
-    scores = aggregate_importance(schema.names, se, tb, l1, mi)
+
+    def per_column() -> tuple[np.ndarray, np.ndarray]:
+        se = np.array([shannon_entropy_score(X[:, j], bins) for j in range(X.shape[1])])
+        mi = np.array([mutual_info_score(X[:, j], y, bins) for j in range(X.shape[1])])
+        return se, mi
+
+    def l1() -> np.ndarray:
+        return l1_score(standardize_apply(standardize_fit(X), X), y, lam=lam)
+
+    # one round, so the trees fill the time the two serial scorers take
+    (se, mi), l1_raw, *per_tree = fork_map(
+        _run, [per_column, l1, *_tree_scorers(X, y, trees, seed)], jobs
+    )
+    scores = aggregate_importance(schema.names, se, _mean_importance(per_tree), l1_raw, mi)
     survivors = [n for n, keep in zip(schema.names, scores.retained) if keep]
     if not survivors:
         raise DataError("every feature scored r = 0; data looks degenerate")

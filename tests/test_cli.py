@@ -77,20 +77,20 @@ class TestEntryPoint:
             "filter-political": {"--config", "--corpus", "--model", "--topics",
                                  "--save-model", "--threshold", "--out"},
             "sample": {"--config", "--seed", "--corpus", "--cap", "--out"},
-            "extract": {"--config", *schema, *resources, "--corpus", "--schema", "--out",
-                        "--schema-out"},
-            "select": {"--config", "--seed", "--granularity", "--features", "--schema",
-                       "--bins", "--trees", "--lambda", "--out", "--report"},
+            "extract": {"--config", *schema, *resources, "--jobs", "--corpus", "--schema",
+                        "--out", "--schema-out"},
+            "select": {"--config", "--seed", "--granularity", "--jobs", "--features",
+                       "--schema", "--bins", "--trees", "--lambda", "--out", "--report"},
             "train": {"--config", "--seed", "--granularity", "--dictionary", *classifier,
-                      "--features", "--schema", "--corpus", "--out"},
-            "predict": {"--config", *resources, "--model", "--corpus", "--out"},
+                      "--jobs", "--features", "--schema", "--corpus", "--out"},
+            "predict": {"--config", *resources, "--jobs", "--model", "--corpus", "--out"},
             "evaluate": {"--config", "--seed", *schema, *resources, *classifier, "--jobs",
                          "--protocol", "--corpus", "--test-corpus", "--folds",
                          "--group-sets", "--out"},
             "report-terms": {"--config", "--seed", "--corpus", "--top", "--out"},
         }
         assert _subcommand_flags() == expected
-        assert sum(map(len, expected.values())) == 81
+        assert sum(map(len, expected.values())) == 85
 
     def test_readme_flag_table_matches_the_parser(self):
         """The README's table of subcommands and their flags is the parser's."""
@@ -148,6 +148,9 @@ IGNORED_COMBINATIONS = [
              "--corpus", "{missing}"),
     _ignored("--classifier", "train", "--features", "{missing}", "--dictionary",
              "{file}"),
+    _ignored("--classifier", "train", "--features", "{missing}", "--jobs", "2"),
+    _ignored("--classifier", "train", "--classifier", "knn", "--features", "{missing}",
+             "--jobs", "2"),
     _ignored("--classifier", "train", "--classifier", "baseline-svm", "--corpus", "{missing}",
              "--features", "{missing}"),
     _ignored("--classifier", "train", "--classifier", "baseline-svm", "--corpus", "{missing}",
@@ -713,6 +716,18 @@ class TestFeatureFlow:
                          "--out", str(tmp_path / "out")]) == 2
         assert [r.levelname for r in caplog.records] == ["ERROR"]
         assert str(features) in caplog.text and repr(column) in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_a_feature_file_without_feature_columns_is_a_data_error(
+        self, tmp_path, caplog, command
+    ):
+        features = tmp_path / "features.csv"
+        features.write_text("doc_id,label\nd1,1\nd2,0\n", encoding="utf-8")
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, "--features", str(features),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert caplog.text.count("ERROR") == 1 and "no feature columns" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "select"])
     def test_schema_naming_a_missing_column_is_a_data_error(

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from veritag import ConfigError, RunConfig, load_config, load_run_resources, pipeline_spec
+from veritag import (
+    ConfigError, PipelineSpec, RunConfig, load_config, load_run_resources, pipeline_spec,
+)
 from veritag.config import classifier_settings, merge_overrides, validate_paths
 
 
@@ -181,6 +183,11 @@ class TestSpecMapping:
     def test_classifier_settings_carry_seed(self):
         settings = classifier_settings(RunConfig(seed=9, classifier="knn", k=3))
         assert (settings.name, settings.k, settings.seed) == ("knn", 3, 9)
+
+    @pytest.mark.parametrize("groups", [("R", "R"), ("N", "W", "N"), (), ("X",)])
+    def test_spec_groups_are_held_to_the_rule_of_groups(self, groups):
+        with pytest.raises(ConfigError, match="none twice"):
+            PipelineSpec(groups=groups)
 
 
 class TestRunResources:

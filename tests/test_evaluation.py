@@ -12,6 +12,7 @@ import pytest
 
 import veritag.evaluation
 import veritag.featureset
+import veritag.models.baseline
 from veritag import (
     LABEL_TO_CLASS,
     ConfigError,
@@ -227,7 +228,7 @@ def _mixed(demo_docs, drift_docs):
 def _count_parses(monkeypatch):
     """Count parse_html calls wherever the protocols look it up."""
     calls = []
-    for module in (veritag.featureset, veritag.evaluation):
+    for module in (veritag.featureset, veritag.evaluation, veritag.models.baseline):
         original = module.parse_html
 
         def counted(html, _original=original):
@@ -363,9 +364,9 @@ class TestExtractOnce:
         exactly once for all three granularities."""
         docs = demo_docs[:6] + demo_docs[-6:]
         calls = _count_parses(monkeypatch)
-        feature_grid_eval(
+        feature_grid_eval(  # one process, so every parse reaches the counter
             docs, PipelineSpec(kind=kind), resources,
-            [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2,
+            [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2, jobs=1,
         )
         assert sorted(calls) == sorted(d.html for d in docs)
 
@@ -408,7 +409,8 @@ class TestExtractOnce:
         train = [d for d in demo_docs if d.year == 2016]
         test = [d for d in demo_docs if d.year == 2017]
         calls = _count_parses(monkeypatch)
-        cross_domain_eval(train, test, PipelineSpec(kind=kind), resources)
+        # one process, so every parse reaches the counter
+        cross_domain_eval(train, test, PipelineSpec(kind=kind), resources, jobs=1)
         assert sorted(calls) == sorted(d.html for d in train + test)
 
 

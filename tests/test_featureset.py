@@ -407,6 +407,16 @@ class TestSchemaIo:
         with pytest.raises(DataError):
             read_schema(path)
 
+    def test_a_repeated_group_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="none twice"):
+            FeatureSchema(names=("R.FK",), granularity="HC", groups=("R", "R"))
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(
+            {"format_version": 1, "names": ["R.FK"], "granularity": "HC", "groups": ["R", "R"]}
+        ))
+        with pytest.raises(DataError, match="none twice"):
+            read_schema(path)
+
 
 class TestVectorsToMatrix:
     def test_stacks_in_order(self):

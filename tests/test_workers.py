@@ -1,30 +1,42 @@
-"""Evaluation fits in forked workers: ``--jobs`` never changes a report,
+"""Independent loops in forked workers: ``--jobs`` never changes an output,
 failures surface as a serial run's would, and no process outlives a call."""
 
 from __future__ import annotations
 
 import os
+import re
+import signal
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import veritag.evaluation
+import veritag.featureset
+import veritag.workers
 from veritag import (
     LABEL_TO_CLASS,
     ConfigError,
     DataError,
+    FeatureSchema,
     InvariantError,
     PipelineSpec,
     kfold_cv,
+    rf_train,
+    select_features,
     stratified_folds,
+    tree_importance,
 )
 from veritag.cli import main
-from veritag.evaluation import _fork_map, _usable_cpus
+from veritag.workers import _usable_cpus, fork_map, processes
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+SRC = Path(__file__).resolve().parents[1] / "src"
 CLASSIFIERS = ("svm", "knn", "rf", "baseline-svm")
 JOBS = (1, 2, 64)
 
@@ -54,83 +66,132 @@ def forks(monkeypatch):
 
 def _three_cpus(monkeypatch):
     """Fork workers whatever the machine has: up to three processes."""
-    monkeypatch.setattr(veritag.evaluation, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(veritag.workers, "_usable_cpus", lambda: 3)
 
 
 def _in_child(parent=os.getpid()):
     return os.getpid() != parent
 
 
+def _slow_in_caller(seconds=0.05):
+    """Hold the caller on its items, so the children take some."""
+    if not _in_child():
+        time.sleep(seconds)
+
+
 class TestForkMap:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 64, None])
-    def test_results_in_item_order_from_each_share(self, monkeypatch, forks, jobs):
+    def test_results_come_back_in_item_order(self, monkeypatch, forks, jobs):
         _three_cpus(monkeypatch)
-        results = _fork_map(lambda i: (i * i, os.getpid()), list(range(10)), jobs)
+
+        def task(i):
+            _slow_in_caller(0.01)
+            return i * i, os.getpid()
+
+        results = fork_map(task, list(range(10)), jobs)
         n = min(jobs or 3, 3)
         assert [value for value, _ in results] == [i * i for i in range(10)]
-        pids = [pid for _, pid in results]
-        assert len(set(pids)) == n == len(forks) + 1
-        assert all(pid == os.getpid() for pid in pids[::n])  # the caller runs share 0
-        assert all(pids[i] == pids[i % n] for i in range(10))
+        assert len(forks) == n - 1
+        assert len({pid for _, pid in results}) <= n
+
+    def test_idle_processes_take_the_next_item(self, monkeypatch):
+        _three_cpus(monkeypatch)
+
+        def task(i):
+            time.sleep(0.01 if _in_child() else 0.3)
+            return os.getpid()
+
+        pids = fork_map(task, list(range(8)), 3)
+        assert pids.count(os.getpid()) == 1  # the caller's one slow item
 
     def test_never_more_processes_than_items(self, monkeypatch, forks):
         _three_cpus(monkeypatch)
-        assert _fork_map(lambda i: i + 0.5, [1, 2], None) == [1.5, 2.5]
+        assert fork_map(lambda i: i + 0.5, [1, 2], None) == [1.5, 2.5]
         assert len(forks) == 1
-        assert _fork_map(lambda i: i, [], None) == []
-        assert _fork_map(lambda i: i, [7], 64) == [7]
+        assert fork_map(lambda i: i, [], None) == []
+        assert fork_map(lambda i: i, [7], 64) == [7]
         assert len(forks) == 1
+        assert [processes(None, n) for n in (0, 1, 2, 5)] == [0, 1, 2, 3]
 
     def test_jobs_is_capped_at_the_usable_cpus(self, forks):
-        _fork_map(lambda i: i, list(range(200)), 64)
+        fork_map(lambda i: i, list(range(200)), 64)
         assert len(forks) + 1 <= _usable_cpus()
 
     def test_jobs_below_one_is_a_config_error(self):
         with pytest.raises(ConfigError, match="jobs must be >= 1"):
-            _fork_map(lambda i: i, [1, 2], 0)
+            fork_map(lambda i: i, [1, 2], 0)
+
+    @given(
+        n=st.integers(0, 40),
+        jobs=st.sampled_from([1, 2, 3, 64, None]),
+        bad=st.sets(st.integers(0, 40), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_serial_loop(self, n, jobs, bad):
+        def task(i):
+            if i in bad:
+                raise DataError(f"item {i}")
+            time.sleep(0.0005)
+            return i * i
+
+        def outcome(run):
+            try:
+                return run()
+            except DataError as exc:
+                return str(exc)
+
+        with pytest.MonkeyPatch.context() as patch:
+            _three_cpus(patch)
+            forked = outcome(lambda: fork_map(task, list(range(n)), jobs))
+        assert forked == outcome(lambda: [task(i) for i in range(n)])
+
+    def test_more_items_than_the_queue_holds_tickets(self, monkeypatch):
+        _three_cpus(monkeypatch)
+        items = list(range(20_000))
+        assert fork_map(lambda i: i * 3, items, 3) == [i * 3 for i in items]
 
     @pytest.mark.parametrize("error", [DataError, InvariantError, ValueError])
     def test_a_child_exception_reraises_with_its_type_and_message(self, monkeypatch, error):
         _three_cpus(monkeypatch)
 
         def task(i):
-            if i == 4:  # share 1: a child
-                assert _in_child()
+            _slow_in_caller()
+            if _in_child():
                 raise error(f"item {i} is bad")
             return float(i)
 
-        with pytest.raises(error, match="^item 4 is bad$"):
-            _fork_map(task, list(range(9)), 3)
+        with pytest.raises(error, match=r"^item \d is bad$"):
+            fork_map(task, list(range(9)), 3)
 
-    @pytest.mark.parametrize(
-        "bad, first",
-        [
-            ({3, 4}, 3),  # the caller's share fails first
-            ({1, 3}, 1),  # a child's share fails first
-            ({2, 4, 5}, 2),  # two children fail
-        ],
-    )
+    @pytest.mark.parametrize("bad, first", [({3, 4}, 3), ({1, 3}, 1), ({2, 4, 5}, 2)])
     def test_the_first_failure_in_item_order_wins(self, monkeypatch, bad, first):
         _three_cpus(monkeypatch)
 
         def task(i):
+            _slow_in_caller(0.01)
             if i in bad:
                 raise DataError(f"item {i}")
             return i
 
         with pytest.raises(DataError, match=f"^item {first}$"):
-            _fork_map(task, list(range(9)), 3)
+            fork_map(task, list(range(9)), 3)
 
-    def test_a_dead_child_is_an_invariant_error(self, monkeypatch):
+    @pytest.mark.parametrize("death", ["exit", "sigkill"])
+    def test_a_dead_child_is_an_invariant_error(self, monkeypatch, death):
         _three_cpus(monkeypatch)
 
         def task(i):
-            if i == 5 and _in_child():
-                os._exit(7)
+            _slow_in_caller()
+            if _in_child():
+                if death == "exit":
+                    os._exit(7)
+                os.kill(os.getpid(), signal.SIGKILL)
             return i
 
-        with pytest.raises(InvariantError, match="status 7 before reporting item 5"):
-            _fork_map(task, list(range(9)), 3)
+        status = 7 if death == "exit" else -signal.SIGKILL
+        with pytest.raises(InvariantError, match=rf"^worker exited with status {status} "
+                                                 r"before reporting item \d$"):
+            fork_map(task, list(range(9)), 3)
 
     def test_an_earlier_failure_beats_a_later_death(self, monkeypatch):
         _three_cpus(monkeypatch)
@@ -143,7 +204,7 @@ class TestForkMap:
             return i
 
         with pytest.raises(DataError, match="^item 0$"):
-            _fork_map(task, list(range(9)), 3)
+            fork_map(task, list(range(9)), 3)
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
     def test_children_are_killed_when_the_caller_is_interrupted(self, monkeypatch, interrupt):
@@ -156,7 +217,7 @@ class TestForkMap:
 
         t0 = time.perf_counter()
         with pytest.raises(interrupt):
-            _fork_map(task, list(range(3)), 3)
+            fork_map(task, list(range(3)), 3)
         assert time.perf_counter() - t0 < 30
 
     def test_an_exception_that_cannot_be_pickled_back(self, monkeypatch):
@@ -167,29 +228,62 @@ class TestForkMap:
                 super().__init__(f"{a}/{b}")
 
         def task(i):
-            if i == 1:
+            _slow_in_caller()
+            if _in_child():
                 raise TwoArgError("x", "y")
             return i
 
         with pytest.raises(InvariantError, match="TwoArgError: x/y"):
-            _fork_map(task, [0, 1, 2], 3)
+            fork_map(task, [0, 1, 2], 3)
 
-    def test_a_share_that_cannot_be_forked_runs_in_the_caller(self, monkeypatch):
+    def test_a_process_that_cannot_be_forked_leaves_its_items_to_the_others(
+        self, monkeypatch
+    ):
         _three_cpus(monkeypatch)
 
         def no_fork():
             raise OSError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        results = _fork_map(lambda i: (i, os.getpid()), list(range(7)), 3)
+        results = fork_map(lambda i: (i, os.getpid()), list(range(7)), 3)
         assert results == [(i, os.getpid()) for i in range(7)]
 
     def test_without_fork_the_loop_is_serial(self, monkeypatch):
         _three_cpus(monkeypatch)
         monkeypatch.delattr(os, "fork")
-        assert _fork_map(lambda i: (i, os.getpid()), list(range(5)), 3) == [
+        assert fork_map(lambda i: (i, os.getpid()), list(range(5)), 3) == [
             (i, os.getpid()) for i in range(5)
         ]
+
+    def test_with_another_thread_alive_nothing_forks(self, monkeypatch, forks):
+        _three_cpus(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            results = fork_map(lambda i: (i * i, os.getpid()), list(range(6)), 3)
+        finally:
+            stop.set()
+            thread.join()
+        assert results == [(i * i, os.getpid()) for i in range(6)]
+        assert forks == []
+
+    def test_a_nested_call_runs_in_its_callers_process(self, monkeypatch, forks):
+        _three_cpus(monkeypatch)
+
+        def outer(i):
+            _slow_in_caller(0.02)
+            return os.getpid(), fork_map(lambda j: os.getpid(), list(range(4)), None)
+
+        results = fork_map(outer, list(range(6)), None)
+        assert all(inner == [pid] * 4 for pid, inner in results)
+        assert len({pid for pid, _ in results}) <= 3
+        assert len(forks) == 2  # the nested calls forked nothing in the caller
+
+    def test_jobs_one_makes_nested_calls_serial(self, monkeypatch, forks):
+        _three_cpus(monkeypatch)
+        assert fork_map(lambda i: fork_map(lambda j: j, [1, 2, 3]), [0, 1], 1) == [[1, 2, 3]] * 2
+        assert forks == []
 
     def test_without_affinity_the_cpu_count_is_used(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -199,17 +293,56 @@ class TestForkMap:
         assert _usable_cpus() == 1
 
 
+class TestUsers:
+    """Every loop the helper serves gives the same result for any ``jobs``."""
+
+    def test_pages_come_back_in_order_in_contiguous_chunks(self, monkeypatch, demo_docs):
+        _three_cpus(monkeypatch)
+        pages = veritag.featureset.map_pages(lambda d: (d.id, os.getpid()), demo_docs, 3)
+        assert [doc_id for doc_id, _ in pages] == [d.id for d in demo_docs]
+        pids = [pid for _, pid in pages]
+        assert len(set(pids)) <= 3
+        assert all(len(set(pids[a:b])) == 1 for a, b in ((0, 13), (13, 26), (26, 40)))
+
+    def test_a_single_page_never_forks(self, monkeypatch, forks, demo_docs):
+        _three_cpus(monkeypatch)
+        assert veritag.featureset.map_pages(lambda d: d.id, demo_docs[:1], None) == [
+            demo_docs[0].id
+        ]
+        assert forks == []
+
+    def test_forest_and_tree_scorer_are_bit_equal_for_any_jobs(self, monkeypatch):
+        _three_cpus(monkeypatch)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 9))
+        y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(np.int64)
+        forests = [rf_train(X, y, 12, seed=5, jobs=jobs).trees for jobs in (1, 2, 3)]
+        assert forests[1] == forests[0] and forests[2] == forests[0]
+        scores = {tree_importance(X, y, 30, seed=5, jobs=jobs).tobytes() for jobs in (1, 2, 3)}
+        assert len(scores) == 1
+        schema = FeatureSchema(names=tuple(f"R.{i}" for i in range(9)), granularity="HC",
+                               groups=("R",))
+        selections = [
+            select_features(X, y, schema, trees=30, seed=5, jobs=jobs) for jobs in (1, 2, 3)
+        ]
+        assert len({pruned for pruned, _ in selections}) == 1
+        fields = ("se_raw", "tb_raw", "l1_raw", "mi_raw", "r")
+        assert len({tuple(getattr(s, f).tobytes() for f in fields) for _, s in selections}) == 1
+        assert selections[0][1].tb_raw.tobytes() in scores  # the tree scorer's own sum
+
+
 def test_a_dead_child_fails_a_protocol(demo_docs, resources, monkeypatch):
     _three_cpus(monkeypatch)
     score = veritag.evaluation._Fitter.score
 
     def dying(self, *args):
+        _slow_in_caller(0.2)
         if _in_child():
             os._exit(5)
         return score(self, *args)
 
     monkeypatch.setattr(veritag.evaluation._Fitter, "score", dying)
-    with pytest.raises(InvariantError, match="status 5 before reporting item 1"):
+    with pytest.raises(InvariantError, match=r"status 5 before reporting item \d$"):
         kfold_cv(demo_docs, PipelineSpec(), resources, k=3, jobs=3)
 
 
@@ -233,23 +366,79 @@ def test_evaluate_reports_are_byte_identical_for_any_jobs(
         argv += ["--test-corpus", str(corpora[other])]
     if protocol == "grid":
         argv += ["--group-sets", "R;N,L,R,W", "--folds", "3"]
-    reports = {jobs: _report([*argv, "--jobs", str(jobs)], tmp_path, f"{jobs}.csv")
-               for jobs in JOBS}
+    reports = {1: _report([*argv, "--jobs", "1"], tmp_path, "1.csv")}
+    assert forks == []
+    for jobs in JOBS[1:]:
+        reports[jobs] = _report([*argv, "--jobs", str(jobs)], tmp_path, f"{jobs}.csv")
     reports[None] = _report(argv, tmp_path, "auto.csv")
     assert len(set(reports.values())) == 1
-    assert len(forks) <= 3 * (_usable_cpus() - 1)  # jobs 2, 64 and auto
+    # two rounds a run, the pages' and the fits'; a forest's trees grow serially
+    assert len(forks) <= 3 * 2 * (_usable_cpus() - 1)
+
+
+def test_the_feature_flow_is_byte_identical_for_any_jobs(demo_corpus_dir, tmp_path):
+    """extract, select, train (rf and baseline-svm) and predict."""
+    outputs = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "64"], []):
+        run = tmp_path / (jobs[-1] if jobs else "auto")
+        run.mkdir()
+        steps = [
+            ["extract", "--corpus", str(demo_corpus_dir), "--out", str(run / "f.csv"),
+             "--schema-out", str(run / "s.json")],
+            ["select", "--features", str(run / "f.csv"), "--trees", "40",
+             "--out", str(run / "pruned.json"), "--report", str(run / "importance.csv")],
+            ["train", "--classifier", "rf", "--trees", "9", "--features", str(run / "f.csv"),
+             "--schema", str(run / "pruned.json"), "--out", str(run / "rf.bin")],
+            ["train", "--classifier", "baseline-svm", "--corpus", str(demo_corpus_dir),
+             "--out", str(run / "baseline.bin")],
+            ["predict", "--model", str(run / "rf.bin"), "--corpus", str(demo_corpus_dir),
+             "--out", str(run / "rf.csv")],
+            ["predict", "--model", str(run / "baseline.bin"), "--corpus",
+             str(demo_corpus_dir), "--out", str(run / "baseline.csv")],
+        ]
+        for argv in steps:
+            assert main([*argv, *jobs]) == 0, argv
+        outputs.append({path.name: path.read_bytes() for path in sorted(run.iterdir())})
+    assert len(outputs[0]) == 8
+    assert all(output == outputs[0] for output in outputs[1:])
+
+
+def test_a_bad_page_exits_as_a_serial_run_would(
+    demo_corpus_dir, demo_docs, tmp_path, caplog, monkeypatch
+):
+    _three_cpus(monkeypatch)
+    extract = veritag.featureset.extract_vectors
+    bad = {demo_docs[30].id, demo_docs[35].id}  # in the last chunk, a child's
+
+    def failing(doc, *args):
+        if doc.id in bad:
+            raise DataError(f"page {doc.id} is bad")
+        return extract(doc, *args)
+
+    for module in (veritag.featureset, veritag.evaluation):
+        monkeypatch.setattr(module, "extract_vectors", failing)
+    runs = []
+    for command in (["extract"], ["evaluate", "--protocol", "cv"]):
+        for jobs in ("1", "3"):
+            caplog.clear()
+            with caplog.at_level("ERROR", logger="veritag"):
+                code = main([*command, "--corpus", str(demo_corpus_dir), "--jobs", jobs,
+                             "--out", str(tmp_path / "out.csv")])
+            runs.append((code, caplog.text))
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0][0] == 2 and f"page {demo_docs[30].id} is bad" in runs[0][1]
 
 
 @pytest.mark.parametrize("error, code", [(DataError, 2), (InvariantError, 3)])
 def test_a_child_error_exits_as_a_serial_run_would(
     demo_corpus_dir, demo_docs, tmp_path, caplog, monkeypatch, error, code
 ):
-    # fold 1 of 5 is the first task of the first child
     y = np.array([LABEL_TO_CLASS[d.label] for d in demo_docs])
     test_rows = np.flatnonzero(stratified_folds(y, 5, 0) == 1).tolist()
     score = veritag.evaluation._Fitter.score
 
     def failing(self, train_idx, test_idx, settings):
+        _slow_in_caller(0.02)
         if test_idx.tolist() == test_rows:
             raise error("fold 1 is bad")
         return score(self, train_idx, test_idx, settings)
@@ -267,15 +456,26 @@ def test_a_child_error_exits_as_a_serial_run_would(
     assert runs[0][0] == code and "fold 1 is bad" in runs[0][1]
 
 
-def test_jobs_zero_is_a_usage_error_for_evaluate(demo_corpus_dir, tmp_path):
-    assert main(["evaluate", "--protocol", "cv", "--corpus", str(demo_corpus_dir),
-                 "--jobs", "0", "--out", str(tmp_path / "cv.csv")]) == 1
+@pytest.mark.parametrize("argv", [
+    ["extract", "--corpus", "{missing}"],
+    ["select", "--features", "{missing}"],
+    ["train", "--classifier", "rf", "--features", "{missing}"],
+    ["predict", "--model", "{missing}", "--corpus", "{missing}"],
+    ["evaluate", "--protocol", "cv", "--corpus", "{missing}"],
+], ids=lambda argv: argv[0])
+def test_jobs_zero_is_a_usage_error(tmp_path, caplog, argv):
+    out = tmp_path / "out"
+    argv = [a.format(missing=tmp_path / "absent") for a in argv]
+    with caplog.at_level("ERROR", logger="veritag"):
+        assert main([*argv, "--jobs", "0", "--out", str(out)]) == 1
+    assert "--jobs must be >= 1" in caplog.text
+    assert not out.exists()
 
 
 def _run(args, code=""):
     """A fresh process with block-buffered stdout, as a pipe gets by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = SRC
+    env["PYTHONPATH"] = str(SRC)
     command = [sys.executable, "-c", code, *args] if code else [sys.executable, *args]
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
 
@@ -283,24 +483,26 @@ def _run(args, code=""):
 def test_a_dead_child_exits_3_with_one_error_line(demo_corpus_dir, tmp_path):
     # a fresh process, so stderr is exactly what a user would see
     script = (
-        "import os, sys\n"
-        "import veritag.cli as cli, veritag.evaluation as ev\n"
+        "import os, sys, time\n"
+        "import veritag.cli as cli, veritag.evaluation as ev, veritag.workers as workers\n"
         "parent, score = os.getpid(), ev._Fitter.score\n"
         "def dying(self, *args):\n"
         "    if os.getpid() != parent:\n"
         "        os._exit(7)\n"
+        "    time.sleep(0.2)\n"
         "    return score(self, *args)\n"
         "ev._Fitter.score = dying\n"
-        "ev._usable_cpus = lambda: 2\n"
+        "workers._usable_cpus = lambda: 2\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     proc = _run(["evaluate", "--protocol", "cv", "--jobs", "2", "--corpus",
                  str(demo_corpus_dir), "--out", str(tmp_path / "cv.csv")], script)
     assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        "ERROR invariant violation: evaluation worker exited with status 7 "
-        "before reporting item 1"
-    ]
+    assert len(proc.stderr.splitlines()) == 1
+    assert re.fullmatch(
+        r"ERROR invariant violation: worker exited with status 7 before reporting item \d\n",
+        proc.stderr,
+    )
 
 
 def test_grid_logs_its_summary_once(demo_corpus_dir, tmp_path):
@@ -314,10 +516,10 @@ def test_grid_logs_its_summary_once(demo_corpus_dir, tmp_path):
 
 def test_output_buffered_before_a_fork_is_written_once():
     script = (
-        "import veritag.evaluation as ev\n"
-        "ev._usable_cpus = lambda: 2\n"
+        "import veritag.workers as workers\n"
+        "workers._usable_cpus = lambda: 2\n"
         "print('before', end='')\n"
-        "print(ev._fork_map(lambda i: i * 2, [1, 2, 3], 2))\n"
+        "print(workers.fork_map(lambda i: i * 2, [1, 2, 3], 2))\n"
     )
     proc = _run([], script)
     assert proc.returncode == 0
@@ -328,6 +530,16 @@ def test_importing_the_package_starts_no_pool_machinery():
     proc = _run([], "import sys, veritag; print(sorted(m for m in sys.modules "
                     "if m.startswith(('multiprocessing', 'concurrent'))))")
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+def test_only_the_workers_module_forks():
+    """One helper owns every fork, and no pool library comes in."""
+    for path in sorted((SRC / "veritag").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "workers.py":
+            assert "os.fork(" not in text, path
+        assert not re.search(r"^\s*(import|from)\s+(multiprocessing|concurrent)\b", text,
+                             re.MULTILINE), path
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
