@@ -7,15 +7,42 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+def lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module whose
+    globals are ``namespace``: each name in ``exports`` is looked up in the
+    module the map files it under, relative to the module's package, on
+    first access, and then kept in ``namespace`` so later lookups skip
+    ``__getattr__``."""
+    module_of = {name: module for module, names in exports.items() for name in names}
+    where = namespace["__name__"]
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {where!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module("." + module, namespace["__package__"]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(module_of))
+
+    return __getattr__, __dir__
+
+
 # Every public name and the module that defines it. A name is imported on
-# first access (PEP 562), so ``import veritag`` loads no submodule, and a
-# process loads numpy only when it reaches a module that computes with it.
+# first access, so ``import veritag`` loads no submodule, and a process
+# loads numpy only when it reaches a module that computes with it.
 _EXPORTS = {
     "errors": ("ConfigError", "DataError", "InvariantError", "VeritagError"),
     "corpus": (
-        "CLASS_TO_LABEL", "LABEL_TO_CLASS", "LABELS", "CorpusManifest", "FilterDecision",
-        "ManifestEntry", "PoliticalFilterModel", "RawDocument", "apply_political_filter",
-        "balanced_sample", "load_manifest", "load_topic_corpus", "train_political_filter",
+        "CLASS_TO_LABEL", "LABEL_TO_CLASS", "LABELS", "CorpusManifest", "ManifestEntry",
+        "RawDocument", "balanced_sample", "load_manifest",
+    ),
+    "political": (
+        "FilterDecision", "PoliticalFilterModel", "apply_political_filter",
+        "load_topic_corpus", "train_political_filter",
     ),
     "markup": (
         "Article", "Element", "WebMarkupFeatures", "extract_article", "granularity_text",
@@ -54,19 +81,6 @@ _EXPORTS = {
         "temporal_eval", "term_frequency_report",
     ),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_MODULE_OF)
-
-
-def __getattr__(name: str):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module("." + module, __name__), name)
-    globals()[name] = value  # later lookups skip this function
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -31,21 +31,13 @@ from .config import (
     pipeline_spec,
     validate_paths,
 )
-from .corpus import (
-    CLASS_TO_LABEL,
-    PoliticalFilterModel,
-    apply_political_filter,
-    balanced_sample,
-    load_manifest,
-    load_topic_corpus,
-    train_political_filter,
-)
+from .corpus import CLASS_TO_LABEL, balanced_sample, load_manifest
 from .errors import ConfigError, DataError, InvariantError, VeritagError, write_csv
-from .markup import extract_article, granularity_text, parse_html
 
-# Only modules without numpy load at start-up; each handler imports the
-# featureset, selection, models and evaluation names it calls, so `--help`,
-# `ingest`, `sample` and `filter-political` never load numpy.
+# Only the modules every command needs load at start-up; each handler
+# imports the topic filter, markup, featureset, selection, models and
+# evaluation names it calls, so `--help`, `ingest`, `sample` and
+# `filter-political` never load numpy.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -232,6 +224,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_filter_political(args: argparse.Namespace) -> int:
+    from .markup import extract_article, granularity_text, parse_html
+    from .political import (
+        PoliticalFilterModel, apply_political_filter, load_topic_corpus, train_political_filter,
+    )
+
     if args.topics and args.model:
         raise ConfigError("filter-political takes --model or --topics, not both")
     if not (args.topics or args.model):

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import DEFAULT_YEAR_RANGE
-from .errors import ConfigError, read_json
+from .errors import ConfigError, is_number, read_json
 from .linguistics import CategoryDictionary, Tagger, load_dictionary, resolve_tagger
 from .resources import ad_domains as _bundled_ad_domains
 from .resources import demo_dictionary_path, load_wordlist
@@ -134,12 +133,12 @@ class RunConfig:
             ("l1_lambda", self.l1_lambda),
             ("political_threshold", self.political_threshold),
         ):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ConfigError("c must be positive and finite")
-        if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
-            raise ConfigError("l1_lambda must be >= 0 and finite")
+            if not is_number(value):
+                raise ConfigError(f"{name} must be a finite number")
+        if not self.c > 0:
+            raise ConfigError("c must be positive")
+        if not self.l1_lambda >= 0:
+            raise ConfigError("l1_lambda must be >= 0")
         if not 0.0 <= self.political_threshold <= 1.0:
             raise ConfigError("political_threshold must be in [0, 1]")
         if (

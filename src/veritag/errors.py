@@ -73,11 +73,17 @@ def is_str_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def is_number_map(value: object) -> bool:
-    """A JSON object whose values are all numbers."""
-    return isinstance(value, dict) and all(
-        isinstance(v, (int, float)) for v in value.values()
+def is_number(value: object) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or a huge int."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
     )
+
+
+def is_number_map(value: object) -> bool:
+    """A JSON object whose values are all numbers ``is_number`` accepts."""
+    return isinstance(value, dict) and all(map(is_number, value.values()))
 
 
 def write_csv(

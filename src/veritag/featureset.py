@@ -355,6 +355,8 @@ def decode_schema(payload: object, where: object) -> FeatureSchema:
             f"{where}: schema names and groups must be lists of strings, "
             "granularity and pruning strings"
         )
+    if not names:
+        raise DataError(f"{where}: schema names no features")
     try:
         return FeatureSchema(
             names=tuple(names), granularity=granularity, groups=tuple(groups),

@@ -1,34 +1,21 @@
-"""Tokenization and the linguistic feature groups (N, L, R)."""
+"""Tokenization and the linguistic feature groups (N, L, R).
 
-from .dictionary import CategoryDictionary, dictionary_scores, load_dictionary
-from .readability import READABILITY_FEATURES, ReadabilityScores, readability_features
-from .tagger import (
-    PENN_TABLE_TAGS,
-    PerceptronTagger,
-    RuleTagger,
-    Tagger,
-    morphological_features,
-    pos_tag,
-    resolve_tagger,
-)
-from .text import TokenizedText, count_syllables, is_url_token, tokenize
+Each public name is imported from its module on first access, so a process
+loads only the modules it uses: the rule tagger without the perceptron,
+the tokenizer without the readability indices."""
 
-__all__ = [
-    "CategoryDictionary",
-    "PENN_TABLE_TAGS",
-    "PerceptronTagger",
-    "READABILITY_FEATURES",
-    "ReadabilityScores",
-    "RuleTagger",
-    "Tagger",
-    "TokenizedText",
-    "count_syllables",
-    "dictionary_scores",
-    "is_url_token",
-    "load_dictionary",
-    "morphological_features",
-    "pos_tag",
-    "readability_features",
-    "resolve_tagger",
-    "tokenize",
-]
+from .. import lazy_exports
+
+_EXPORTS = {
+    "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
+    "readability": ("READABILITY_FEATURES", "ReadabilityScores", "readability_features"),
+    "tagger": (
+        "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
+        "resolve_tagger",
+    ),
+    "perceptron": ("PerceptronTagger",),
+    "text": ("TokenizedText", "count_syllables", "is_url_token", "tokenize"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

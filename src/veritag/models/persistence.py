@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -21,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ..config import CLASSIFIER_NAMES, GRANULARITIES
-from ..errors import DataError, is_str_list, parse_json, read_input
+from ..errors import DataError, is_number, is_number_map, is_str_list, parse_json, read_input
 from ..featureset import StandardizerParams, decode_schema, encode_schema
 from ..linguistics import READABILITY_FEATURES, CategoryDictionary
 from .baseline import BaselineFeaturizer
@@ -89,21 +88,13 @@ def _encode_payload(pipeline: TrainedPipeline) -> dict:
     return payload
 
 
-def _is_number(value: object) -> bool:
-    """A JSON number a float holds: not a bool, NaN, an infinity or a huge int."""
-    return (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 def _is_int(value: object, low: float = -math.inf, high: float = math.inf) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and low <= value < high
 
 
 def _is_numbers(value: object) -> bool:
     """A non-empty JSON array of finite numbers."""
-    return isinstance(value, list) and bool(value) and all(map(_is_number, value))
+    return isinstance(value, list) and bool(value) and all(map(is_number, value))
 
 
 def _is_pattern(entry: object) -> bool:
@@ -131,7 +122,7 @@ def _is_tree(tree: object, n_features: int, n_classes: int) -> bool:
             ok = _is_numbers(counts) and len(counts) == n_classes
         else:
             ok = (
-                _is_int(f, 0, n_features) and _is_number(threshold)
+                _is_int(f, 0, n_features) and is_number(threshold)
                 and _is_int(left, node + 1, n) and _is_int(right, node + 1, n)
             )
         if not ok:
@@ -164,8 +155,8 @@ def _decode_classifier(field: _Fields, width: int):
         weights = field("weights", lambda v: _is_numbers(v) and len(v) == width)
         return LinearSvmModel(
             weights=np.array(weights, dtype=np.float64),
-            bias=float(field("bias", _is_number)),
-            cost=float(field("cost", _is_number)),
+            bias=float(field("bias", is_number)),
+            cost=float(field("cost", is_number)),
         )
     if kind == "knn":
         points = field("points", lambda v: isinstance(v, list) and bool(v) and all(
@@ -200,8 +191,7 @@ def _decode_featurizer(field: _Fields, width: int) -> BaselineFeaturizer:
     except DataError as exc:
         raise DataError(f"{field.path}: model dictionary: {exc}") from exc
     vocabulary = field("vocabulary", lambda v: is_str_list(v) and len(set(v)) == len(v))
-    idf = field("idf", lambda v: isinstance(v, dict) and v.keys() == set(vocabulary)
-                and all(map(_is_number, v.values())))
+    idf = field("idf", lambda v: is_number_map(v) and v.keys() == set(vocabulary))
     if len(vocabulary) + len(dictionary.categories) + len(READABILITY_FEATURES) != width:
         raise DataError(f"{field.path}: model featurizer rows are not {width} features wide")
     return BaselineFeaturizer(

@@ -322,11 +322,11 @@ class TestFilterPolitical:
     def test_decisions_stream_until_a_data_error(
         self, demo_corpus_dir, topic_fixture_path, tmp_path, capsys, monkeypatch, out
     ):
-        import veritag.cli
+        import veritag.political
         from veritag.errors import DataError
 
         scored = []
-        score = veritag.cli.apply_political_filter
+        score = veritag.political.apply_political_filter
 
         def fail_third(*args):
             if len(scored) == 2:
@@ -334,7 +334,7 @@ class TestFilterPolitical:
             scored.append(1)
             return score(*args)
 
-        monkeypatch.setattr(veritag.cli, "apply_political_filter", fail_third)
+        monkeypatch.setattr(veritag.political, "apply_political_filter", fail_third)
         path = tmp_path / "decisions.csv"
         assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--topics",
                      str(topic_fixture_path), "--out", str(path) if out == "file" else "-"]) == 2
@@ -821,6 +821,72 @@ class TestMalformedInputFiles:
         assert main(["extract", "--corpus", str(demo_corpus_dir), "--tagger", f"perceptron:{weights}",
                      "--out", str(tmp_path / "features.csv")]) == 2
 
+    @pytest.mark.parametrize("command", ["extract", "train", "select"])
+    def test_schema_with_no_names_is_a_data_error(self, artifacts, demo_corpus_dir, tmp_path,
+                                                  caplog, command):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "names": [], "granularity": "HC",
+                                      "groups": ["N"]}), encoding="utf-8")
+        source = (["--corpus", str(demo_corpus_dir)] if command == "extract"
+                  else ["--features", str(artifacts["features"])])
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, *source, "--schema", str(schema), "--out", str(out)]) == 2
+        assert str(schema) in _one_error(caplog)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["idf"].update({next(iter(m["idf"])): math.nan}),
+            lambda m: next(iter(m["feature_log_likelihoods"].values())).update(politics=True),
+            lambda m: next(iter(m["feature_log_likelihoods"].values())).update(
+                celebrity=-math.inf),
+            lambda m: m["feature_log_likelihoods"].pop(next(iter(m["idf"]))),
+            lambda m: next(iter(m["feature_log_likelihoods"].values())).pop("celebrity"),
+            lambda m: m["classes"].clear(),
+            lambda m: m["classes"].append("weather"),
+        ],
+        ids=["idf-nan", "likelihood-bool", "likelihood-infinity", "term-without-likelihoods",
+             "term-lacking-a-class", "no-classes", "class-without-prior"],
+    )
+    def test_filter_model_is_checked_before_any_page(self, demo_corpus_dir, topic_fixture_path,
+                                                      tmp_path, caplog, monkeypatch, edit):
+        model = tmp_path / "filter.json"
+        assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--topics",
+                     str(topic_fixture_path), "--save-model", str(model),
+                     "--out", str(tmp_path / "trained.csv")]) == 0
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "decisions.csv"
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--model",
+                         str(model), "--out", str(out)]) == 2
+        assert str(model) in _one_error(caplog)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "classes, weights",
+        [(["NN"], {"bias": {"VB": 1.0}}), ([], {}), (["NN"], {"bias": {"NN": math.nan}}),
+         (["NN"], {"bias": {"NN": True}})],
+        ids=["tag-outside-classes", "no-classes", "weight-nan", "weight-bool"],
+    )
+    def test_tagger_weights_are_checked_before_any_page(self, demo_corpus_dir, tmp_path, caplog,
+                                                        monkeypatch, classes, weights):
+        path = tmp_path / "tagger.json"
+        path.write_text(json.dumps({"kind": "perceptron-tagger", "format_version": 1,
+                                    "classes": classes, "known_words": ["the"],
+                                    "weights": weights}), encoding="utf-8")
+        out = tmp_path / "features.csv"
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["extract", "--corpus", str(demo_corpus_dir), "--tagger",
+                         f"perceptron:{path}", "--out", str(out)]) == 2
+        assert str(path) in _one_error(caplog)
+        assert not out.exists()
+
     def test_deeply_nested_model_is_a_data_error(self, demo_corpus_dir, tmp_path, caplog):
         model = tmp_path / "model.bin"
         model.write_text("[" * 100_000, encoding="utf-8")
@@ -1104,11 +1170,13 @@ class TestMalformedModelPayload:
             ("svm", lambda payload: []),
             ("svm", _set(["kind"], "weird")),
             ("svm", _set(["schema", "granularity"], "X")),
+            ("svm", _set(["schema", "names"], [])),
             ("rf", _set_first_split(feature=10**6)),
             ("rf", _set_first_split(left="self", right="self")),
         ],
         ids=["no-standardizer", "weights-string", "payload-list", "kind-weird",
-             "granularity-X", "rf-feature-out-of-range", "rf-node-its-own-child"],
+             "granularity-X", "schema-no-names", "rf-feature-out-of-range",
+             "rf-node-its-own-child"],
     )
     def test_predict_refuses_the_model(self, artifacts, rf_model, demo_corpus_dir, tmp_path,
                                        caplog, classifier, edit):

@@ -125,7 +125,8 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize("text", ['{"c": Infinity}', '{"c": NaN}',
-                                      '{"l1_lambda": Infinity}', '{"l1_lambda": NaN}'])
+                                      '{"l1_lambda": Infinity}', '{"l1_lambda": NaN}',
+                                      pytest.param('{"c": 1%s}' % ("0" * 400), id="c-huge-int")])
     def test_non_finite_numbers_rejected(self, tmp_path, text):
         # Python's json accepts these literals although they are not JSON
         path = tmp_path / "config.json"

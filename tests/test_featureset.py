@@ -399,8 +399,10 @@ class TestSchemaIo:
         {"format_version": 1, "names": ["N.NN", "N.NN"], "granularity": "H", "groups": ["N"]},
         {"format_version": 1, "names": ["W.AU"], "granularity": "H", "groups": ["N"]},
         {"format_version": 1, "names": [], "granularity": "X", "groups": []},
+        {"format_version": 1, "names": [], "granularity": "H", "groups": ["N"]},
     ], ids=["list", "no-names", "names-string", "name-number", "granularity-list",
-            "pruning-number", "duplicate-names", "name-outside-groups", "bad-granularity"])
+            "pruning-number", "duplicate-names", "name-outside-groups", "bad-granularity",
+            "empty-names"])
     def test_malformed_schema_is_a_data_error(self, tmp_path, payload):
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(payload))

@@ -10,15 +10,16 @@ reader that let either escape would turn a bad file into an internal error
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
 from veritag.config import load_config
 from veritag.corpus import PoliticalFilterModel, load_manifest, load_topic_corpus
-from veritag.errors import ConfigError, DataError
+from veritag.errors import ConfigError, DataError, is_number, is_number_map
 from veritag.featureset import read_feature_csv, read_schema
 from veritag.linguistics import load_dictionary
-from veritag.linguistics.tagger import PerceptronTagger
+from veritag.linguistics.perceptron import PerceptronTagger
 from veritag.models.persistence import load_pipeline
 from veritag.resources import load_wordlist
 
@@ -112,11 +113,24 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["a", "b"
         (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"a": 0.0, "b": 0.0}}),
         (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"a": 1e308}}),
         (PoliticalFilterModel.load, {**_FILTER, "vocabulary": ["vote", "vote"]}),
+        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"NN": math.nan}}}),
+        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"VB": 1.0}}}),
+        (PerceptronTagger.load, {**_TAGGER, "classes": [], "weights": {}}),
+        (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": math.nan}}),
+        (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": True}}),
+        (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": 1.0, "tax": 1.0}}),
+        (PoliticalFilterModel.load,
+         {**_FILTER, "feature_log_likelihoods": {"vote": {"a": -1.0}}}),
+        (PoliticalFilterModel.load, {**_FILTER, "classes": ["a", "b", "c"]}),
+        (PoliticalFilterModel.load, {**_FILTER, "classes": []}),
     ],
     ids=[
         "tagger-classes", "tagger-known-words", "tagger-weights", "tagger-weight-value",
         "filter-vocabulary", "filter-idf", "filter-likelihoods", "filter-priors-sum",
-        "filter-prior-overflow", "filter-duplicate-term",
+        "filter-prior-overflow", "filter-duplicate-term", "tagger-weight-nan",
+        "tagger-tag-outside-classes", "tagger-no-classes", "filter-idf-nan", "filter-idf-bool",
+        "filter-term-without-likelihoods", "filter-term-lacking-a-class",
+        "filter-class-without-prior", "filter-no-classes",
     ],
 )
 def test_wrong_shape_is_bad_input(load, payload, tmp_path):
@@ -132,6 +146,20 @@ def test_well_formed_payload_loads(load, payload, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     load(path)
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.5, -1e308, 2**1000])
+def test_a_finite_number_is_a_number(value):
+    assert is_number(value) and is_number_map({"x": value})
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, math.nan, math.inf, -math.inf, 10**400, "1", None, [1.0]],
+    ids=["true", "false", "nan", "inf", "-inf", "10**400", "string", "none", "list"],
+)
+def test_bools_non_finite_and_non_numbers_are_refused(value):
+    assert not is_number(value)
+    assert not is_number_map({"x": 1.0, "y": value})
 
 
 def test_jsonl_splits_only_at_line_ends(tmp_path):

@@ -62,6 +62,28 @@ PUBLIC_NAMES = {
     "config": ("RunConfig", "load_config", "load_run_resources", "pipeline_spec"),
 }
 
+# The public names of ``veritag.linguistics``, by the module that defines
+# each. Every one must be that module's object.
+LINGUISTICS_NAMES = {
+    "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
+    "readability": ("READABILITY_FEATURES", "ReadabilityScores", "readability_features"),
+    "tagger": (
+        "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
+        "resolve_tagger",
+    ),
+    "perceptron": ("PerceptronTagger",),
+    "text": ("TokenizedText", "count_syllables", "is_url_token", "tokenize"),
+}
+
+# What the bench's set-up code loads of the package: the corpus reader and
+# the extraction resources, with the rule tagger but not the perceptron,
+# the readability indices or the topic filter.
+SETUP_MODULES = {
+    "veritag", "veritag.errors", "veritag.config", "veritag.corpus", "veritag.resources",
+    "veritag.linguistics", "veritag.linguistics.text", "veritag.linguistics.dictionary",
+    "veritag.linguistics.tagger",
+}
+
 HEAVY = ("numpy", "veritag.featureset", "veritag.models", "veritag.selection",
          "veritag.evaluation")
 
@@ -73,15 +95,21 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Runs ``python -m veritag`` and lists ``sys.modules`` at exit. ``-X
+# importtime`` would not do: it does not log a module that
+# ``importlib.import_module`` loads, as every lazy export is.
+_LIST_MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nMODULES " + " ".join(sys.modules)))
+runpy.run_module("veritag", run_name="__main__", alter_sys=True)
+"""
+
+
 def _imported_by(*args: str) -> set[str]:
     """The modules a fresh ``python -m veritag ARGS`` imports; it must exit 0."""
-    proc = _python("-X", "importtime", "-m", "veritag", *args)
+    proc = _python("-c", _LIST_MODULES_AT_EXIT, *args)
     assert proc.returncode == 0, proc.stderr
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:") and "|" in line
-    }
+    return set(proc.stderr.rsplit("\nMODULES ", 1)[1].split())
 
 
 class TestPublicSurface:
@@ -110,36 +138,56 @@ class TestPublicSurface:
         value = getattr(importlib.import_module(module), name)
         assert value is getattr(importlib.import_module("veritag.config"), name)
 
-    def test_dir_and_star_import_cover_every_name(self):
-        assert set(veritag.__all__) <= set(dir(veritag))
+    def test_linguistics_names_are_their_modules_objects(self):
+        linguistics = importlib.import_module("veritag.linguistics")
+        assert sorted(linguistics.__all__) == sorted(
+            name for names in LINGUISTICS_NAMES.values() for name in names
+        )
+        for module, names in LINGUISTICS_NAMES.items():
+            home = importlib.import_module(f"veritag.linguistics.{module}")
+            for name in names:
+                assert getattr(linguistics, name) is getattr(home, name), name
+
+    @pytest.mark.parametrize("package", ["veritag", "veritag.linguistics"])
+    def test_dir_and_star_import_cover_every_name(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
         namespace: dict = {}
-        exec("from veritag import *", namespace)
-        assert {name: namespace[name] for name in veritag.__all__} == {
-            name: getattr(veritag, name) for name in veritag.__all__
+        exec(f"from {package} import *", namespace)
+        assert {name: namespace[name] for name in module.__all__} == {
+            name: getattr(module, name) for name in module.__all__
         }
 
-    def test_unknown_name_is_an_attribute_error(self):
+    @pytest.mark.parametrize("package", ["veritag", "veritag.linguistics"])
+    def test_unknown_name_is_an_attribute_error(self, package):
+        module = importlib.import_module(package)
         with pytest.raises(AttributeError, match="no_such_name"):
-            veritag.no_such_name
+            module.no_such_name
         with pytest.raises(ImportError):
-            exec("from veritag import no_such_name", {})
+            exec(f"from {package} import no_such_name", {})
 
 
 class TestImportSets:
     def test_bench_setup_loads_no_numpy(self, demo_corpus_dir):
         code = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from veritag import RunConfig, load_manifest, load_run_resources\n"
             "load_run_resources(RunConfig())\n"
             "docs = list(load_manifest(sys.argv[1]).iter_documents())\n"
             "assert docs\n"
-            "print('\\n'.join(sys.modules))\n"
+            "print('\\n'.join(set(sys.modules) - before))\n"
         )
         proc = _python("-c", code, str(demo_corpus_dir))
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
-        assert "veritag.config" in loaded
-        assert loaded.isdisjoint(HEAVY)
+        assert {m for m in loaded if m.split(".")[0] == "veritag"} == SETUP_MODULES
+        assert loaded.isdisjoint({"numpy", "hashlib"})
+
+    def test_linguistics_loads_none_of_its_modules(self):
+        proc = _python("-c", "import sys, veritag.linguistics; print('\\n'.join(sys.modules))")
+        assert proc.returncode == 0, proc.stderr
+        assert not [m for m in proc.stdout.split() if m.startswith("veritag.linguistics.")]
 
     def test_light_commands_load_no_numpy(self, demo_corpus_dir, topic_fixture_path, tmp_path):
         corpus = str(demo_corpus_dir)

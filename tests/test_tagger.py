@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from veritag import PENN_TABLE_TAGS, morphological_features, pos_tag
 from veritag.errors import ConfigError
-from veritag.linguistics.tagger import _RAW_TO_TABLE, PerceptronTagger, RuleTagger
+from veritag.linguistics.perceptron import PerceptronTagger
+from veritag.linguistics.tagger import _RAW_TO_TABLE, RuleTagger
 
 
 class TestPosTag:
