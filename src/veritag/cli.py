@@ -237,7 +237,11 @@ def cmd_filter_political(args: argparse.Namespace) -> int:
         raise ConfigError("filter-political --save-model needs --topics to train a model")
     cfg = _resolve_config(args)
     if args.topics:
-        model = train_political_filter(load_topic_corpus(args.topics))
+        pairs = load_topic_corpus(args.topics)
+        try:
+            model = train_political_filter(pairs)
+        except DataError as exc:
+            raise DataError(f"{args.topics}: {exc}") from exc
         if args.save_model:
             model.save(args.save_model)
             log.info("filter model written to %s", args.save_model)

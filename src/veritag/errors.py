@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package, the helpers every
 input-file reader uses to turn bytes into text or JSON, and a missing,
-unreadable, non-UTF-8 or malformed file into a ``VeritagError``, and the
-one writer of every output CSV."""
+unreadable, non-UTF-8 or malformed file into a ``VeritagError``, the one
+field checker of every versioned JSON input, and the one writer of every
+output CSV."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # every float an output CSV holds: 9 significant digits
 CSV_FLOAT_FORMAT = "%.9g"
@@ -81,9 +82,48 @@ def is_number(value: object) -> bool:
     )
 
 
+def is_int(value: object, low: float = -float("inf"), high: float = float("inf")) -> bool:
+    """A JSON integer, not a bool, with ``low <= value < high``."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value < high
+
+
 def is_number_map(value: object) -> bool:
     """A JSON object whose values are all numbers ``is_number`` accepts."""
     return isinstance(value, dict) and all(map(is_number, value.values()))
+
+
+class Fields:
+    """One JSON object of a versioned input file, read as ``what``. Each
+    field read must be present and pass its check, or a DataError names the
+    file and the field."""
+
+    __slots__ = ("data", "path", "what", "where")
+
+    def __init__(self, data: object, path: object, what: str, where: str = "") -> None:
+        self.data, self.path, self.what, self.where = data, path, what, where
+
+    def __call__(self, key: str, valid: Callable[[object], bool] = lambda v: True):
+        if not (isinstance(self.data, dict) and key in self.data and valid(self.data[key])):
+            raise DataError(
+                f"{self.path}: {self.what} field {self.where}{key} is missing or malformed"
+            )
+        return self.data[key]
+
+    def object(self, key: str) -> Fields:
+        """The fields of ``key``, itself an object."""
+        return Fields(
+            self(key, lambda v: isinstance(v, dict)), self.path, self.what, f"{self.where}{key}."
+        )
+
+
+def read_format(path: str | Path, what: str, kind: str | None, version: int) -> Fields:
+    """The fields of the JSON object in ``path``, once its ``kind`` (unless
+    None) and its ``format_version`` are the given ones."""
+    field = Fields(read_json(path, what), path, what)
+    if kind is not None:
+        field("kind", lambda v: v == kind)
+    field("format_version", lambda v: v == version)
+    return field
 
 
 def write_csv(

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import workers
 from .config import GRANULARITIES, GROUPS, check_groups
-from .corpus import LABEL_TO_CLASS, RawDocument
+from .corpus import CLASS_TO_LABEL, LABEL_TO_CLASS, RawDocument
 from .errors import (
-    ConfigError, DataError, InvariantError, is_str_list, read_input, read_json, write_csv,
+    ConfigError, DataError, Fields, InvariantError, is_str_list, read_format, read_input,
+    write_csv,
 )
 from .linguistics import (
     PENN_TABLE_TAGS,
@@ -340,27 +341,15 @@ def encode_schema(schema: FeatureSchema) -> dict:
 def decode_schema(payload: object, where: object) -> FeatureSchema:
     """The schema that ``encode_schema`` gave ``payload``; a DataError
     naming ``where`` for any other value."""
-    if not isinstance(payload, dict):
-        raise DataError(f"{where}: a schema must be a JSON object")
-    missing = sorted({"names", "granularity", "groups"} - payload.keys())
-    if missing:
-        raise DataError(f"{where}: schema is missing {missing}")
-    names, groups = payload["names"], payload["groups"]
-    granularity, pruning = payload["granularity"], payload.get("pruning", "none")
-    if not (
-        is_str_list(names) and is_str_list(groups)
-        and isinstance(granularity, str) and isinstance(pruning, str)
-    ):
-        raise DataError(
-            f"{where}: schema names and groups must be lists of strings, "
-            "granularity and pruning strings"
-        )
-    if not names:
-        raise DataError(f"{where}: schema names no features")
+    field = Fields(payload, where, "schema")
+    names = field("names", lambda v: is_str_list(v) and bool(v))
     try:
         return FeatureSchema(
-            names=tuple(names), granularity=granularity, groups=tuple(groups),
-            pruning=pruning,
+            names=tuple(names),
+            granularity=field("granularity", lambda v: v in GRANULARITIES),
+            groups=tuple(field("groups", is_str_list)),
+            pruning=field("pruning", lambda v: isinstance(v, str)) if "pruning" in payload
+            else "none",
         )
     except (ConfigError, InvariantError) as exc:
         raise DataError(f"{where}: {exc}") from exc
@@ -372,10 +361,7 @@ def write_schema(path: str | Path, schema: FeatureSchema) -> None:
 
 
 def read_schema(path: str | Path) -> FeatureSchema:
-    payload = read_json(path, "schema")
-    if isinstance(payload, dict) and payload.get("format_version") != SCHEMA_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported schema format version")
-    return decode_schema(payload, path)
+    return decode_schema(read_format(path, "schema", None, SCHEMA_FORMAT_VERSION).data, path)
 
 
 def write_feature_csv(
@@ -429,7 +415,10 @@ def read_feature_csv(
         try:
             values = np.array([float(v) for v in row[1 : 1 + len(names)]])
             label = int(row[-1]) if has_label else None
-        except ValueError as exc:
+            vector = FeatureVector(doc_id=row[0], values=values, label=label)
+        except (ValueError, InvariantError) as exc:  # not a number, or not finite
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        vectors.append(FeatureVector(doc_id=row[0], values=values, label=label))
+        if has_label and label not in CLASS_TO_LABEL:
+            raise DataError(f"{path}:{lineno}: label {label} is not 0 or 1")
+        vectors.append(vector)
     return vectors, names

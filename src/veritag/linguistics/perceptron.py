@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..errors import ConfigError, DataError, is_number_map, is_str_list, read_json
+from ..errors import ConfigError, DataError, is_number_map, is_str_list, read_format
 from .tagger import _fallback_tag
 
 
@@ -171,32 +171,14 @@ class PerceptronTagger:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"tagger weights file not found: {path}")
-        payload = read_json(path, "tagger weights")
-        if not isinstance(payload, dict) or payload.get("kind") != "perceptron-tagger":
-            raise DataError(f"{path}: not a tagger weights file")
-        if payload.get("format_version") != WEIGHTS_FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported weights format version "
-                f"{payload.get('format_version')!r}"
-            )
-        weights = payload.get("weights")
-        if not (
-            is_str_list(payload.get("classes")) and is_str_list(payload.get("known_words"))
-            and isinstance(weights, dict) and all(map(is_number_map, weights.values()))
-        ):
-            raise DataError(
-                f"{path}: tagger weights need 'classes' and 'known_words' lists of "
-                "strings and 'weights' objects of finite numbers"
-            )
-        classes = payload["classes"]
-        if not classes:
-            raise DataError(f"{path}: tagger weights name no classes")
-        unknown = sorted({t for per in weights.values() for t in per} - set(classes))
-        if unknown:
-            raise DataError(f"{path}: tagger weights name tags outside 'classes': {unknown}")
+        field = read_format(path, "tagger weights", "perceptron-tagger", WEIGHTS_FORMAT_VERSION)
         tagger = cls()
-        tagger.classes = list(classes)
-        tagger.known_words = set(payload["known_words"])
+        tagger.classes = list(field("classes", lambda v: is_str_list(v) and bool(v)))
+        tagger.known_words = set(field("known_words", is_str_list))
+        tags = set(tagger.classes)
+        weights = field("weights", lambda v: isinstance(v, dict) and all(
+            is_number_map(per) and per.keys() <= tags for per in v.values()
+        ))
         tagger.weights = {
             f: {t: float(w) for t, w in per.items()}
             for f, per in weights.items()

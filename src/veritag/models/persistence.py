@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from ..config import CLASSIFIER_NAMES, GRANULARITIES
-from ..errors import DataError, is_number, is_number_map, is_str_list, parse_json, read_input
+from ..errors import (
+    DataError, Fields, is_int, is_number, is_number_map, is_str_list, parse_json, read_input,
+)
 from ..featureset import StandardizerParams, decode_schema, encode_schema
 from ..linguistics import READABILITY_FEATURES, CategoryDictionary
 from .baseline import BaselineFeaturizer
@@ -88,10 +87,6 @@ def _encode_payload(pipeline: TrainedPipeline) -> dict:
     return payload
 
 
-def _is_int(value: object, low: float = -math.inf, high: float = math.inf) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and low <= value < high
-
-
 def _is_numbers(value: object) -> bool:
     """A non-empty JSON array of finite numbers."""
     return isinstance(value, list) and bool(value) and all(map(is_number, value))
@@ -101,7 +96,7 @@ def _is_pattern(entry: object) -> bool:
     """A dictionary pattern: [text, [category index, ...]]."""
     return (
         isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-        and isinstance(entry[1], list) and all(_is_int(c, 0) for c in entry[1])
+        and isinstance(entry[1], list) and all(is_int(c, 0) for c in entry[1])
     )
 
 
@@ -122,33 +117,15 @@ def _is_tree(tree: object, n_features: int, n_classes: int) -> bool:
             ok = _is_numbers(counts) and len(counts) == n_classes
         else:
             ok = (
-                _is_int(f, 0, n_features) and is_number(threshold)
-                and _is_int(left, node + 1, n) and _is_int(right, node + 1, n)
+                is_int(f, 0, n_features) and is_number(threshold)
+                and is_int(left, node + 1, n) and is_int(right, node + 1, n)
             )
         if not ok:
             return False
     return True
 
 
-@dataclass(frozen=True)
-class _Fields:
-    """One JSON object of a model payload. Each field read must be present
-    and pass its check, or a DataError names the file and the field."""
-
-    data: object
-    path: object
-    where: str = ""
-
-    def __call__(self, key: str, valid: Callable[[object], bool] = lambda v: True):
-        if not (isinstance(self.data, dict) and key in self.data and valid(self.data[key])):
-            raise DataError(f"{self.path}: model field {self.where}{key} is missing or malformed")
-        return self.data[key]
-
-    def object(self, key: str) -> _Fields:
-        return _Fields(self(key, lambda v: isinstance(v, dict)), self.path, f"{self.where}{key}.")
-
-
-def _decode_classifier(field: _Fields, width: int):
+def _decode_classifier(field: Fields, width: int):
     """The classifier of a model whose rows hold ``width`` features."""
     kind = field("type", lambda v: v in ("svm", "knn", "rf"))
     if kind == "svm":
@@ -163,24 +140,24 @@ def _decode_classifier(field: _Fields, width: int):
             _is_numbers(p) and len(p) == width for p in v
         ))
         labels = field("labels", lambda v: isinstance(v, list) and len(v) == len(points)
-                       and all(_is_int(c, 0, 2) for c in v))
+                       and all(is_int(c, 0, 2) for c in v))
         return KnnModel(
-            k=field("k", lambda v: _is_int(v, 1, len(points) + 1)),
+            k=field("k", lambda v: is_int(v, 1, len(points) + 1)),
             points=np.array(points, dtype=np.float64),
             labels=np.array(labels, dtype=np.int64),
         )
-    n_classes = field("n_classes", lambda v: _is_int(v, 2, 3))
+    n_classes = field("n_classes", lambda v: is_int(v, 2, 3))
     return RandomForestModel(
         trees=field("trees", lambda v: isinstance(v, list) and bool(v) and all(
             _is_tree(tree, width, n_classes) for tree in v
         )),
-        seed=field("seed", _is_int),
+        seed=field("seed", is_int),
         n_classes=n_classes,
-        n_features=field("n_features", lambda v: v == width and _is_int(v)),
+        n_features=field("n_features", lambda v: v == width and is_int(v)),
     )
 
 
-def _decode_featurizer(field: _Fields, width: int) -> BaselineFeaturizer:
+def _decode_featurizer(field: Fields, width: int) -> BaselineFeaturizer:
     entries = field.object("dictionary")
     patterns = entries("patterns", lambda v: isinstance(v, list) and all(map(_is_pattern, v)))
     try:
@@ -197,14 +174,14 @@ def _decode_featurizer(field: _Fields, width: int) -> BaselineFeaturizer:
     return BaselineFeaturizer(
         granularity=field("granularity", lambda v: v in GRANULARITIES),
         dictionary=dictionary,
-        min_df=field("min_df", lambda v: _is_int(v, 1)),
+        min_df=field("min_df", lambda v: is_int(v, 1)),
         vocabulary=tuple(vocabulary),
         idf={term: float(v) for term, v in idf.items()},
         fitted=True,
     )
 
 
-def _decode_payload(field: _Fields) -> TrainedPipeline:
+def _decode_payload(field: Fields) -> TrainedPipeline:
     kind = field("kind", lambda v: v in ("tag", "baseline"))
     standardizer = field.object("standardizer")
     mean = standardizer("mean", _is_numbers)
@@ -212,7 +189,7 @@ def _decode_payload(field: _Fields) -> TrainedPipeline:
     width = len(mean)
     schema = featurizer = None
     if kind == "tag":
-        schema = decode_schema(field("schema"), f"{field.path}: model schema")
+        schema = decode_schema(field("schema", lambda v: isinstance(v, dict)), field.path)
         if len(schema.names) != width:
             raise DataError(f"{field.path}: model schema names {len(schema.names)} "
                             f"features, its standardizer {width}")
@@ -261,7 +238,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         )
     if body.get("model_type") not in ("tag-pipeline", "baseline-pipeline"):
         raise DataError(f"{path}: unknown model type {body.get('model_type')!r}")
-    pipeline = _decode_payload(_Fields(body, path).object("payload"))
+    pipeline = _decode_payload(Fields(body, path, "model").object("payload"))
     if pipeline.schema_hash() != body.get("schema_hash"):
         raise DataError(f"{path}: schema hash does not match payload")
     return pipeline

@@ -30,14 +30,16 @@ from ..linguistics import CategoryDictionary, Tagger
 from .baseline import BaselineFeaturizer, Texts, document_texts
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
-from .svm import LinearSvmModel, svm_predict, svm_train
+from .svm import LinearSvmModel, check_binary, svm_predict, svm_train
 
 
 def train_classifier(
     X: np.ndarray, y: np.ndarray, settings: ClassifierSettings, *, jobs: int | None = None
 ):
     """The settings' classifier on X; a forest grows its trees in up to
-    ``jobs`` processes (default: the usable CPUs)."""
+    ``jobs`` processes (default: the usable CPUs). Labels are 0 and 1, the
+    classes a model file holds, whichever the classifier."""
+    check_binary(y)
     if settings.name == "svm":
         return svm_train(X, y, C=settings.c)
     if settings.name == "knn":

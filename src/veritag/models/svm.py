@@ -42,7 +42,8 @@ class LinearSvmModel:
         object.__setattr__(self, "weights", weights)
 
 
-def _check_binary(y: np.ndarray) -> None:
+def check_binary(y: np.ndarray) -> None:
+    """Labels 0 and 1, both present."""
     present = set(np.unique(y))
     if present - {0, 1}:
         raise DataError("labels must be 0/1")
@@ -68,7 +69,7 @@ def svm_train(
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DataError("X and y shapes disagree")
-    _check_binary(y)
+    check_binary(y)
     if C <= 0:
         raise DataError("cost must be positive")
 

@@ -4,8 +4,10 @@ political a page's text is, trained from a JSONL file of
 
 Model file: a JSON object ``{format_version, kind: "political-filter",
 classes, class_log_priors, feature_log_likelihoods, idf, vocabulary}``.
-``class_log_priors`` has one entry per class, and every ``idf`` term has a
-``feature_log_likelihoods`` entry with one value per class.
+``classes`` names ``politics`` and no class twice, ``class_log_priors``
+has one entry per class, every ``idf`` term has a
+``feature_log_likelihoods`` entry with one value per class, and
+``vocabulary`` is not empty.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import (
-    ConfigError, DataError, InvariantError, is_number_map, is_str_list, iter_jsonl, read_json,
+    ConfigError, DataError, InvariantError, is_number_map, is_str_list, iter_jsonl, read_format,
 )
 from .linguistics import tokenize
 
@@ -41,10 +43,9 @@ class PoliticalFilterModel:
     vocabulary: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.classes:
-            total = sum(math.exp(p) for p in self.class_log_priors.values())
-            if abs(total - 1.0) > 1e-9:
-                raise InvariantError("class priors do not sum to 1")
+        total = sum(math.exp(p) for p in self.class_log_priors.values())
+        if abs(total - 1.0) > 1e-9:
+            raise InvariantError("class priors do not sum to 1")
         if len(set(self.vocabulary)) != len(self.vocabulary):
             raise InvariantError("duplicate terms in vocabulary")
 
@@ -62,49 +63,31 @@ class PoliticalFilterModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PoliticalFilterModel":
-        payload = read_json(path, "filter model")
-        if not isinstance(payload, dict) or payload.get("kind") != "political-filter":
-            raise DataError(f"{path}: not a political-filter model file")
-        if payload.get("format_version") != FILTER_MODEL_FORMAT_VERSION:
-            raise DataError(
-                f"{path}: unsupported model format version "
-                f"{payload.get('format_version')!r}"
-            )
-        likelihoods = payload.get("feature_log_likelihoods")
-        if not (
-            is_str_list(payload.get("classes")) and is_str_list(payload.get("vocabulary"))
-            and is_number_map(payload.get("class_log_priors"))
-            and is_number_map(payload.get("idf"))
-            and isinstance(likelihoods, dict) and all(map(is_number_map, likelihoods.values()))
-        ):
-            raise DataError(
-                f"{path}: a filter model needs 'classes' and 'vocabulary' lists of "
-                "strings and 'class_log_priors', 'idf' and 'feature_log_likelihoods' "
-                "objects of finite numbers"
-            )
+        # scoring a page reads every one of these keys, so a file where
+        # they disagree is refused here, not at the first page
+        field = read_format(path, "filter model", "political-filter", FILTER_MODEL_FORMAT_VERSION)
+        classes = field("classes", lambda v: (
+            is_str_list(v) and POLITICS_TOPIC in v and len(set(v)) == len(v)
+        ))
+        names = set(classes)
+        priors = field("class_log_priors", lambda v: is_number_map(v) and v.keys() == names)
+        idf = field("idf", is_number_map)
+        likelihoods = field("feature_log_likelihoods", lambda v: (
+            isinstance(v, dict) and all(map(is_number_map, v.values()))
+            and all(v.get(term, {}).keys() >= names for term in idf)
+        ))
         try:
-            model = cls(
-                classes=tuple(payload["classes"]),
-                class_log_priors={k: float(v) for k, v in payload["class_log_priors"].items()},
+            return cls(
+                classes=tuple(classes),
+                class_log_priors={k: float(v) for k, v in priors.items()},
                 feature_log_likelihoods={
                     t: {c: float(v) for c, v in per.items()} for t, per in likelihoods.items()
                 },
-                idf={k: float(v) for k, v in payload["idf"].items()},
-                vocabulary=tuple(payload["vocabulary"]),
+                idf={k: float(v) for k, v in idf.items()},
+                vocabulary=tuple(field("vocabulary", lambda v: is_str_list(v) and bool(v))),
             )
         except (InvariantError, OverflowError) as exc:
             raise DataError(f"{path}: {exc}") from exc
-        # scoring a page reads these keys; a file where they disagree is
-        # refused here, not at the first page
-        classes = set(model.classes)
-        if not classes or model.class_log_priors.keys() != classes:
-            raise DataError(f"{path}: a filter model needs classes, each with one prior")
-        for term in model.idf:
-            if not model.feature_log_likelihoods.get(term, {}).keys() >= classes:
-                raise DataError(
-                    f"{path}: idf term {term!r} lacks a class in 'feature_log_likelihoods'"
-                )
-        return model
 
 
 def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:
@@ -128,6 +111,8 @@ def train_political_filter(labeled_texts: Sequence[tuple[str, str]]) -> Politica
     classes = tuple(sorted({topic for _, topic in labeled_texts}))
     if len(classes) < 2:
         raise DataError("topic-training corpus must contain at least 2 topics")
+    if POLITICS_TOPIC not in classes:
+        raise DataError(f"topic-training corpus has no {POLITICS_TOPIC!r} topic")
 
     docs: list[tuple[dict[str, int], str]] = []
     df: dict[str, int] = {}
@@ -184,8 +169,6 @@ def apply_political_filter(
 ) -> FilterDecision:
     """Posterior probability that the text is political; decision at the
     threshold (score ≥ threshold ⇒ political)."""
-    if not model.classes or not model.vocabulary:
-        raise ConfigError("political filter model is untrained")
     if POLITICS_TOPIC not in model.classes:
         raise ConfigError(f"model has no {POLITICS_TOPIC!r} class")
 

@@ -846,9 +846,13 @@ class TestMalformedInputFiles:
             lambda m: next(iter(m["feature_log_likelihoods"].values())).pop("celebrity"),
             lambda m: m["classes"].clear(),
             lambda m: m["classes"].append("weather"),
+            # a model as one trained on topics without politics would be
+            lambda m: m.update(json.loads(json.dumps(m).replace('"politics"', '"news"'))),
+            lambda m: m["vocabulary"].clear(),
         ],
         ids=["idf-nan", "likelihood-bool", "likelihood-infinity", "term-without-likelihoods",
-             "term-lacking-a-class", "no-classes", "class-without-prior"],
+             "term-lacking-a-class", "no-classes", "class-without-prior", "no-politics-class",
+             "empty-vocabulary"],
     )
     def test_filter_model_is_checked_before_any_page(self, demo_corpus_dir, topic_fixture_path,
                                                       tmp_path, caplog, monkeypatch, edit):
@@ -866,6 +870,45 @@ class TestMalformedInputFiles:
                          str(model), "--out", str(out)]) == 2
         assert str(model) in _one_error(caplog)
         assert not out.exists()
+
+    def test_topics_without_politics_are_refused_before_any_page(
+        self, demo_corpus_dir, tmp_path, caplog, monkeypatch
+    ):
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text(
+            '{"text": "the senate passed the vote", "topic": "weather"}\n'
+            '{"text": "the singer released an album", "topic": "celebrity"}\n',
+            encoding="utf-8",
+        )
+        model, out = tmp_path / "filter.json", tmp_path / "decisions.csv"
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--topics",
+                         str(topics), "--save-model", str(model), "--out", str(out)]) == 2
+        assert str(topics) in _one_error(caplog)
+        assert not model.exists() and not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_non_finite_feature_value_is_a_data_error(self, tmp_path, caplog, command, value):
+        features = tmp_path / "features.csv"
+        features.write_text(f"doc_id,R.FK,label\na,1.0,0\nb,{value},1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, "--features", str(features), "--out", str(out)]) == 2
+        assert f"{features}:3: " in _one_error(caplog)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classifier", ["svm", "knn", "rf"])
+    def test_a_label_other_than_0_or_1_is_a_data_error(self, tmp_path, caplog, classifier):
+        features = tmp_path / "features.csv"
+        features.write_text("doc_id,R.FK,label\na,1.0,0\nb,2.0,2\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["train", "--classifier", classifier, "--features", str(features),
+                         "--out", str(model)]) == 2
+        assert f"{features}:3: label 2 is not 0 or 1" in _one_error(caplog)
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "classes, weights",

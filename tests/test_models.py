@@ -433,6 +433,15 @@ class TestTagPipeline:
         with pytest.raises(DataError):
             train_tag_pipeline(np.ones((4, 2)), np.array([0, 1, 0, 1]), schema, settings)
 
+    @pytest.mark.parametrize("name", ["svm", "knn", "rf"])
+    def test_labels_other_than_0_and_1_are_refused(self, name):
+        # a model file holds classes 0 and 1, so any other label would give
+        # a model that cannot be loaded
+        schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",))
+        settings = ClassifierSettings(name=name, c=1.0, k=1, trees=2, seed=0)
+        with pytest.raises(DataError, match="labels must be 0/1"):
+            train_tag_pipeline(np.arange(4.0)[:, None], np.array([0, 2, 0, 2]), schema, settings)
+
 
 _ARTICLES = [
     Article(headline="Budget approved", content="The council approved the budget. Taxes fall."),
