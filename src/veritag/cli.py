@@ -289,8 +289,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     from .featureset import (
-        build_schema, extract_document, map_pages, read_schema, write_feature_csv, write_schema,
+        build_schema, extract_document, read_schema, write_feature_csv, write_schema,
     )
+    from .workers import fork_map
 
     cfg = _resolve_config(args)
     if args.schema:
@@ -302,7 +303,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         _check_extractable(schema, resources.dictionary, args.schema)
     else:
         schema = build_schema(cfg.granularity, cfg.groups, resources.dictionary, cfg.pruning)
-    vectors = map_pages(
+    vectors = fork_map(
         lambda doc: extract_document(
             doc, schema, resources.dictionary, resources.tagger, resources.ad_domains
         ),

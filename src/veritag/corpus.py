@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import lazy_exports
-from .errors import ConfigError, DataError, iter_jsonl, read_json
+from .errors import ConfigError, DataError, is_int, iter_jsonl, read_json
 
 LABELS = ("reliable", "unreliable")
 LABEL_TO_CLASS = {"reliable": 0, "unreliable": 1}
@@ -107,11 +107,14 @@ def load_manifest(
         missing = {"id", "url", "site", "label", "year", "html_path"} - record.keys()
         if missing:
             raise DataError(f"{where}: missing fields {sorted(missing)}")
-        doc_id = str(record["id"])
+        for key in ("id", "url", "site", "html_path"):
+            if not isinstance(record[key], str):
+                raise DataError(f"{where}: {key} {record[key]!r} is not a string")
+        doc_id = record["id"]
         if doc_id in seen_ids:
             raise DataError(f"{where}: duplicate id {doc_id!r}")
         seen_ids.add(doc_id)
-        site = str(record["site"])
+        site = record["site"]
         _check_site(site, where)
         label = record["label"]
         if label not in LABELS:
@@ -124,16 +127,16 @@ def load_manifest(
                 f"{site_labels[site]!r} for {site!r}"
             )
         year = record["year"]
-        if not isinstance(year, int) or not lo <= year <= hi:
-            raise DataError(f"{where}: year {year!r} outside {lo}..{hi}")
+        if not is_int(year, lo, hi + 1):
+            raise DataError(f"{where}: year {year!r} is not an integer in {lo}..{hi}")
         entries.append(
             ManifestEntry(
                 id=doc_id,
-                url=str(record["url"]),
+                url=record["url"],
                 site=site,
                 label=label,
                 year=year,
-                html_path=str(record["html_path"]),
+                html_path=record["html_path"],
             )
         )
     return CorpusManifest(root=root, entries=entries, site_labels=dict(site_labels))

@@ -11,20 +11,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import workers
 from .config import (
     GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec, check_groups,
 )
 from .corpus import RawDocument
 from .errors import ConfigError, DataError, InvariantError, write_csv
 from .featureset import (
-    FeatureSchema, build_schema, document_labels, extract_vectors, map_pages,
+    FeatureSchema, build_schema, document_labels, extract_vectors,
 )
 from .linguistics import CategoryDictionary, tokenize
 from .markup import extract_article, granularity_text, parse_html
 from .models import TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
-from .models.baseline import BaselineText, document_texts
+from .models.baseline import BaselineText, _ngrams, document_texts
 from .resources import stopwords as _default_stopwords
-from .workers import fork_map
 
 log = logging.getLogger("veritag")
 
@@ -159,7 +159,7 @@ def _prepare(
 ) -> list[_Fitter]:
     """Extract the corpus once for specs of one kind, one per granularity:
     each page is parsed once and, page by page, yields its row or text for
-    every spec. The pages are cut among up to ``jobs`` processes."""
+    every spec, in one of up to ``jobs`` processes."""
     if not docs:
         raise DataError("cannot evaluate an empty corpus")
     y = document_labels(docs)
@@ -171,7 +171,7 @@ def _prepare(
     schemas = [
         build_schema(spec.granularity, spec.groups, dictionary, spec.pruning) for spec in specs
     ]
-    rows = map_pages(
+    rows = workers.fork_map(
         lambda doc: [
             v.values for v in extract_vectors(
                 doc, schemas, dictionary, resources.tagger, resources.ad_domains
@@ -195,7 +195,7 @@ def _cv(fitters: Sequence[_Fitter], k: int, seed: int, jobs: int | None) -> list
         raise DataError("corpus has a single class")
     folds = stratified_folds(y, k, seed)
     splits = [(np.flatnonzero(folds != f), np.flatnonzero(folds == f)) for f in range(k)]
-    accuracies = fork_map(
+    accuracies = workers.fork_map(
         lambda task: task[0].score(task[1], task[2], task[0].spec.classifier),
         [(fitter, train, test) for fitter in fitters for train, test in splits],
         jobs,
@@ -261,7 +261,7 @@ def temporal_eval(
 
     cells: dict[tuple[int, int], float] = {}
     train_means: dict[int, float] = {}
-    for train_year, accuracies in zip(train_years, fork_map(row, train_years, jobs)):
+    for train_year, accuracies in zip(train_years, workers.fork_map(row, train_years, jobs)):
         test_years = [year for year in years if year != train_year]
         cells.update(zip(((train_year, year) for year in test_years), accuracies))
         train_means[train_year] = float(np.mean(accuracies))
@@ -286,7 +286,7 @@ def cross_domain_eval(
     (fitter,) = _prepare([*train_docs, *test_docs], [spec], resources, jobs)
     train_idx = np.arange(len(train_docs))
     test_idx = np.arange(len(train_docs), fitter.y.size)
-    accuracies = fork_map(
+    accuracies = workers.fork_map(
         lambda name: fitter.score(
             train_idx, test_idx, dataclasses.replace(spec.classifier, name=name)
         ),
@@ -354,12 +354,8 @@ def term_frequency_report(
         text = granularity_text(article, "HC")
         tokens = [t.lower() for t in tokenize(text).tokens]
         year_counts = counts.setdefault(doc.year, {})
-        for size in (1, 2):
-            for i in range(len(tokens) - size + 1):
-                parts = tokens[i : i + size]
-                if any(p in stop for p in parts):
-                    continue
-                gram = " ".join(parts)
+        for gram in _ngrams(tokens):  # no token holds a space
+            if not any(part in stop for part in gram.split(" ")):
                 year_counts[gram] = year_counts.get(gram, 0) + 1
     per_year = {
         year: sorted(year_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:n_top]

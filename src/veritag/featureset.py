@@ -13,11 +13,10 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import workers
 from .config import GRANULARITIES, GROUPS, check_groups
 from .corpus import CLASS_TO_LABEL, LABEL_TO_CLASS, RawDocument
 from .errors import (
@@ -150,19 +149,6 @@ def extract_document(
     """Parse a raw page and compute the schema's features for it. Only the
     schema's granularity and groups are computed."""
     return extract_vectors(doc, [schema], dictionary, tagger, ad_domains)[0]
-
-
-def map_pages(
-    fn: Callable[[RawDocument], object], docs: Sequence[RawDocument], jobs: int | None = None
-) -> list:
-    """``[fn(doc) for doc in docs]``, the pages cut into one contiguous chunk
-    per process of ``workers.fork_map``; a single page never forks."""
-    n = max(1, workers.processes(jobs, len(docs)))
-    cuts = [len(docs) * s // n for s in range(n + 1)]
-    chunks = workers.fork_map(
-        lambda s: [fn(doc) for doc in docs[cuts[s] : cuts[s + 1]]], range(n), jobs
-    )
-    return [value for chunk in chunks for value in chunk]
 
 
 def extract_vectors(

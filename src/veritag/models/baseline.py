@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import workers
 from ..corpus import RawDocument
 from ..errors import ConfigError, DataError
-from ..featureset import map_pages
 from ..linguistics import (
     READABILITY_FEATURES,
     CategoryDictionary,
@@ -56,23 +56,6 @@ def baseline_text(
     )
 
 
-def shared_tokens(texts: list[BaselineText]) -> list[BaselineText]:
-    """The texts, with equal tokens made one string object through one dict,
-    so the texts of a corpus take little more memory than its distinct
-    words."""
-    strings: dict[str, str] = {}
-    for text in texts:
-        text.tokens[:] = map(strings.setdefault, text.tokens, text.tokens)
-    return texts
-
-
-def baseline_texts(
-    articles: Sequence[Article], granularity: str, dictionary: CategoryDictionary
-) -> list[BaselineText]:
-    """Each article's text at the granularity, tokens shared."""
-    return shared_tokens([baseline_text(a, granularity, dictionary) for a in articles])
-
-
 def document_texts(
     docs: Sequence[RawDocument],
     granularities: Sequence[str],
@@ -80,19 +63,21 @@ def document_texts(
     *,
     jobs: int | None = None,
 ) -> list[list[BaselineText]]:
-    """Per granularity, the text of each page, tokens shared. Each page is
-    parsed once, and the pages are cut among up to ``jobs`` processes
-    (default: the usable CPUs)."""
+    """Per granularity, the text of each page. Each page is parsed once, in
+    one of up to ``jobs`` processes (default: the usable CPUs). Equal tokens
+    are made one string object, so the texts of a corpus take little more
+    memory than its distinct words."""
 
     def texts(doc: RawDocument) -> list[BaselineText]:
         article = extract_article(parse_html(doc.html))
         return [baseline_text(article, g, dictionary) for g in granularities]
 
-    pages = map_pages(texts, docs, jobs)
-    return [shared_tokens([page[j] for page in pages]) for j in range(len(granularities))]
-
-
-Texts = Sequence[Article] | Sequence[BaselineText]
+    pages = workers.fork_map(texts, docs, jobs)
+    strings: dict[str, str] = {}
+    for page in pages:
+        for text in page:
+            text.tokens[:] = map(strings.setdefault, text.tokens, text.tokens)
+    return [[page[j] for page in pages] for j in range(len(granularities))]
 
 
 def _ngrams(tokens: list[str]) -> list[str]:
@@ -105,10 +90,10 @@ class BaselineFeaturizer:
     """TF-IDF vocabulary over unigrams+bigrams, concatenated with the
     psychological and readability groups of the same text.
 
-    Every method that takes articles also takes their texts from
-    ``baseline_texts`` at the featurizer's granularity and dictionary, so a
-    caller that fits and transforms the same articles many times prepares
-    them once."""
+    Every method takes the texts that ``baseline_text`` or
+    ``document_texts`` prepare at the featurizer's granularity and
+    dictionary, so a caller that fits and transforms the same pages many
+    times tokenizes each page once."""
 
     granularity: str
     dictionary: CategoryDictionary
@@ -126,14 +111,8 @@ class BaselineFeaturizer:
         self._columns = {t: i for i, t in enumerate(self.vocabulary)}
         self._idf = np.array([self.idf[t] for t in self.vocabulary], dtype=np.float64)
 
-    def _texts(self, articles: Texts) -> Sequence[BaselineText]:
-        if all(isinstance(a, BaselineText) for a in articles):
-            return articles
-        return baseline_texts(articles, self.granularity, self.dictionary)
-
-    def fit(self, articles: Texts) -> "BaselineFeaturizer":
+    def fit(self, texts: Sequence[BaselineText]) -> "BaselineFeaturizer":
         """Learn the vocabulary (terms in ≥ min_df documents) and idf."""
-        texts = self._texts(articles)
         if not texts:
             raise DataError("cannot fit the baseline on an empty corpus")
         df: dict[str, int] = {}
@@ -149,10 +128,8 @@ class BaselineFeaturizer:
         self._index_vocabulary()
         return self
 
-    def fit_transform(self, articles: Texts) -> np.ndarray:
-        """fit, then transform_many of the same articles, tokenizing each
-        article once."""
-        texts = self._texts(articles)
+    def fit_transform(self, texts: Sequence[BaselineText]) -> np.ndarray:
+        """fit, then transform_many of the same texts."""
         self.fit(texts)
         return np.stack([self._row(t) for t in texts])
 
@@ -168,7 +145,7 @@ class BaselineFeaturizer:
             tfidf /= norm
         return np.concatenate([tfidf, text.lr_block])
 
-    def transform_many(self, articles: Texts) -> np.ndarray:
+    def transform_many(self, texts: Sequence[BaselineText]) -> np.ndarray:
         if not self.fitted:
             raise ConfigError("baseline featurizer is not fitted")
-        return np.stack([self._row(t) for t in self._texts(articles)])
+        return np.stack([self._row(t) for t in texts])

@@ -1,7 +1,8 @@
 """Trained pipeline: standardizer + classifier (+ schema or featurizer).
 
 Two kinds: "tag" pipelines classify schema-aligned feature vectors; the
-"baseline" kind carries its own TF-IDF featurizer and works from articles.
+"baseline" kind carries its own TF-IDF featurizer and works from the texts
+that ``baseline.document_texts`` prepares from pages.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import __version__ as package_version
+from .. import workers
 from ..config import CLASSIFIER_NAMES, ClassifierSettings  # noqa: F401  (re-exported by models)
 from ..corpus import RawDocument
 from ..errors import ConfigError, DataError
@@ -22,12 +24,11 @@ from ..featureset import (
     StandardizerParams,
     extract_document,
     feature_rows,
-    map_pages,
     standardize_apply,
     standardize_fit,
 )
 from ..linguistics import CategoryDictionary, Tagger
-from .baseline import BaselineFeaturizer, Texts, document_texts
+from .baseline import BaselineFeaturizer, BaselineText, document_texts
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
 from .svm import LinearSvmModel, check_binary, svm_predict, svm_train
@@ -109,13 +110,13 @@ class TrainedPipeline:
         *,
         jobs: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(classes, scores) of the pages, extracted in up to ``jobs``
-        processes (default: the usable CPUs)."""
+        """(classes, scores) of the pages, each extracted in one of up to
+        ``jobs`` processes (default: the usable CPUs)."""
         if not docs:
             return self.predict_matrix(np.empty((0, self.standardizer.mean.size)))
         if self.kind == "tag":
             assert self.schema is not None
-            X = np.stack(map_pages(
+            X = np.stack(workers.fork_map(
                 lambda doc: extract_document(
                     doc, self.schema, dictionary, tagger, ad_domains
                 ).values,
@@ -132,12 +133,28 @@ class TrainedPipeline:
         return self.predict_matrix(X)
 
 
-def _base_metadata(settings: ClassifierSettings) -> dict:
-    return {
-        "classifier": settings.name,
-        "seed": settings.seed,
-        "version": package_version,
-    }
+def _train(
+    kind: str, X: np.ndarray, y: np.ndarray, settings: ClassifierSettings,
+    granularity: str, groups: Sequence[str], jobs: int | None, **parts,
+) -> TrainedPipeline:
+    """Standardize (fit on this data only), then train the classifier; a
+    forest grows its trees in up to ``jobs`` processes. ``parts`` is the
+    pipeline's schema or featurizer."""
+    params = standardize_fit(X)
+    return TrainedPipeline(
+        kind=kind,
+        classifier_name=settings.name,
+        classifier=train_classifier(standardize_apply(params, X), y, settings, jobs=jobs),
+        standardizer=params,
+        metadata={
+            "classifier": settings.name,
+            "seed": settings.seed,
+            "version": package_version,
+            "granularity": granularity,
+            "groups": list(groups),
+        },
+        **parts,
+    )
 
 
 def train_tag_pipeline(
@@ -153,22 +170,11 @@ def train_tag_pipeline(
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(schema.names):
         raise DataError("matrix does not match the schema")
-    params = standardize_fit(X)
-    model = train_classifier(standardize_apply(params, X), y, settings, jobs=jobs)
-    metadata = _base_metadata(settings)
-    metadata.update(granularity=schema.granularity, groups=list(schema.groups))
-    return TrainedPipeline(
-        kind="tag",
-        classifier_name=settings.name,
-        classifier=model,
-        standardizer=params,
-        schema=schema,
-        metadata=metadata,
-    )
+    return _train("tag", X, y, settings, schema.granularity, schema.groups, jobs, schema=schema)
 
 
 def train_baseline_pipeline(
-    articles: Texts,
+    texts: Sequence[BaselineText],
     y: np.ndarray,
     granularity: str,
     dictionary: CategoryDictionary,
@@ -177,22 +183,11 @@ def train_baseline_pipeline(
     *,
     jobs: int | None = None,
 ) -> TrainedPipeline:
-    """Fit the TF-IDF vocabulary and idf on these articles (or their texts)
-    only, then standardize the combined block and train the classifier; a
-    forest grows its trees in up to ``jobs`` processes."""
-    featurizer = BaselineFeaturizer(
-        granularity=granularity, dictionary=dictionary, min_df=min_df
-    )
-    X = featurizer.fit_transform(articles)
-    params = standardize_fit(X)
-    model = train_classifier(standardize_apply(params, X), y, settings, jobs=jobs)
-    metadata = _base_metadata(settings)
-    metadata.update(granularity=granularity, groups=["tfidf", "L", "R"])
-    return TrainedPipeline(
-        kind="baseline",
-        classifier_name=settings.name,
-        classifier=model,
-        standardizer=params,
-        featurizer=featurizer,
-        metadata=metadata,
+    """Fit the TF-IDF vocabulary and idf on these texts only, then
+    standardize the combined block and train the classifier; a forest grows
+    its trees in up to ``jobs`` processes."""
+    featurizer = BaselineFeaturizer(granularity, dictionary, min_df=min_df)
+    X = featurizer.fit_transform(texts)
+    return _train(
+        "baseline", X, y, settings, granularity, ("tfidf", "L", "R"), jobs, featurizer=featurizer
     )

@@ -94,9 +94,10 @@ def load_topic_corpus(path: str | Path) -> list[tuple[str, str]]:
     """Read a JSONL file of {"text", "topic"} records."""
     pairs: list[tuple[str, str]] = []
     for where, record in iter_jsonl(path, "topic corpus"):
-        if "text" not in record or "topic" not in record:
-            raise DataError(f"{where}: expected object with text and topic")
-        pairs.append((str(record["text"]), str(record["topic"])))
+        text, topic = record.get("text"), record.get("topic")
+        if not (isinstance(text, str) and isinstance(topic, str)):
+            raise DataError(f"{where}: expected object with string text and topic")
+        pairs.append((text, topic))
     return pairs
 
 

@@ -791,6 +791,42 @@ def _forbid_page_parsing(monkeypatch):
 
 
 class TestMalformedInputFiles:
+    @pytest.mark.parametrize("fields", [
+        {"id": ["x"], "url": {"u": 1}}, {"site": 1}, {"html_path": None}, {"year": True},
+    ], ids=["id-and-url", "site", "html-path", "year"])
+    def test_manifest_field_of_another_json_type_is_a_data_error(
+        self, tmp_path, caplog, fields
+    ):
+        """No field is passed through ``str()``, and a bool is no year, even
+        under a year range that holds 1."""
+        record = {"id": "x", "url": "https://a.example/x", "site": "a.example",
+                  "label": "reliable", "year": 1, "html_path": "x.html"}
+        (tmp_path / "site_labels.json").write_text('{"a.example": "reliable"}', encoding="utf-8")
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "y", **fields})
+                            + "\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text('{"year_range": [0, 3]}', encoding="utf-8")
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["ingest", "--config", str(config), "--corpus", str(tmp_path)]) == 2
+        assert f"{manifest}:2: " in _one_error(caplog)
+
+    @pytest.mark.parametrize("fields", [
+        {"text": ["the vote"]}, {"text": None}, {"topic": 1}, {"topic": {"politics": 1}},
+    ], ids=["text-list", "text-null", "topic-number", "topic-object"])
+    def test_topic_record_of_another_json_type_is_a_data_error(
+        self, demo_corpus_dir, tmp_path, caplog, fields
+    ):
+        record = {"text": "the senate passed the vote", "topic": "politics"}
+        topics, out = tmp_path / "topics.jsonl", tmp_path / "decisions.csv"
+        topics.write_text(json.dumps(record) + "\n" + json.dumps({**record, **fields}) + "\n",
+                          encoding="utf-8")
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--topics",
+                         str(topics), "--out", str(out)]) == 2
+        assert f"{topics}:2: " in _one_error(caplog)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload", ["[]", '{"format_version": 1}', "[" * 100_000],
         ids=["list", "no-names", "deeply-nested"],

@@ -45,6 +45,7 @@ from veritag.evaluation import (
     write_temporal_report_csv,
     write_term_report_csv,
 )
+from veritag.models.baseline import baseline_text
 
 
 def _doc(i, year, title, body, label="reliable", site="steady-gazette.example"):
@@ -346,9 +347,15 @@ class TestExtractOnce:
                 )
                 pipeline = train_tag_pipeline(X, y_train, schema, settings)
             else:
-                articles = [extract_article(parse_html(d.html)) for d in train]
+                texts = [
+                    baseline_text(
+                        extract_article(parse_html(d.html)), spec.granularity,
+                        resources.dictionary,
+                    )
+                    for d in train
+                ]
                 pipeline = train_baseline_pipeline(
-                    articles, y_train, spec.granularity, resources.dictionary, settings
+                    texts, y_train, spec.granularity, resources.dictionary, settings
                 )
             predictions, _ = pipeline.predict_documents(
                 test, resources.dictionary, resources.tagger, resources.ad_domains

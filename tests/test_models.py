@@ -27,6 +27,7 @@ from veritag import (
 )
 from veritag.errors import ConfigError, DataError, InvariantError
 from veritag.featureset import standardize_apply, standardize_fit
+from veritag.models.baseline import BaselineFeaturizer, baseline_text, document_texts
 from veritag.models.svm import LinearSvmModel
 from veritag.markup import Article
 
@@ -451,15 +452,19 @@ _ARTICLES = [
 ]
 
 
+def _texts(granularity, dictionary, articles=_ARTICLES):
+    """The articles as the baseline reads them at the granularity."""
+    return [baseline_text(a, granularity, dictionary) for a in articles]
+
+
 class TestBaselinePipeline:
     def test_trains_and_predicts(self, demo_dictionary):
         y = np.array([0, 0, 1, 1])
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
-        pipeline = train_baseline_pipeline(
-            _ARTICLES, y, "HC", demo_dictionary, settings, min_df=1
-        )
+        texts = _texts("HC", demo_dictionary)
+        pipeline = train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
         assert pipeline.kind == "baseline"
-        X = pipeline.featurizer.transform_many(_ARTICLES)
+        X = pipeline.featurizer.transform_many(texts)
         predicted, _ = pipeline.predict_matrix(X)
         assert predicted.shape == (4,)
 
@@ -470,55 +475,48 @@ class TestBaselinePipeline:
         monkeypatch.setattr(baseline, "tokenize", lambda text: calls.append(text) or tokenize(text))
         y = np.array([0, 0, 1, 1])
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
-        train_baseline_pipeline(_ARTICLES, y, "HC", demo_dictionary, settings, min_df=1)
+        texts = _texts("HC", demo_dictionary)
+        train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
         assert len(calls) == len(_ARTICLES)
 
     def test_training_fits_through_fit(self, demo_dictionary, monkeypatch):
-        from veritag.models.baseline import BaselineFeaturizer
-
         fit, fits = BaselineFeaturizer.fit, []
         monkeypatch.setattr(
-            BaselineFeaturizer, "fit", lambda self, articles: fits.append(self) or fit(self, articles)
+            BaselineFeaturizer, "fit", lambda self, texts: fits.append(self) or fit(self, texts)
         )
         y = np.array([0, 0, 1, 1])
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
-        pipeline = train_baseline_pipeline(_ARTICLES, y, "HC", demo_dictionary, settings, min_df=1)
+        texts = _texts("HC", demo_dictionary)
+        pipeline = train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
         assert fits == [pipeline.featurizer]
 
     def test_fit_transform_equals_fit_then_transform(self, demo_dictionary):
-        from veritag.models.baseline import BaselineFeaturizer
-
+        texts = _texts("HC", demo_dictionary)
         one = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
         two = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
-        X = one.fit_transform(_ARTICLES)
-        assert one == two.fit(_ARTICLES)
-        assert X.tobytes() == two.transform_many(_ARTICLES).tobytes()
+        X = one.fit_transform(texts)
+        assert one == two.fit(texts)
+        assert X.tobytes() == two.transform_many(texts).tobytes()
 
     def test_min_df_filters_vocabulary(self, demo_dictionary):
-        from veritag.models.baseline import BaselineFeaturizer
-
         featurizer = BaselineFeaturizer(
             granularity="HC", dictionary=demo_dictionary, min_df=2
-        ).fit(_ARTICLES)
+        ).fit(_texts("HC", demo_dictionary))
         # "budget" appears in two documents, "tonight" in one
         assert "budget" in featurizer.vocabulary
         assert "tonight" not in featurizer.vocabulary
 
     def test_idf_formula(self, demo_dictionary):
-        from veritag.models.baseline import BaselineFeaturizer
-
         featurizer = BaselineFeaturizer(
             granularity="HC", dictionary=demo_dictionary, min_df=1
-        ).fit(_ARTICLES)
+        ).fit(_texts("HC", demo_dictionary))
         # "budget" document frequency is 2 of 4
         assert featurizer.idf["budget"] == pytest.approx(np.log(5.0 / 3.0) + 1.0)
 
     def test_unfitted_transform_rejected(self, demo_dictionary):
-        from veritag.models.baseline import BaselineFeaturizer
-
         featurizer = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary)
         with pytest.raises(ConfigError):
-            featurizer.transform_many(_ARTICLES[:1])
+            featurizer.transform_many(_texts("HC", demo_dictionary)[:1])
 
     def test_empty_corpus_rejected(self, demo_dictionary):
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
@@ -575,30 +573,26 @@ class TestBaselineMatchesReference:
         self, demo_docs, drift_docs, demo_dictionary, granularity, min_df
     ):
         from veritag.markup import extract_article, parse_html
-        from veritag.models.baseline import BaselineFeaturizer, baseline_texts
 
         for docs in (demo_docs, drift_docs):
             articles = [extract_article(parse_html(d.html)) for d in docs]
-            train = articles[::2]
             vocabulary, idf, X = _reference_baseline(
-                train, articles, granularity, demo_dictionary, min_df
+                articles[::2], articles, granularity, demo_dictionary, min_df
             )
-            texts = baseline_texts(articles, granularity, demo_dictionary)
-            for fit_on, rows_of in ((train, articles), (texts[::2], texts)):
-                featurizer = BaselineFeaturizer(granularity, demo_dictionary, min_df=min_df)
-                featurizer.fit(fit_on)
-                assert featurizer.vocabulary == vocabulary
-                assert featurizer.idf == idf
-                assert featurizer.transform_many(rows_of).tobytes() == X.tobytes()
-                assert featurizer.transform_many(rows_of[1:2]).tobytes() == X[1].tobytes()
-                assert featurizer.fit_transform(fit_on).tobytes() == X[::2].tobytes()
+            texts = _texts(granularity, demo_dictionary, articles)
+            featurizer = BaselineFeaturizer(granularity, demo_dictionary, min_df=min_df)
+            featurizer.fit(texts[::2])
+            assert featurizer.vocabulary == vocabulary
+            assert featurizer.idf == idf
+            assert featurizer.transform_many(texts).tobytes() == X.tobytes()
+            assert featurizer.transform_many(texts[1:2]).tobytes() == X[1].tobytes()
+            assert featurizer.fit_transform(texts[::2]).tobytes() == X[::2].tobytes()
 
     def test_texts_share_one_string_per_word(self, demo_docs, demo_dictionary):
-        from veritag.markup import extract_article, parse_html
-        from veritag.models.baseline import baseline_texts
-
-        articles = [extract_article(parse_html(d.html)) for d in demo_docs]
-        tokens = [t for text in baseline_texts(articles, "HC", demo_dictionary) for t in text.tokens]
+        tokens = [
+            t for texts in document_texts(demo_docs, ["H", "HC"], demo_dictionary)
+            for text in texts for t in text.tokens
+        ]
         assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
 
 
@@ -617,14 +611,13 @@ class TestPersistence:
     def test_baseline_round_trip(self, tmp_path, demo_dictionary):
         y = np.array([0, 0, 1, 1])
         settings = ClassifierSettings(name="knn", c=1.0, k=1, trees=5, seed=0)
-        pipeline = train_baseline_pipeline(
-            _ARTICLES, y, "HC", demo_dictionary, settings, min_df=1
-        )
+        texts = _texts("HC", demo_dictionary)
+        pipeline = train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
         path = tmp_path / "model.bin"
         save_pipeline(pipeline, path)
         loaded = load_pipeline(path)
         assert loaded.featurizer.vocabulary == pipeline.featurizer.vocabulary
-        X = loaded.featurizer.transform_many(_ARTICLES)
+        X = loaded.featurizer.transform_many(texts)
         assert loaded.predict_matrix(X)[0].shape == (4,)
 
     def test_saved_bytes_are_stable(self, tmp_path):
@@ -706,7 +699,6 @@ class TestMutatedModelPayload:
     def bodies(self, demo_docs, resources, tmp_path_factory):
         from veritag import build_schema, extract_document, vectors_to_matrix
         from veritag.featureset import document_labels
-        from veritag.markup import extract_article, parse_html
 
         schema = build_schema("HC", ("N", "L", "R", "W"), resources.dictionary)
         vectors = [extract_document(d, schema, resources.dictionary, resources.tagger,
@@ -716,9 +708,9 @@ class TestMutatedModelPayload:
             name: train_tag_pipeline(X, y, schema, ClassifierSettings(name=name, trees=3))
             for name in ("svm", "knn", "rf")
         }
+        (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary)
         pipelines["baseline-svm"] = train_baseline_pipeline(
-            [extract_article(parse_html(d.html)) for d in demo_docs], document_labels(demo_docs),
-            "HC", resources.dictionary, ClassifierSettings(),
+            texts, document_labels(demo_docs), "HC", resources.dictionary, ClassifierSettings(),
         )
         path = tmp_path_factory.mktemp("models") / "model.bin"
         out = {}
@@ -764,8 +756,9 @@ class TestMutatedModelPayload:
             pipeline = load_pipeline(path)
             width = pipeline.standardizer.mean.size
             classes, _ = pipeline.predict_matrix(np.zeros((2, width)))
-            if pipeline.featurizer is not None:
-                pipeline.predict_matrix(pipeline.featurizer.transform_many(_ARTICLES))
+            if (featurizer := pipeline.featurizer) is not None:
+                texts = _texts(featurizer.granularity, featurizer.dictionary)
+                pipeline.predict_matrix(featurizer.transform_many(texts))
             assert set(classes.tolist()) <= {0, 1}
         except DataError:
             pass

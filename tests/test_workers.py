@@ -22,18 +22,29 @@ import veritag.featureset
 import veritag.workers
 from veritag import (
     LABEL_TO_CLASS,
+    ClassifierSettings,
     ConfigError,
     DataError,
     FeatureSchema,
     InvariantError,
     PipelineSpec,
+    RawDocument,
+    build_schema,
+    cross_domain_eval,
+    extract_document,
+    feature_grid_eval,
     kfold_cv,
     rf_train,
     select_features,
     stratified_folds,
+    temporal_eval,
+    train_baseline_pipeline,
+    train_tag_pipeline,
     tree_importance,
 )
 from veritag.cli import main
+from veritag.featureset import document_labels
+from veritag.models.baseline import document_texts
 from veritag.workers import _usable_cpus, fork_map, processes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -296,19 +307,84 @@ class TestForkMap:
 class TestUsers:
     """Every loop the helper serves gives the same result for any ``jobs``."""
 
-    def test_pages_come_back_in_order_in_contiguous_chunks(self, monkeypatch, demo_docs):
+    @pytest.mark.parametrize("classifier", ["svm", "baseline-svm"])
+    def test_each_page_is_one_item_in_corpus_order(
+        self, monkeypatch, demo_corpus_dir, demo_docs, drift_docs, resources, tmp_path,
+        classifier,
+    ):
+        """Every page round hands ``fork_map`` the pages themselves."""
         _three_cpus(monkeypatch)
-        pages = veritag.featureset.map_pages(lambda d: (d.id, os.getpid()), demo_docs, 3)
-        assert [doc_id for doc_id, _ in pages] == [d.id for d in demo_docs]
-        pids = [pid for _, pid in pages]
-        assert len(set(pids)) <= 3
-        assert all(len(set(pids[a:b])) == 1 for a, b in ((0, 13), (13, 26), (26, 40)))
+        fork_map, rounds = veritag.workers.fork_map, []
+        monkeypatch.setattr(
+            veritag.workers, "fork_map",
+            lambda fn, items, jobs=None: rounds.append(list(items)) or fork_map(fn, items, jobs),
+        )
 
-    def test_a_single_page_never_forks(self, monkeypatch, forks, demo_docs):
+        def page_rounds():
+            pages = [items for items in rounds if any(isinstance(i, RawDocument) for i in items)]
+            rounds.clear()
+            return pages
+
+        def handed(docs):
+            (pages,) = page_rounds()
+            return list(map(id, pages)) == list(map(id, docs))
+
+        assert main(["extract", "--corpus", str(demo_corpus_dir),
+                     "--out", str(tmp_path / "f.csv")]) == 0
+        assert page_rounds() == [demo_docs]
+
+        y = document_labels(demo_docs)
+        if classifier == "svm":
+            spec = PipelineSpec()
+            schema = build_schema("HC", spec.groups, resources.dictionary)
+            X = np.stack([
+                extract_document(d, schema, resources.dictionary, resources.tagger,
+                                 resources.ad_domains).values
+                for d in demo_docs
+            ])
+            pipeline = train_tag_pipeline(X, y, schema, ClassifierSettings())
+        else:
+            spec = PipelineSpec(kind="baseline")
+            (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary)
+            pipeline = train_baseline_pipeline(
+                texts, y, "HC", resources.dictionary, ClassifierSettings()
+            )
+        page_rounds()
+        pipeline.predict_documents(
+            drift_docs, resources.dictionary, resources.tagger, resources.ad_domains
+        )
+        assert handed(drift_docs)
+        kfold_cv(demo_docs, spec, resources, k=3)
+        assert handed(demo_docs)
+        temporal_eval(drift_docs, spec, resources)
+        assert handed(drift_docs)
+        cross_domain_eval(demo_docs, drift_docs, spec, resources, ["svm"])
+        assert handed(demo_docs + drift_docs)
+        feature_grid_eval(demo_docs, spec, resources, [("R",), ("W",)], k=3)
+        assert handed(demo_docs)
+
+    def test_a_single_page_never_forks(
+        self, monkeypatch, forks, demo_corpus_dir, demo_docs, resources, tmp_path
+    ):
         _three_cpus(monkeypatch)
-        assert veritag.featureset.map_pages(lambda d: d.id, demo_docs[:1], None) == [
-            demo_docs[0].id
-        ]
+        (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary, jobs=1)
+        pipeline = train_baseline_pipeline(
+            texts, document_labels(demo_docs), "HC", resources.dictionary, ClassifierSettings()
+        )
+        classes, _ = pipeline.predict_documents(demo_docs[:1])
+        assert classes.tolist() == pipeline.predict_matrix(
+            pipeline.featurizer.transform_many(texts[:1])
+        )[0].tolist()
+
+        corpus = tmp_path / "corpus"
+        (corpus / "pages").mkdir(parents=True)
+        for name in ("site_labels.json", "pages/" + demo_docs[0].id + ".html"):
+            (corpus / name).write_bytes((demo_corpus_dir / name).read_bytes())
+        first = (demo_corpus_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        (corpus / "manifest.jsonl").write_text(first + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(["extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
         assert forks == []
 
     def test_forest_and_tree_scorer_are_bit_equal_for_any_jobs(self, monkeypatch):
@@ -533,11 +609,14 @@ def test_importing_the_package_starts_no_pool_machinery():
 
 
 def test_only_the_workers_module_forks():
-    """One helper owns every fork, and no pool library comes in."""
+    """One helper owns every fork and counts every process, pages go to it
+    one item each, and no pool library comes in."""
     for path in sorted((SRC / "veritag").rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name != "workers.py":
             assert "os.fork(" not in text, path
+            assert not re.search(r"\bprocesses\(", text), path
+        assert "map_pages" not in text, path
         assert not re.search(r"^\s*(import|from)\s+(multiprocessing|concurrent)\b", text,
                              re.MULTILINE), path
 
