@@ -45,14 +45,14 @@ _EXPORTS = {
         "load_topic_corpus", "train_political_filter",
     ),
     "markup": (
-        "Article", "Element", "WebMarkupFeatures", "extract_article", "granularity_text",
-        "markup_features", "parse_html",
+        "Article", "Element", "extract_article", "granularity_text", "markup_features",
+        "parse_html",
     ),
     "linguistics": (
         "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "PerceptronTagger",
-        "ReadabilityScores", "RuleTagger", "TokenizedText", "count_syllables",
-        "dictionary_scores", "load_dictionary", "morphological_features", "pos_tag",
-        "readability_features", "resolve_tagger", "tokenize",
+        "RuleTagger", "TokenizedText", "count_syllables", "dictionary_scores",
+        "load_dictionary", "morphological_features", "pos_tag", "readability_features",
+        "resolve_tagger", "tokenize",
     ),
     "config": (
         "ClassifierSettings", "ExtractionResources", "PipelineSpec", "RunConfig",

@@ -126,6 +126,9 @@ def load_manifest(
                 f"{where}: label {label!r} conflicts with site label "
                 f"{site_labels[site]!r} for {site!r}"
             )
+        html_path = record["html_path"]
+        if html_path.startswith("/") or ".." in html_path.split("/"):
+            raise DataError(f"{where}: html_path {html_path!r} is not a path inside the corpus")
         year = record["year"]
         if not is_int(year, lo, hi + 1):
             raise DataError(f"{where}: year {year!r} is not an integer in {lo}..{hi}")
@@ -136,7 +139,7 @@ def load_manifest(
                 site=site,
                 label=label,
                 year=year,
-                html_path=record["html_path"],
+                html_path=html_path,
             )
         )
     return CorpusManifest(root=root, entries=entries, site_labels=dict(site_labels))

@@ -34,14 +34,8 @@ from .linguistics import (
     tokenize,
 )
 from .markup import (
-    WebMarkupFeatures,
-    extract_article,
-    granularity_text,
-    markup_features,
-    parse_html,
+    MARKUP_FEATURES, extract_article, granularity_text, markup_features, parse_html,
 )
-
-MARKUP_GROUP_ORDER = WebMarkupFeatures.GROUP_ORDER
 
 log = logging.getLogger("veritag")
 
@@ -56,6 +50,12 @@ PRUNE_BY_GRANULARITY: dict[str, tuple[str, ...]] = {
     "HC": ("DT", "JJS", "PDT", "POS", "RBR", "RBS", "UH", "WRB"),
 }
 MARKUP_KEEP = ("IT", "AVT", "AU", "LKT", "ADS", "ST", "BT")
+
+# The feature names of each group but L, whose names are its dictionary's
+# categories, in the order the group's function returns them.
+GROUP_FEATURES: dict[str, tuple[str, ...]] = {
+    "N": PENN_TABLE_TAGS, "R": READABILITY_FEATURES, "W": MARKUP_FEATURES,
+}
 
 SCHEMA_FORMAT_VERSION = 1
 
@@ -107,19 +107,11 @@ def build_schema(
         raise ConfigError(f"invalid feature groups {sorted(set(groups) - set(GROUPS))}")
     if "L" in ordered and dictionary is None:
         raise ConfigError("psychological group requires a category dictionary")
-    names: list[str] = []
-    for g in ordered:
-        if g == "N":
-            names.extend("N." + tag for tag in PENN_TABLE_TAGS)
-        elif g == "L":
-            assert dictionary is not None
-            names.extend("L." + c for c in dictionary.categories)
-        elif g == "R":
-            names.extend("R." + r for r in READABILITY_FEATURES)
-        else:
-            names.extend("W." + m for m in MARKUP_GROUP_ORDER)
-            names.append("W.ADS")
-            names.append("W.AU")
+    names = [
+        f"{g}.{name}"
+        for g in ordered
+        for name in (dictionary.categories if g == "L" else GROUP_FEATURES[g])
+    ]
     schema = FeatureSchema(names=tuple(names), granularity=granularity, groups=ordered)
     return apply_paper_pruning(schema) if pruning == "paper" else schema
 
@@ -179,24 +171,18 @@ def extract_vectors(
             article = extract_article(tree)
         tokenized = tokenize(granularity_text(article, granularity))
         if "N" in wanted:
-            counts = morphological_features(
+            values.update(_prefixed("N", morphological_features(
                 tokenized.tokens, tagger, tokenized.sentences, tokenized.counts
-            )
-            for tag, count in counts.items():
-                values["N." + tag] = float(count)
+            )))
         if "L" in wanted:
             assert dictionary is not None
-            scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
-            for cat, pct in scores.items():
-                values["L." + cat] = pct
+            values.update(_prefixed(
+                "L", dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
+            ))
         if "R" in wanted:
-            for rname, val in readability_features(tokenized).as_features().items():
-                values["R." + rname] = val
+            values.update(_prefixed("R", readability_features(tokenized)))
     if any("W" in wanted for wanted in groups.values()):
-        markup = markup_features(tree, ad_domains)
-        web = {"W." + gname: float(count) for gname, count in markup.tag_group_counts.items()}
-        web["W.ADS"] = float(markup.ads_count)
-        web["W.AU"] = float(markup.author_present)
+        web = _prefixed("W", markup_features(tree, ad_domains))
         for values in by_name.values():
             values.update(web)
 
@@ -209,6 +195,11 @@ def extract_vectors(
             raise InvariantError(f"schema name {exc} not produced by extraction") from exc
         vectors.append(FeatureVector(doc_id=doc.id, values=row, label=LABEL_TO_CLASS[doc.label]))
     return vectors
+
+
+def _prefixed(group: str, values: dict[str, float]) -> dict[str, float]:
+    """A group function's values keyed by their schema names."""
+    return {f"{group}.{name}": value for name, value in values.items()}
 
 
 def _matches(base_name: str, entry: str) -> bool:

@@ -8,7 +8,7 @@ from .. import lazy_exports
 
 _EXPORTS = {
     "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
-    "readability": ("READABILITY_FEATURES", "ReadabilityScores", "readability_features"),
+    "readability": ("READABILITY_FEATURES", "readability_features"),
     "tagger": (
         "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
         "resolve_tagger",

@@ -1,14 +1,13 @@
 """Readability indices and surface counts for a tokenized text.
 
 Every ratio with a zero denominator is defined as 0 so downstream
-standardization never sees non-finite values; for empty text all indices
-and counts are 0.
+standardization never sees non-finite values; a text without words or
+sentences has every value 0 but CH, its character count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..resources import easy_words as _default_easy_words
@@ -24,41 +23,6 @@ READABILITY_FEATURES: tuple[str, ...] = (
 )
 
 _LINSEAR_SAMPLE = 100
-
-
-@dataclass(frozen=True)
-class ReadabilityScores:
-    fri: float
-    fki: float
-    msi: float
-    gfi: float
-    cli: float
-    ari: float
-    lwi: float
-    ws: float
-    w: int
-    stc: int
-    ch: int
-    sy: int
-    lx: int
-    cw_cap: int
-    cw_complex: int
-    dw: int
-    lw: int
-    ps: float
-    url: int
-
-    def as_features(self) -> dict[str, float]:
-        """Values keyed by READABILITY_FEATURES names."""
-        return {
-            "FRI": self.fri, "FKI": self.fki, "MSI": self.msi,
-            "GFI": self.gfi, "CLI": self.cli, "ARI": self.ari,
-            "LWI": self.lwi, "WS": self.ws, "W": float(self.w),
-            "STC": float(self.stc), "CH": float(self.ch), "SY": float(self.sy),
-            "LX": float(self.lx), "CW.cap": float(self.cw_cap),
-            "CW.complex": float(self.cw_complex), "DW": float(self.dw),
-            "LW": float(self.lw), "PS": self.ps, "URL": float(self.url),
-        }
 
 
 def _letters(token: str) -> int:
@@ -88,7 +52,8 @@ def readability_features(
     tokenized: TokenizedText,
     easy_words: frozenset[str] | None = None,
     stopwords: frozenset[str] | None = None,
-) -> ReadabilityScores:
+) -> dict[str, float]:
+    """The readability group's values, keyed by READABILITY_FEATURES in order."""
     easy = _default_easy_words() if easy_words is None else easy_words
     stop = _default_stopwords() if stopwords is None else stopwords
 
@@ -97,11 +62,7 @@ def readability_features(
     stc = len(tokenized.sentences)
     ch = tokenized.char_count
     if w == 0 or stc == 0:
-        return ReadabilityScores(
-            fri=0.0, fki=0.0, msi=0.0, gfi=0.0, cli=0.0, ari=0.0, lwi=0.0,
-            ws=0.0, w=0, stc=0, ch=ch, sy=0, lx=0, cw_cap=0, cw_complex=0,
-            dw=0, lw=0, ps=0.0, url=0,
-        )
+        return {name: float(ch) if name == "CH" else 0.0 for name in READABILITY_FEATURES}
 
     # every per-token count below is computed once per distinct token of
     # the text's census and weighted by how often it occurs. Syllables are
@@ -144,8 +105,8 @@ def readability_features(
         [syllables_of[t.lower()] for t in tokens[:_LINSEAR_SAMPLE]], tokenized.sentences
     )
 
-    return ReadabilityScores(
-        fri=fri, fki=fki, msi=msi, gfi=gfi, cli=cli, ari=ari, lwi=lwi,
-        ws=ws, w=w, stc=stc, ch=ch, sy=sy, lx=lx, cw_cap=cw_cap,
-        cw_complex=complex_words, dw=dw, lw=lw, ps=ps, url=url,
+    values = (  # in READABILITY_FEATURES order
+        fri, fki, msi, gfi, cli, ari, lwi, ws, w, stc, ch, sy, lx, cw_cap, complex_words,
+        dw, lw, ps, url,
     )
+    return dict(zip(READABILITY_FEATURES, map(float, values)))

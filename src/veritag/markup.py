@@ -451,15 +451,11 @@ def extract_article(tree: Document) -> Article:
     return Article(headline=headline, content=content, extraction_notes=notes)
 
 
-@dataclass
-class WebMarkupFeatures:
-    """Counts of tag groups plus the two page-level signals."""
-
-    tag_group_counts: dict[str, int]
-    ads_count: int
-    author_present: int
-
-    GROUP_ORDER = ("BT", "FT", "FIT", "FRT", "IT", "AVT", "LKT", "LT", "TT", "ST", "MT", "PT")
+# Schema order of the web-markup group: the tag-group counts, then the ad
+# count and whether an author marker is present (0 or 1).
+MARKUP_FEATURES: tuple[str, ...] = (
+    "BT", "FT", "FIT", "FRT", "IT", "AVT", "LKT", "LT", "TT", "ST", "MT", "PT", "ADS", "AU",
+)
 
 
 def _tag_to_group() -> dict[str, str]:
@@ -520,10 +516,14 @@ def _is_author_tag(el: Element) -> bool:
     return bool(rel) and "author" in rel.lower().split()
 
 
-def markup_features(tree: Document, ad_domain_list: frozenset[str] | None = None) -> WebMarkupFeatures:
-    """Count each group-table tag occurrence; tags outside the table count nowhere."""
+def markup_features(
+    tree: Document, ad_domain_list: frozenset[str] | None = None
+) -> dict[str, float]:
+    """The web-markup group's values, keyed by MARKUP_FEATURES in order.
+    Each group-table tag occurrence counts toward its group; tags outside
+    the table count nowhere."""
     domains = ad_domain_list if ad_domain_list is not None else resources.ad_domains()
-    counts = dict.fromkeys(WebMarkupFeatures.GROUP_ORDER, 0)
+    values = dict.fromkeys(MARKUP_FEATURES, 0.0)
     ads = author = 0
     # Elements before this index lie inside a byline whose text is blank, so
     # their own text is blank too, except script/style, whose raw text the
@@ -532,7 +532,7 @@ def markup_features(tree: Document, ad_domain_list: frozenset[str] | None = None
     for el in tree.elements:
         group = _TAG2GROUP.get(el.tag)
         if group is not None:
-            counts[group] += 1
+            values[group] += 1
         # an element without attributes is neither an ad nor an author marker
         if not el.attrs:
             continue
@@ -548,4 +548,6 @@ def markup_features(tree: Document, ad_domain_list: frozenset[str] | None = None
                 author = 1
             elif el.tag not in NON_CONTENT_TAGS:
                 blank_until = el.end
-    return WebMarkupFeatures(tag_group_counts=counts, ads_count=ads, author_present=author)
+    values["ADS"] = float(ads)
+    values["AU"] = float(author)
+    return values

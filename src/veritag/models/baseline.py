@@ -17,13 +17,7 @@ import numpy as np
 from .. import workers
 from ..corpus import RawDocument
 from ..errors import ConfigError, DataError
-from ..linguistics import (
-    READABILITY_FEATURES,
-    CategoryDictionary,
-    dictionary_scores,
-    readability_features,
-    tokenize,
-)
+from ..linguistics import CategoryDictionary, dictionary_scores, readability_features, tokenize
 from ..markup import Article, extract_article, granularity_text, parse_html
 
 DEFAULT_MIN_DF = 2
@@ -45,14 +39,10 @@ def baseline_text(
     """Tokenize the article's text at the granularity once."""
     tokenized = tokenize(granularity_text(article, granularity))
     scores = dictionary_scores(tokenized.tokens, dictionary, tokenized.lowered)
-    readability = readability_features(tokenized).as_features()
+    readability = readability_features(tokenized)
     return BaselineText(
         tokens=list(map(str.lower, tokenized.tokens)),
-        lr_block=np.array(
-            [scores[c] for c in dictionary.categories]
-            + [readability[r] for r in READABILITY_FEATURES],
-            dtype=np.float64,
-        ),
+        lr_block=np.array([*scores.values(), *readability.values()], dtype=np.float64),
     )
 
 
@@ -127,11 +117,6 @@ class BaselineFeaturizer:
         self.fitted = True
         self._index_vocabulary()
         return self
-
-    def fit_transform(self, texts: Sequence[BaselineText]) -> np.ndarray:
-        """fit, then transform_many of the same texts."""
-        self.fit(texts)
-        return np.stack([self._row(t) for t in texts])
 
     def _row(self, text: BaselineText) -> np.ndarray:
         """L2-normalized raw-tf × idf block, then L, then R."""

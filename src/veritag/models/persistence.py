@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import CLASSIFIER_NAMES, GRANULARITIES
+from ..config import GRANULARITIES
 from ..errors import (
     DataError, Fields, is_int, is_number, is_number_map, is_str_list, parse_json, read_input,
 )
@@ -195,10 +195,11 @@ def _decode_payload(field: Fields) -> TrainedPipeline:
                             f"features, its standardizer {width}")
     else:
         featurizer = _decode_featurizer(field.object("featurizer"), width)
+    classifier = field.object("classifier")
     return TrainedPipeline(
         kind=kind,
-        classifier_name=field("classifier_name", lambda v: v in CLASSIFIER_NAMES),
-        classifier=_decode_classifier(field.object("classifier"), width),
+        classifier_name=field("classifier_name", lambda v: v == classifier("type")),
+        classifier=_decode_classifier(classifier, width),
         standardizer=StandardizerParams(
             mean=np.array(mean, dtype=np.float64), stddev=np.array(stddev, dtype=np.float64)
         ),
@@ -236,9 +237,9 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
             f"{path}: model format version {version!r} is not supported "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
-    if body.get("model_type") not in ("tag-pipeline", "baseline-pipeline"):
-        raise DataError(f"{path}: unknown model type {body.get('model_type')!r}")
-    pipeline = _decode_payload(Fields(body, path, "model").object("payload"))
+    field = Fields(body, path, "model")
+    pipeline = _decode_payload(field.object("payload"))
+    field("model_type", lambda v: v == f"{pipeline.kind}-pipeline")
     if pipeline.schema_hash() != body.get("schema_hash"):
         raise DataError(f"{path}: schema hash does not match payload")
     return pipeline

@@ -187,7 +187,7 @@ def train_baseline_pipeline(
     standardize the combined block and train the classifier; a forest grows
     its trees in up to ``jobs`` processes."""
     featurizer = BaselineFeaturizer(granularity, dictionary, min_df=min_df)
-    X = featurizer.fit_transform(texts)
+    X = featurizer.fit(texts).transform_many(texts)
     return _train(
         "baseline", X, y, settings, granularity, ("tfidf", "L", "R"), jobs, featurizer=featurizer
     )

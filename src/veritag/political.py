@@ -162,7 +162,6 @@ def train_political_filter(labeled_texts: Sequence[tuple[str, str]]) -> Politica
 class FilterDecision:
     is_political: bool
     score: float
-    note: str = ""
 
 
 def apply_political_filter(
@@ -173,9 +172,8 @@ def apply_political_filter(
     if POLITICS_TOPIC not in model.classes:
         raise ConfigError(f"model has no {POLITICS_TOPIC!r} class")
 
-    terms = _terms(text)
     counts: dict[str, int] = {}
-    for t in terms:
+    for t in _terms(text):
         if t in model.idf:
             counts[t] = counts.get(t, 0) + 1
 
@@ -194,5 +192,4 @@ def apply_political_filter(
         raise InvariantError("posterior does not sum to 1")
 
     score = posterior[POLITICS_TOPIC]
-    note = "empty" if not terms else ""
-    return FilterDecision(is_political=score >= threshold, score=score, note=note)
+    return FilterDecision(is_political=score >= threshold, score=score)

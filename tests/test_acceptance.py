@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from markup_fixtures import FIXTURES
+from markup_fixtures import FIXTURES, GROUPS
 from veritag import (
     ClassifierSettings,
     ExtractionResources,
@@ -86,22 +86,22 @@ def test_criterion_1_readability_oracle():
         scores = readability_features(tokenized)
 
         # the text is engineered so every intermediate is a round number
-        assert scores.w == 120
-        assert scores.stc == 10
-        assert scores.sy == 212
-        assert scores.ch == 636
-        assert scores.cw_complex == 24
+        assert scores["W"] == 120
+        assert scores["STC"] == 10
+        assert scores["SY"] == 212
+        assert scores["CH"] == 636
+        assert scores["CW.complex"] == 24
 
         # FRI = 206.835 - 1.015*12 - 84.6*(212/120)
-        assert scores.fri == pytest.approx(45.195, abs=1e-6)
+        assert scores["FRI"] == pytest.approx(45.195, abs=1e-6)
         # FKI = 0.39*12 + 11.8*(212/120) - 15.59
-        assert scores.fki == pytest.approx(9.936666666666667, abs=1e-6)
+        assert scores["FKI"] == pytest.approx(9.936666666666667, abs=1e-6)
         # CLI = 0.0588*(100*625/120) - 0.296*(100*10/120) - 15.8
-        assert scores.cli == pytest.approx(12.358333333333333, abs=1e-6)
+        assert scores["CLI"] == pytest.approx(12.358333333333333, abs=1e-6)
         # ARI = 4.71*(636/120) + 0.5*12 - 21.43
-        assert scores.ari == pytest.approx(9.533, abs=1e-6)
+        assert scores["ARI"] == pytest.approx(9.533, abs=1e-6)
         # GFI = 0.4*(12 + 100*24/120)
-        assert scores.gfi == pytest.approx(12.8, abs=1e-6)
+        assert scores["GFI"] == pytest.approx(12.8, abs=1e-6)
 
 
 def test_criterion_2_importance_combination_rule():
@@ -222,15 +222,15 @@ def test_criterion_4_classifier_suite(tmp_path):
 
 
 def test_criterion_5_markup_fixtures():
-    """Tag-group counts, ads_count, and author_present equal the hand
+    """Tag-group counts, ADS and AU equal the hand
     counts on all 12 fixtures; W features never depend on granularity."""
     with _criterion(5):
         assert len(FIXTURES) == 12
         for fixture in FIXTURES:
             w = markup_features(parse_html(fixture.html))
-            assert w.tag_group_counts == fixture.groups, fixture.name
-            assert w.ads_count == fixture.ads, fixture.name
-            assert w.author_present == fixture.author, fixture.name
+            assert {g: w[g] for g in GROUPS} == fixture.groups, fixture.name
+            assert w["ADS"] == fixture.ads, fixture.name
+            assert w["AU"] == fixture.author, fixture.name
 
             doc = RawDocument(
                 id="fx", url="https://news.example/a", site="news.example",

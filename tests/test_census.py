@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from veritag.linguistics import (
     PENN_TABLE_TAGS,
+    READABILITY_FEATURES,
     CategoryDictionary,
-    ReadabilityScores,
     RuleTagger,
     TokenizedText,
     count_syllables,
@@ -91,11 +91,7 @@ def _reference_readability(tokenized):
     tokens, sentences = tokenized.tokens, tokenized.sentences
     w, stc, ch = len(tokens), len(sentences), tokenized.char_count
     if w == 0 or stc == 0:
-        return ReadabilityScores(
-            fri=0.0, fki=0.0, msi=0.0, gfi=0.0, cli=0.0, ari=0.0, lwi=0.0,
-            ws=0.0, w=0, stc=0, ch=ch, sy=0, lx=0, cw_cap=0, cw_complex=0,
-            dw=0, lw=0, ps=0.0, url=0,
-        )
+        return {**dict.fromkeys(READABILITY_FEATURES, 0.0), "CH": ch}
     syllables = [count_syllables(t) for t in tokens]
     sy = sum(syllables)
     complex_words = sum(1 for s in syllables if s >= 3)
@@ -106,22 +102,22 @@ def _reference_readability(tokenized):
     points = sum(1 if s <= 2 else 3 for s in sample)
     overlapping = sum(1 for start, end in sentences if start < len(sample) and end > start)
     ratio = points / overlapping
-    return ReadabilityScores(
-        fri=206.835 - 1.015 * ws - 84.6 * (sy / w),
-        fki=0.39 * ws + 11.8 * (sy / w) - 15.59,
-        msi=1.0430 * math.sqrt(complex_words * 30.0 / stc) + 3.1291,
-        gfi=0.4 * (ws + 100.0 * complex_words / w),
-        cli=0.0588 * (100.0 * sum(letters) / w) - 0.296 * (100.0 * stc / w) - 15.8,
-        ari=4.71 * (ch / w) + 0.5 * ws - 21.43,
-        lwi=ratio / 2.0 if ratio > 20 else (ratio - 2.0) / 2.0,
-        ws=ws, w=w, stc=stc, ch=ch, sy=sy, lx=len(set(lowered)),
-        cw_cap=sum(1 for t in tokens if t[:1].isupper()),
-        cw_complex=complex_words,
-        dw=sum(1 for t in lowered if t not in easy),
-        lw=sum(1 for n in letters if n > 6),
-        ps=100.0 * sum(1 for t in lowered if t in stop) / w,
-        url=sum(1 for t in tokens if is_url_token(t)),
-    )
+    return {
+        "FRI": 206.835 - 1.015 * ws - 84.6 * (sy / w),
+        "FKI": 0.39 * ws + 11.8 * (sy / w) - 15.59,
+        "MSI": 1.0430 * math.sqrt(complex_words * 30.0 / stc) + 3.1291,
+        "GFI": 0.4 * (ws + 100.0 * complex_words / w),
+        "CLI": 0.0588 * (100.0 * sum(letters) / w) - 0.296 * (100.0 * stc / w) - 15.8,
+        "ARI": 4.71 * (ch / w) + 0.5 * ws - 21.43,
+        "LWI": ratio / 2.0 if ratio > 20 else (ratio - 2.0) / 2.0,
+        "WS": ws, "W": w, "STC": stc, "CH": ch, "SY": sy, "LX": len(set(lowered)),
+        "CW.cap": sum(1 for t in tokens if t[:1].isupper()),
+        "CW.complex": complex_words,
+        "DW": sum(1 for t in lowered if t not in easy),
+        "LW": sum(1 for n in letters if n > 6),
+        "PS": 100.0 * sum(1 for t in lowered if t in stop) / w,
+        "URL": sum(1 for t in tokens if is_url_token(t)),
+    }
 
 
 # literals, prefixes of several lengths that overlap, a bare "*", and a

@@ -811,6 +811,24 @@ class TestMalformedInputFiles:
             assert main(["ingest", "--config", str(config), "--corpus", str(tmp_path)]) == 2
         assert f"{manifest}:2: " in _one_error(caplog)
 
+    @pytest.mark.parametrize("command", ["ingest", "extract"])
+    def test_page_outside_the_corpus_is_a_data_error(self, tmp_path, caplog, command):
+        (tmp_path / "outside.html").write_text("<p>outside</p>", encoding="utf-8")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "site_labels.json").write_text('{"a.example": "reliable"}', encoding="utf-8")
+        manifest = corpus / "manifest.jsonl"
+        manifest.write_text(json.dumps({
+            "id": "x", "url": "https://a.example/x", "site": "a.example", "label": "reliable",
+            "year": 2016, "html_path": "../outside.html",
+        }) + "\n", encoding="utf-8")
+        args = [command, "--corpus", str(corpus)]
+        if command == "extract":
+            args += ["--out", str(tmp_path / "features.csv")]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(args) == 2
+        assert f"{manifest}:1: html_path" in _one_error(caplog)
+
     @pytest.mark.parametrize("fields", [
         {"text": ["the vote"]}, {"text": None}, {"topic": 1}, {"topic": {"politics": 1}},
     ], ids=["text-list", "text-null", "topic-number", "topic-object"])

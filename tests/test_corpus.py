@@ -120,6 +120,29 @@ class TestLoadManifest:
         with pytest.raises(DataError, match="manifest.jsonl:2"):
             load_manifest(root)
 
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_html_path_outside_the_corpus_refused(self, tmp_path, where):
+        outside = tmp_path / "outside.html"
+        outside.write_bytes(b"<p>outside</p>")
+        root = tmp_path / "corpus"
+        root.mkdir()
+        html_path = str(outside) if where == "absolute" else "../outside.html"
+        self._write_corpus(
+            root, [self._record(), self._record(id="x-2", html_path=html_path)],
+            {"site.example": "reliable"},
+        )
+        with pytest.raises(DataError, match=r"manifest\.jsonl:2: html_path .* inside the corpus"):
+            load_manifest(root)
+
+    def test_nested_html_path_loads(self, tmp_path):
+        (tmp_path / "pages" / "sub").mkdir(parents=True)
+        (tmp_path / "pages" / "sub" / "x.html").write_bytes(b"<p>x</p>")
+        root = self._write_corpus(
+            tmp_path, [self._record(html_path="pages/sub/x.html")], {"site.example": "reliable"}
+        )
+        manifest = load_manifest(root)
+        assert manifest.load_document(manifest.entries[0]).html == b"<p>x</p>"
+
     def test_missing_html_file_fails_at_load(self, tmp_path):
         root = self._write_corpus(
             tmp_path, [self._record()], {"site.example": "reliable"}

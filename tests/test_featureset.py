@@ -28,10 +28,16 @@ from veritag import (
     write_feature_csv,
     write_schema,
 )
+from veritag.config import GRANULARITIES, GROUPS
 from veritag.errors import ConfigError, DataError
 from veritag.featureset import MARKUP_KEEP, PRUNE_BY_GRANULARITY, extract_vectors
-from veritag.linguistics import READABILITY_FEATURES
-from veritag.markup import Article
+from veritag.linguistics import (
+    READABILITY_FEATURES, dictionary_scores, morphological_features, readability_features,
+    tokenize,
+)
+from veritag.markup import (
+    MARKUP_FEATURES, Article, extract_article, markup_features, parse_html,
+)
 
 _PAGE = """
 <html><head><title>Budget Vote Tonight</title>
@@ -120,6 +126,38 @@ class TestBuildSchema:
 
         with pytest.raises(InvariantError):
             FeatureSchema(names=("N.DT", "N.DT"), granularity="H", groups=("N",))
+
+
+class TestOneNameListPerGroup:
+    """Each group function keys its values by the group's one name list, in
+    order, and a schema is those lists with their group prefixes."""
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_group_values_are_keyed_by_the_name_lists(
+        self, demo_docs, demo_dictionary, granularity
+    ):
+        # the empty page gives empty text at every granularity
+        for html in [d.html for d in demo_docs] + [b""]:
+            tree = parse_html(html)
+            text = tokenize(granularity_text(extract_article(tree), granularity))
+            assert tuple(morphological_features(text.tokens, None, text.sentences)) == (
+                PENN_TABLE_TAGS
+            )
+            assert list(dictionary_scores(text.tokens, demo_dictionary)) == (
+                demo_dictionary.categories
+            )
+            assert tuple(readability_features(text)) == READABILITY_FEATURES
+            assert tuple(markup_features(tree)) == MARKUP_FEATURES
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_schema_is_the_prefixed_name_lists(self, demo_dictionary, granularity):
+        expected = (
+            *("N." + name for name in PENN_TABLE_TAGS),
+            *("L." + name for name in demo_dictionary.categories),
+            *("R." + name for name in READABILITY_FEATURES),
+            *("W." + name for name in MARKUP_FEATURES),
+        )
+        assert build_schema(granularity, GROUPS, demo_dictionary).names == expected
 
 
 class TestGranularityText:

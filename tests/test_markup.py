@@ -13,11 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markup_fixtures import FIXTURES
+from markup_fixtures import FIXTURES, GROUPS
 from markup_reference import _TreeBuilder, reference_parse
 from veritag import (
     RawDocument,
-    WebMarkupFeatures,
     build_schema,
     extract_article,
     extract_document,
@@ -173,70 +172,70 @@ class TestMarkupFixtures:
     @pytest.mark.parametrize("fixture", FIXTURES, ids=[f.name for f in FIXTURES])
     def test_hand_counts(self, fixture):
         w = markup_features(parse_html(fixture.html))
-        assert w.tag_group_counts == fixture.groups
-        assert w.ads_count == fixture.ads
-        assert w.author_present == fixture.author
+        assert {g: w[g] for g in GROUPS} == fixture.groups
+        assert w["ADS"] == fixture.ads
+        assert w["AU"] == fixture.author
 
 
 class TestCountAds:
     def test_subdomain_suffix_match(self):
         html = '<body><img src="https://static.cdn.taboola.com/x.jpg"></body>'
-        assert markup_features(parse_html(html)).ads_count == 1
+        assert markup_features(parse_html(html))["ADS"] == 1
 
     def test_bare_domain_match(self):
         html = '<body><iframe src="https://doubleclick.net/f"></iframe></body>'
-        assert markup_features(parse_html(html)).ads_count == 1
+        assert markup_features(parse_html(html))["ADS"] == 1
 
     def test_lookalike_domain_not_matched(self):
         html = '<body><img src="https://nottaboola.com/x.jpg"></body>'
-        assert markup_features(parse_html(html)).ads_count == 0
+        assert markup_features(parse_html(html))["ADS"] == 0
 
     def test_token_requires_exact_word(self):
         html = '<body><div class="advertising">x</div></body>'
-        assert markup_features(parse_html(html)).ads_count == 0
+        assert markup_features(parse_html(html))["ADS"] == 0
         html = '<body><div class="advert">x</div></body>'
-        assert markup_features(parse_html(html)).ads_count == 1
+        assert markup_features(parse_html(html))["ADS"] == 1
 
     def test_src_only_counts_for_embed_tags(self):
         # an anchor href to an ad domain is not an ad element
         html = '<body><a href="https://doubleclick.net/x">link</a></body>'
-        assert markup_features(parse_html(html)).ads_count == 0
+        assert markup_features(parse_html(html))["ADS"] == 0
 
     def test_custom_domain_list(self):
         html = '<body><img src="https://ads.custom.example/x"></body>'
-        assert markup_features(parse_html(html), frozenset({"custom.example"})).ads_count == 1
+        assert markup_features(parse_html(html), frozenset({"custom.example"}))["ADS"] == 1
 
     def test_element_counted_once(self):
         # ad src AND ad class: still a single element
         html = '<body><img class="ad" src="https://cdn.taboola.com/x.jpg"></body>'
-        assert markup_features(parse_html(html)).ads_count == 1
+        assert markup_features(parse_html(html))["ADS"] == 1
 
 
 class TestDetectAuthor:
     def test_meta_author(self):
         html = '<head><meta name="author" content="Jane Roe"></head>'
-        assert markup_features(parse_html(html)).author_present == 1
+        assert markup_features(parse_html(html))["AU"] == 1
 
     def test_meta_author_empty_content_ignored(self):
         html = '<head><meta name="author" content="  "></head>'
-        assert markup_features(parse_html(html)).author_present == 0
+        assert markup_features(parse_html(html))["AU"] == 0
 
     def test_article_author_property(self):
         html = '<head><meta property="article:author" content="Jane"></head>'
-        assert markup_features(parse_html(html)).author_present == 1
+        assert markup_features(parse_html(html))["AU"] == 1
 
     def test_rel_author(self):
         html = '<body><a rel="author nofollow" href="/a">J</a></body>'
-        assert markup_features(parse_html(html)).author_present == 1
+        assert markup_features(parse_html(html))["AU"] == 1
 
     def test_byline_class_needs_text(self):
         html = '<body><div class="byline">By J</div></body>'
-        assert markup_features(parse_html(html)).author_present == 1
+        assert markup_features(parse_html(html))["AU"] == 1
         html = '<body><div class="byline"></div></body>'
-        assert markup_features(parse_html(html)).author_present == 0
+        assert markup_features(parse_html(html))["AU"] == 0
 
     def test_no_markers(self):
-        assert markup_features(parse_html("<body><p>plain</p></body>")).author_present == 0
+        assert markup_features(parse_html("<body><p>plain</p></body>"))["AU"] == 0
 
 
 class TestGranularityIndependence:
@@ -538,7 +537,7 @@ def _three_walk_features(tree):
     """Group counts, ads and author each from their own walk over every
     element: the reference for the single pass in ``markup_features``."""
     elements = _recursive_elements(tree)
-    counts = dict.fromkeys(WebMarkupFeatures.GROUP_ORDER, 0)
+    counts = dict.fromkeys(GROUPS, 0)
     for el in elements:
         if el.tag in _TAG2GROUP:
             counts[_TAG2GROUP[el.tag]] += 1
@@ -572,17 +571,17 @@ class TestSinglePassFeatures:
     def test_matches_three_walks(self, html):
         tree = parse_html(html)
         w = markup_features(tree)
-        assert (w.tag_group_counts, w.ads_count, w.author_present) == _three_walk_features(tree)
+        assert ({g: w[g] for g in GROUPS}, w["ADS"], w["AU"]) == _three_walk_features(tree)
 
     def test_nested_blank_bylines(self):
         # bylines inside a blank byline are not read again (3,000 nested
         # ones took seconds when each walked its whole subtree)
         page = '<div class="byline"> ' * 3_000
-        assert markup_features(parse_html(page)).author_present == 0
-        assert markup_features(parse_html(page + "By J")).author_present == 1
+        assert markup_features(parse_html(page))["AU"] == 0
+        assert markup_features(parse_html(page + "By J"))["AU"] == 1
         # a script inside a blank byline keeps its own raw text
         script = page + '<script class="author">J</script>'
-        assert markup_features(parse_html(script)).author_present == 1
+        assert markup_features(parse_html(script))["AU"] == 1
 
     @pytest.mark.parametrize("html", [
         '<body><img src="http://[x/a.png"></body>',
@@ -590,7 +589,7 @@ class TestSinglePassFeatures:
     ])
     def test_unparsable_src_has_no_host(self, html):
         w = markup_features(parse_html(html))
-        assert w.ads_count == 0
-        assert sum(w.tag_group_counts.values()) >= 1
+        assert w["ADS"] == 0
+        assert sum(w[g] for g in GROUPS) >= 1
         tagged = html.replace("<img ", '<img class="ad" ').replace("<iframe ", '<iframe id="ad" ')
-        assert markup_features(parse_html(tagged)).ads_count == 1
+        assert markup_features(parse_html(tagged))["ADS"] == 1

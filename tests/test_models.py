@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -490,14 +491,6 @@ class TestBaselinePipeline:
         pipeline = train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
         assert fits == [pipeline.featurizer]
 
-    def test_fit_transform_equals_fit_then_transform(self, demo_dictionary):
-        texts = _texts("HC", demo_dictionary)
-        one = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
-        two = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary, min_df=1)
-        X = one.fit_transform(texts)
-        assert one == two.fit(texts)
-        assert X.tobytes() == two.transform_many(texts).tobytes()
-
     def test_min_df_filters_vocabulary(self, demo_dictionary):
         featurizer = BaselineFeaturizer(
             granularity="HC", dictionary=demo_dictionary, min_df=2
@@ -557,7 +550,7 @@ def _reference_baseline(train, test, granularity, dictionary, min_df):
         if norm > 0.0:
             tfidf /= norm
         scores = dictionary_scores(doc.tokens, dictionary)
-        readability = readability_features(doc).as_features()
+        readability = readability_features(doc)
         rows.append(np.concatenate([
             tfidf,
             np.array([scores[c] for c in dictionary.categories]),
@@ -586,7 +579,8 @@ class TestBaselineMatchesReference:
             assert featurizer.idf == idf
             assert featurizer.transform_many(texts).tobytes() == X.tobytes()
             assert featurizer.transform_many(texts[1:2]).tobytes() == X[1].tobytes()
-            assert featurizer.fit_transform(texts[::2]).tobytes() == X[::2].tobytes()
+            train = texts[::2]
+            assert featurizer.fit(train).transform_many(train).tobytes() == X[::2].tobytes()
 
     def test_texts_share_one_string_per_word(self, demo_docs, demo_dictionary):
         tokens = [
@@ -691,6 +685,16 @@ def _expire(signum, frame):
 _SWAPS = (None, True, 0, -1, 2.5, 10**6, "x", [], [0], {}, {"a": 1})
 
 
+def _write_with_checksum(body: dict, path: Path) -> None:
+    """Write a model body whose checksum is recomputed after an edit."""
+    import hashlib
+
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body["checksum"] = hashlib.sha256(canonical).hexdigest()
+    path.unlink(missing_ok=True)  # a new file: truncating one can be slow
+    path.write_text(json.dumps(body), encoding="utf-8")
+
+
 class TestMutatedModelPayload:
     """A model file whose payload was edited and whose checksum was then
     recomputed either loads and predicts, or is a DataError, in bounded time."""
@@ -723,7 +727,6 @@ class TestMutatedModelPayload:
     @settings(max_examples=300, deadline=None)
     def test_loads_and_predicts_or_is_a_data_error(self, bodies, data):
         import copy
-        import hashlib
         import signal
 
         models, path = bodies
@@ -745,10 +748,7 @@ class TestMutatedModelPayload:
             parent[key] = data.draw(st.sampled_from(
                 [v for v in _SWAPS if type(v) is not type(value)]
             ))
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        body["checksum"] = hashlib.sha256(canonical).hexdigest()
-        path.unlink(missing_ok=True)  # a new file: truncating one can be slow
-        path.write_text(json.dumps(body), encoding="utf-8")
+        _write_with_checksum(body, path)
 
         previous = signal.signal(signal.SIGALRM, _expire)
         signal.alarm(10)
@@ -765,3 +765,24 @@ class TestMutatedModelPayload:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("model, edit", [
+        ("svm", {"classifier_name": "rf"}),
+        ("baseline-svm", {"classifier_name": "knn"}),
+        ("svm", {"model_type": "baseline-pipeline"}),
+        ("baseline-svm", {"model_type": "tag-pipeline"}),
+    ], ids=["svm-named-rf", "baseline-named-knn", "tag-as-baseline", "baseline-as-tag"])
+    def test_fields_that_disagree_are_refused(self, bodies, demo_corpus_dir, model, edit):
+        from veritag.cli import main
+
+        models, path = bodies
+        body = json.loads(json.dumps(models[model]))
+        del body["checksum"]
+        if "classifier_name" in edit:
+            body["payload"].update(edit)
+        else:
+            body.update(edit)
+        _write_with_checksum(body, path)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            load_pipeline(path)
+        assert main(["predict", "--model", str(path), "--corpus", str(demo_corpus_dir)]) == 2

@@ -14,11 +14,7 @@ from veritag.linguistics import (
     readability_features,
     tokenize,
 )
-from veritag.linguistics.readability import (
-    ReadabilityScores,
-    _letters,
-    _linsear_write,
-)
+from veritag.linguistics.readability import _letters, _linsear_write
 from veritag.linguistics.text import is_url_token
 from veritag.resources import easy_words, reference_text, stopwords
 
@@ -27,30 +23,30 @@ class TestSingleSentenceOracle:
     # "The cat sat on the mat." -> W=6 STC=1 SY=6 CH=18
     def test_counts(self):
         r = readability_features(tokenize("The cat sat on the mat."))
-        assert r.w == 6
-        assert r.stc == 1
-        assert r.sy == 6
-        assert r.ch == 18
-        assert r.ws == 6.0
+        assert r["W"] == 6
+        assert r["STC"] == 1
+        assert r["SY"] == 6
+        assert r["CH"] == 18
+        assert r["WS"] == 6.0
 
     def test_flesch_reading_ease(self):
         r = readability_features(tokenize("The cat sat on the mat."))
         # 206.835 - 1.015*6 - 84.6*1
-        assert r.fri == pytest.approx(116.145, abs=1e-9)
+        assert r["FRI"] == pytest.approx(116.145, abs=1e-9)
 
     def test_flesch_kincaid(self):
         r = readability_features(tokenize("The cat sat on the mat."))
         # 0.39*6 + 11.8*1 - 15.59
-        assert r.fki == pytest.approx(-1.45, abs=1e-9)
+        assert r["FKI"] == pytest.approx(-1.45, abs=1e-9)
 
     def test_lexical_diversity(self):
         # "the" appears twice case-folded: 5 distinct of 6
         r = readability_features(tokenize("The cat sat on the mat."))
-        assert r.lx == 5
+        assert r["LX"] == 5
 
     def test_capitalized_words(self):
         r = readability_features(tokenize("The cat sat on the mat."))
-        assert r.cw_cap == 1
+        assert r["CW.cap"] == 1
 
 
 class TestReferenceText:
@@ -61,50 +57,50 @@ class TestReferenceText:
     def test_frozen_statistics(self):
         tk = tokenize(reference_text())
         r = readability_features(tk)
-        assert r.w == 120
-        assert r.stc == 10
-        assert r.sy == 212
-        assert r.ch == 636
-        assert r.cw_complex == 24
+        assert r["W"] == 120
+        assert r["STC"] == 10
+        assert r["SY"] == 212
+        assert r["CH"] == 636
+        assert r["CW.complex"] == 24
 
     def test_frozen_indices(self):
         r = readability_features(tokenize(reference_text()))
-        assert r.fri == pytest.approx(45.195, abs=1e-6)
-        assert r.fki == pytest.approx(9.936666666666667, abs=1e-6)
-        assert r.cli == pytest.approx(12.35833333333333, abs=1e-6)
-        assert r.ari == pytest.approx(9.533, abs=1e-6)
-        assert r.gfi == pytest.approx(12.8, abs=1e-6)
+        assert r["FRI"] == pytest.approx(45.195, abs=1e-6)
+        assert r["FKI"] == pytest.approx(9.936666666666667, abs=1e-6)
+        assert r["CLI"] == pytest.approx(12.35833333333333, abs=1e-6)
+        assert r["ARI"] == pytest.approx(9.533, abs=1e-6)
+        assert r["GFI"] == pytest.approx(12.8, abs=1e-6)
 
 
 class TestEdgeCases:
     def test_empty_text_all_zero(self):
         r = readability_features(tokenize(""))
-        assert r.w == 0 and r.stc == 0
-        for name, value in r.as_features().items():
+        assert r["W"] == 0 and r["STC"] == 0
+        for name, value in r.items():
             assert value == 0.0, name
 
     def test_url_count(self):
         r = readability_features(tokenize("Visit www.example.com and https://b.example now."))
-        assert r.url == 2
+        assert r["URL"] == 2
 
     def test_long_words(self):
         # letters > 6: "excellent" (9) counts, "lengthy" (7) counts
         r = readability_features(tokenize("An excellent lengthy word set."))
-        assert r.lw == 2
+        assert r["LW"] == 2
 
     def test_stopword_percentage(self):
         stop = frozenset({"the", "on"})
         r = readability_features(tokenize("The cat sat on the mat."), stopwords=stop)
-        assert r.ps == pytest.approx(50.0)
+        assert r["PS"] == pytest.approx(50.0)
 
     def test_difficult_words_against_easy_list(self):
         easy = frozenset({"the", "cat", "sat", "on", "mat"})
         r = readability_features(tokenize("The cat sat on the mat."), easy_words=easy)
-        assert r.dw == 0
+        assert r["DW"] == 0
 
-    def test_feature_name_table_matches_as_features(self):
+    def test_feature_name_table_matches_keys(self):
         r = readability_features(tokenize("One sentence here."))
-        assert tuple(r.as_features()) == READABILITY_FEATURES
+        assert tuple(r) == READABILITY_FEATURES
 
 
 _SENTENCE_POOL = (
@@ -122,17 +118,17 @@ class TestAdditivity:
     def test_counts_add_over_concatenation(self, sentences):
         whole = readability_features(tokenize(" ".join(sentences)))
         parts = [readability_features(tokenize(s)) for s in sentences]
-        assert whole.w == sum(p.w for p in parts)
-        assert whole.stc == sum(p.stc for p in parts)
-        assert whole.sy == sum(p.sy for p in parts)
+        assert whole["W"] == sum(p["W"] for p in parts)
+        assert whole["STC"] == sum(p["STC"] for p in parts)
+        assert whole["SY"] == sum(p["SY"] for p in parts)
         # joining spaces add no non-whitespace characters
-        assert whole.ch == sum(p.ch for p in parts)
+        assert whole["CH"] == sum(p["CH"] for p in parts)
 
     @given(st.lists(st.sampled_from(_SENTENCE_POOL), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
     def test_words_per_sentence_is_ratio(self, sentences):
         r = readability_features(tokenize(" ".join(sentences)))
-        assert r.ws == pytest.approx(r.w / r.stc)
+        assert r["WS"] == pytest.approx(r["W"] / r["STC"])
 
 
 class TestSyllableConsistency:
@@ -140,7 +136,7 @@ class TestSyllableConsistency:
         text = "Independent estimates projected considerable savings."
         tk = tokenize(text)
         r = readability_features(tk)
-        assert r.sy == sum(count_syllables(t) for t in tk.tokens)
+        assert r["SY"] == sum(count_syllables(t) for t in tk.tokens)
 
 
 def _reference_features(tokenized):
@@ -149,33 +145,29 @@ def _reference_features(tokenized):
     tokens = tokenized.tokens
     w, stc, ch = len(tokens), len(tokenized.sentences), tokenized.char_count
     if w == 0 or stc == 0:
-        return ReadabilityScores(
-            fri=0.0, fki=0.0, msi=0.0, gfi=0.0, cli=0.0, ari=0.0, lwi=0.0,
-            ws=0.0, w=0, stc=0, ch=ch, sy=0, lx=0, cw_cap=0, cw_complex=0,
-            dw=0, lw=0, ps=0.0, url=0,
-        )
+        return {**dict.fromkeys(READABILITY_FEATURES, 0.0), "CH": ch}
     syllables = [count_syllables(t) for t in tokens]
     sy = sum(syllables)
     complex_words = sum(1 for s in syllables if s >= 3)
     lowered = [t.lower() for t in tokens]
     letters = sum(_letters(t) for t in tokens)
     ws = w / stc
-    return ReadabilityScores(
-        fri=206.835 - 1.015 * ws - 84.6 * (sy / w),
-        fki=0.39 * ws + 11.8 * (sy / w) - 15.59,
-        msi=1.0430 * math.sqrt(complex_words * 30.0 / stc) + 3.1291,
-        gfi=0.4 * (ws + 100.0 * complex_words / w),
-        cli=0.0588 * (100.0 * letters / w) - 0.296 * (100.0 * stc / w) - 15.8,
-        ari=4.71 * (ch / w) + 0.5 * ws - 21.43,
-        lwi=_linsear_write(syllables, tokenized.sentences),
-        ws=ws, w=w, stc=stc, ch=ch, sy=sy, lx=len(set(lowered)),
-        cw_cap=sum(1 for t in tokens if t[:1].isupper()),
-        cw_complex=complex_words,
-        dw=sum(1 for t in lowered if t not in easy),
-        lw=sum(1 for t in tokens if _letters(t) > 6),
-        ps=100.0 * sum(1 for t in lowered if t in stop) / w,
-        url=sum(1 for t in tokens if is_url_token(t)),
-    )
+    return {
+        "FRI": 206.835 - 1.015 * ws - 84.6 * (sy / w),
+        "FKI": 0.39 * ws + 11.8 * (sy / w) - 15.59,
+        "MSI": 1.0430 * math.sqrt(complex_words * 30.0 / stc) + 3.1291,
+        "GFI": 0.4 * (ws + 100.0 * complex_words / w),
+        "CLI": 0.0588 * (100.0 * letters / w) - 0.296 * (100.0 * stc / w) - 15.8,
+        "ARI": 4.71 * (ch / w) + 0.5 * ws - 21.43,
+        "LWI": _linsear_write(syllables, tokenized.sentences),
+        "WS": ws, "W": w, "STC": stc, "CH": ch, "SY": sy, "LX": len(set(lowered)),
+        "CW.cap": sum(1 for t in tokens if t[:1].isupper()),
+        "CW.complex": complex_words,
+        "DW": sum(1 for t in lowered if t not in easy),
+        "LW": sum(1 for t in tokens if _letters(t) > 6),
+        "PS": 100.0 * sum(1 for t in lowered if t in stop) / w,
+        "URL": sum(1 for t in tokens if is_url_token(t)),
+    }
 
 
 # easy words, stopwords, long and many-syllable words, a URL, an
@@ -203,7 +195,7 @@ class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_features_equal_per_token_reference(self, text):
         tk = tokenize(text)
-        assert readability_features(tk).as_features() == _reference_features(tk).as_features()
+        assert readability_features(tk) == _reference_features(tk)
 
     @given(st.text(alphabet="aZé²3'ǅ́ß.", max_size=12))
     @settings(max_examples=300, deadline=None)

@@ -28,14 +28,13 @@ PUBLIC_NAMES = {
         "balanced_sample", "load_manifest", "load_topic_corpus", "train_political_filter",
     ),
     "markup": (
-        "Article", "Element", "WebMarkupFeatures", "extract_article", "markup_features",
-        "parse_html",
+        "Article", "Element", "extract_article", "markup_features", "parse_html",
     ),
     "linguistics": (
         "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "PerceptronTagger",
-        "ReadabilityScores", "RuleTagger", "TokenizedText", "count_syllables",
-        "dictionary_scores", "load_dictionary", "morphological_features", "pos_tag",
-        "readability_features", "resolve_tagger", "tokenize",
+        "RuleTagger", "TokenizedText", "count_syllables", "dictionary_scores",
+        "load_dictionary", "morphological_features", "pos_tag", "readability_features",
+        "resolve_tagger", "tokenize",
     ),
     "featureset": (
         "FeatureSchema", "FeatureVector", "StandardizerParams", "apply_paper_pruning",
@@ -66,7 +65,7 @@ PUBLIC_NAMES = {
 # each. Every one must be that module's object.
 LINGUISTICS_NAMES = {
     "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
-    "readability": ("READABILITY_FEATURES", "ReadabilityScores", "readability_features"),
+    "readability": ("READABILITY_FEATURES", "readability_features"),
     "tagger": (
         "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
         "resolve_tagger",
