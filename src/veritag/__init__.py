@@ -49,10 +49,9 @@ _EXPORTS = {
         "parse_html",
     ),
     "linguistics": (
-        "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "PerceptronTagger",
-        "RuleTagger", "TokenizedText", "count_syllables", "dictionary_scores",
-        "load_dictionary", "morphological_features", "pos_tag", "readability_features",
-        "resolve_tagger", "tokenize",
+        "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "RuleTagger",
+        "TokenizedText", "count_syllables", "dictionary_scores", "load_dictionary",
+        "morphological_features", "pos_tag", "readability_features", "tokenize",
     ),
     "config": (
         "ClassifierSettings", "ExtractionResources", "PipelineSpec", "RunConfig",

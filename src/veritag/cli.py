@@ -416,7 +416,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _refuse(args, f"--protocol {args.protocol}", _IGNORED_BY_PROTOCOL[args.protocol])
     if cfg.classifier == "baseline-svm":
-        _refuse(args, "--classifier baseline-svm", ("--tagger", "--ad-domains"))
+        _refuse(args, "--classifier baseline-svm", ("--ad-domains",))
     if args.protocol == "cross-domain" and not args.test_corpus:
         raise ConfigError("cross-domain needs --test-corpus")
     if args.protocol == "grid":
@@ -477,7 +477,6 @@ _SHARED_FLAGS: dict[str, dict] = {
     "--groups": {"help": "comma list from N,L,R,W"},
     "--pruning": {"choices": ("none", "paper")},
     "--dictionary": {"help": "category dictionary path"},
-    "--tagger": {"help": "'rules' or 'perceptron:PATH'"},
     "--ad-domains": {"help": "ad-domain list path"},
     "--classifier": {"choices": CLI_CLASSIFIERS},
     "--c": {"type": float, "help": "SVM cost"},
@@ -524,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract feature vectors to CSV")
     _add_flags(p, "--config", "--granularity", "--groups", "--pruning", "--dictionary",
-               "--tagger", "--ad-domains", "--jobs")
+               "--ad-domains", "--jobs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", help="extract exactly this schema (instead of "
                                     "--granularity, --groups and --pruning)")
@@ -554,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("predict", help="classify a corpus with a trained model")
-    _add_flags(p, "--config", "--dictionary", "--tagger", "--ad-domains", "--jobs")
+    _add_flags(p, "--config", "--dictionary", "--ad-domains", "--jobs")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="predictions CSV (default stdout)")
@@ -562,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run an evaluation protocol")
     _add_flags(p, "--config", "--seed", "--granularity", "--groups", "--pruning",
-               "--dictionary", "--tagger", "--ad-domains", "--classifier", "--c", "--k",
-               "--min-df", "--jobs")
+               "--dictionary", "--ad-domains", "--classifier", "--c", "--k", "--min-df",
+               "--jobs")
     p.add_argument("--trees", type=int, help="forest size")
     p.add_argument("--protocol", required=True,
                    choices=("cv", "temporal", "cross-domain", "grid"))

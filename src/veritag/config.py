@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .corpus import DEFAULT_YEAR_RANGE
 from .errors import ConfigError, is_number, read_json
-from .linguistics import CategoryDictionary, Tagger, load_dictionary, resolve_tagger
+from .linguistics import CategoryDictionary, RuleTagger, load_dictionary
 from .resources import ad_domains as _bundled_ad_domains
 from .resources import demo_dictionary_path, load_wordlist
 
@@ -70,7 +70,7 @@ class ExtractionResources:
     """Everything extraction needs besides the page itself."""
 
     dictionary: CategoryDictionary | None = None
-    tagger: Tagger | None = None
+    tagger: RuleTagger | None = None
     ad_domains: frozenset[str] | None = None
 
 
@@ -79,8 +79,7 @@ class RunConfig:
     """Everything a run needs besides the corpus itself.
 
     ``dictionary`` and ``ad_domains`` are file paths; when unset the
-    bundled demo dictionary and ad-domain list are used. ``tagger`` is
-    either ``rules`` or ``perceptron:PATH``.
+    bundled demo dictionary and ad-domain list are used.
     """
 
     seed: int = 0
@@ -98,7 +97,6 @@ class RunConfig:
     min_df: int = 2
     political_threshold: float = 0.5
     dictionary: str | None = None
-    tagger: str = "rules"
     ad_domains: str | None = None
     year_range: tuple[int, int] = DEFAULT_YEAR_RANGE
 
@@ -150,10 +148,6 @@ class RunConfig:
         for name, value in (("dictionary", self.dictionary), ("ad_domains", self.ad_domains)):
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string or null")
-        if not isinstance(self.tagger, str) or (
-            self.tagger != "rules" and not self.tagger.startswith("perceptron:")
-        ):
-            raise ConfigError("tagger must be 'rules' or 'perceptron:PATH'")
 
     def echo(self) -> dict:
         out = dataclasses.asdict(self)
@@ -195,21 +189,16 @@ def validate_paths(cfg: RunConfig) -> None:
     for label, value in (("dictionary", cfg.dictionary), ("ad_domains", cfg.ad_domains)):
         if value is not None and not Path(value).is_file():
             raise ConfigError(f"{label} file does not exist: {value}")
-    if cfg.tagger.startswith("perceptron:"):
-        weights = cfg.tagger.split(":", 1)[1]
-        if not Path(weights).is_file():
-            raise ConfigError(f"tagger weights file does not exist: {weights}")
 
 
 def load_run_resources(cfg: RunConfig) -> ExtractionResources:
     """Materialize the dictionary, tagger, and ad-domain list."""
     dictionary_path = cfg.dictionary if cfg.dictionary else demo_dictionary_path()
     dictionary = load_dictionary(dictionary_path)
-    tagger = resolve_tagger(cfg.tagger)
     domains = (
         load_wordlist(path=cfg.ad_domains) if cfg.ad_domains else _bundled_ad_domains()
     )
-    return ExtractionResources(dictionary=dictionary, tagger=tagger, ad_domains=domains)
+    return ExtractionResources(dictionary=dictionary, tagger=RuleTagger(), ad_domains=domains)
 
 
 def classifier_settings(cfg: RunConfig) -> ClassifierSettings:

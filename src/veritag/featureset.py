@@ -27,7 +27,7 @@ from .linguistics import (
     PENN_TABLE_TAGS,
     READABILITY_FEATURES,
     CategoryDictionary,
-    Tagger,
+    RuleTagger,
     dictionary_scores,
     morphological_features,
     readability_features,
@@ -135,7 +135,7 @@ def extract_document(
     doc: RawDocument,
     schema: FeatureSchema,
     dictionary: CategoryDictionary | None = None,
-    tagger: Tagger | None = None,
+    tagger: RuleTagger | None = None,
     ad_domains: frozenset[str] | None = None,
 ) -> FeatureVector:
     """Parse a raw page and compute the schema's features for it. Only the
@@ -147,7 +147,7 @@ def extract_vectors(
     doc: RawDocument,
     schemas: Sequence[FeatureSchema],
     dictionary: CategoryDictionary | None = None,
-    tagger: Tagger | None = None,
+    tagger: RuleTagger | None = None,
     ad_domains: frozenset[str] | None = None,
 ) -> list[FeatureVector]:
     """One vector per schema from a single parse, article extraction and

@@ -1,19 +1,15 @@
 """Tokenization and the linguistic feature groups (N, L, R).
 
 Each public name is imported from its module on first access, so a process
-loads only the modules it uses: the rule tagger without the perceptron,
-the tokenizer without the readability indices."""
+loads only the modules it uses: the tokenizer without the readability
+indices."""
 
 from .. import lazy_exports
 
 _EXPORTS = {
     "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
     "readability": ("READABILITY_FEATURES", "readability_features"),
-    "tagger": (
-        "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
-        "resolve_tagger",
-    ),
-    "perceptron": ("PerceptronTagger",),
+    "tagger": ("PENN_TABLE_TAGS", "RuleTagger", "morphological_features", "pos_tag"),
     "text": ("TokenizedText", "count_syllables", "is_url_token", "tokenize"),
 }
 

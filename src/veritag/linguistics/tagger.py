@@ -1,19 +1,17 @@
-"""Part-of-speech tagging with the rule tagger, and the tagger interface the
-trainable averaged perceptron (``perceptron.py``) shares.
+"""Part-of-speech tagging with the rule tagger.
 
-Every tagger exposes ``tag(tokens) -> list[str]`` and emits raw Penn Treebank
-tags, and ``count_tags(tokens, sentences)`` counts the tags of a text tagged
-sentence by sentence. Feature counting maps the raw counts onto the 33-tag
-table used by the morphological feature group (``FW`` is reported there as
+``RuleTagger.tag(tokens) -> list[str]`` emits raw Penn Treebank tags, and
+``count_tags(tokens, sentences)`` counts the tags of a text tagged sentence
+by sentence. Feature counting maps the raw counts onto the 33-tag table
+used by the morphological feature group (``FW`` is reported there as
 ``FOW``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
-from ..errors import ConfigError
 from .text import token_census
 
 # The 33 morphological feature tags, in schema order. FOW is the foreign-word
@@ -181,22 +179,6 @@ def _fallback_tag(token: str, index: int) -> str:
     return "NN"
 
 
-class Tagger(Protocol):
-    def tag(self, tokens: Sequence[str]) -> list[str]: ...
-
-    def count_tags(
-        self,
-        tokens: Sequence[str],
-        sentences: Sequence[tuple[int, int]],
-        counts: Mapping[str, int] | None = None,
-    ) -> Counter[str]:
-        """Raw tag counts over the tokens, each sentence range tagged as
-        its own sequence; the ranges partition ``[0, len(tokens))``.
-        ``counts``, when given, is the tokens' census
-        (``TokenizedText.counts``)."""
-        ...
-
-
 class RuleTagger:
     """Lexicon lookup with shape/suffix fallback for unknown words."""
 
@@ -216,7 +198,12 @@ class RuleTagger:
         sentences: Sequence[tuple[int, int]],
         counts: Mapping[str, int] | None = None,
     ) -> Counter[str]:
-        """A token's tag depends only on the token and on whether it opens
+        """Raw tag counts over the tokens, each sentence range tagged as
+        its own sequence; the ranges partition ``[0, len(tokens))``.
+        ``counts``, when given, is the tokens' census
+        (``TokenizedText.counts``).
+
+        A token's tag depends only on the token and on whether it opens
         its sentence, so each distinct token of the census is tagged once
         at an inside position. Only a word the lexicon does not know can
         tag differently when it opens a sentence (capitalized, it is NNP
@@ -244,28 +231,14 @@ class RuleTagger:
 _DEFAULT_TAGGER = RuleTagger()
 
 
-def resolve_tagger(spec: str) -> Tagger:
-    """Build a tagger from a CLI spec: "rules" or "perceptron:PATH"."""
-    if spec == "rules":
-        return RuleTagger()
-    if spec.startswith("perceptron:"):
-        path = spec.split(":", 1)[1]
-        if not path:
-            raise ConfigError("perceptron tagger spec needs a weights path")
-        from .perceptron import PerceptronTagger  # here: a run with the rule tagger never loads it
-
-        return PerceptronTagger.load(path)
-    raise ConfigError(f"unknown tagger spec {spec!r} (use rules or perceptron:PATH)")
-
-
-def pos_tag(tokens: Sequence[str], tagger: Tagger | None = None) -> list[str]:
+def pos_tag(tokens: Sequence[str], tagger: RuleTagger | None = None) -> list[str]:
     """One raw Penn Treebank tag per token."""
     return (_DEFAULT_TAGGER if tagger is None else tagger).tag(list(tokens))
 
 
 def morphological_features(
     tokens: Sequence[str],
-    tagger: Tagger | None = None,
+    tagger: RuleTagger | None = None,
     sentences: Sequence[tuple[int, int]] | None = None,
     counts: Mapping[str, int] | None = None,
 ) -> dict[str, int]:

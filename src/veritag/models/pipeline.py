@@ -27,7 +27,7 @@ from ..featureset import (
     standardize_apply,
     standardize_fit,
 )
-from ..linguistics import CategoryDictionary, Tagger
+from ..linguistics import CategoryDictionary, RuleTagger
 from .baseline import BaselineFeaturizer, BaselineText, document_texts
 from .forest import RandomForestModel, rf_predict, rf_train
 from .neighbors import KnnModel, knn_predict, knn_train
@@ -105,7 +105,7 @@ class TrainedPipeline:
         self,
         docs: Sequence[RawDocument],
         dictionary: CategoryDictionary | None = None,
-        tagger: Tagger | None = None,
+        tagger: RuleTagger | None = None,
         ad_domains: frozenset[str] | None = None,
         *,
         jobs: int | None = None,

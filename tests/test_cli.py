@@ -69,7 +69,7 @@ class TestEntryPoint:
     def test_each_subcommand_takes_exactly_these_flags(self):
         """A flag a subcommand accepts but never reads would come back
         unnoticed; adding or dropping one has to change this table."""
-        resources = {"--dictionary", "--tagger", "--ad-domains"}
+        resources = {"--dictionary", "--ad-domains"}
         schema = {"--granularity", "--groups", "--pruning"}
         classifier = {"--classifier", "--c", "--k", "--trees", "--min-df"}
         expected = {
@@ -90,7 +90,7 @@ class TestEntryPoint:
             "report-terms": {"--config", "--seed", "--corpus", "--top", "--out"},
         }
         assert _subcommand_flags() == expected
-        assert sum(map(len, expected.values())) == 85
+        assert sum(map(len, expected.values())) == 82
 
     def test_readme_flag_table_matches_the_parser(self):
         """The README's table of subcommands and their flags is the parser's."""
@@ -179,7 +179,7 @@ IGNORED_COMBINATIONS = [
     _ignored("--protocol", "evaluate", "--protocol", "grid", "--corpus", "{missing}",
              "--granularity", "H"),
     _ignored("--classifier", "evaluate", "--protocol", "cv", "--classifier", "baseline-svm",
-             "--corpus", "{missing}", "--tagger", "rules"),
+             "--corpus", "{missing}", "--ad-domains", "{file}"),
     _ignored("--classifier", "evaluate", "--protocol", "temporal", "--classifier",
              "baseline-svm", "--corpus", "{missing}", "--ad-domains", "{file}"),
 ]
@@ -225,6 +225,37 @@ class TestIgnoredFlags:
                          "--schema", str(artifacts["pruned"]), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+_TAGGER_RUNS = pytest.mark.parametrize("argv", [
+    ["extract"],
+    ["predict", "--model", "{missing}"],
+    ["evaluate", "--protocol", "cv"],
+], ids=["extract", "predict", "evaluate"])
+
+
+class TestOneTagger:
+    """The rule tagger is the only tagger, so nothing chooses one. Each run
+    names a missing corpus, model and features, whose read would be exit 2."""
+
+    @_TAGGER_RUNS
+    def test_tagger_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        missing, out = str(tmp_path / "absent"), tmp_path / "out"
+        argv = [a.format(missing=missing) for a in argv]
+        assert main([*argv, "--corpus", missing, "--tagger", "rules", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --tagger rules" in capsys.readouterr().err
+        assert not out.exists()
+
+    @_TAGGER_RUNS
+    def test_tagger_in_a_config_file_is_an_unknown_key(self, tmp_path, caplog, argv):
+        missing, config, out = str(tmp_path / "absent"), tmp_path / "run.json", tmp_path / "out"
+        config.write_text('{"tagger": "rules"}', encoding="utf-8")
+        argv = [a.format(missing=missing) for a in argv]
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([*argv, "--config", str(config), "--corpus", missing,
+                         "--out", str(out)]) == 1
+        assert _one_error(caplog) == f"{config}: unknown config keys ['tagger']"
+        assert not out.exists()
 
 
 class TestIngest:
@@ -865,16 +896,6 @@ class TestMalformedInputFiles:
         assert main(["filter-political", "--corpus", str(demo_corpus_dir), "--model", str(model),
                      "--out", str(tmp_path / "decisions.csv")]) == 2
 
-    @pytest.mark.parametrize(
-        "payload", ["[]", '{"kind": "perceptron-tagger", "format_version": 1}'],
-        ids=["list", "no-classes"],
-    )
-    def test_malformed_tagger_weights_are_a_data_error(self, demo_corpus_dir, tmp_path, payload):
-        weights = tmp_path / "tagger.json"
-        weights.write_text(payload, encoding="utf-8")
-        assert main(["extract", "--corpus", str(demo_corpus_dir), "--tagger", f"perceptron:{weights}",
-                     "--out", str(tmp_path / "features.csv")]) == 2
-
     @pytest.mark.parametrize("command", ["extract", "train", "select"])
     def test_schema_with_no_names_is_a_data_error(self, artifacts, demo_corpus_dir, tmp_path,
                                                   caplog, command):
@@ -964,26 +985,6 @@ class TestMalformedInputFiles:
         assert f"{features}:3: label 2 is not 0 or 1" in _one_error(caplog)
         assert not model.exists()
 
-    @pytest.mark.parametrize(
-        "classes, weights",
-        [(["NN"], {"bias": {"VB": 1.0}}), ([], {}), (["NN"], {"bias": {"NN": math.nan}}),
-         (["NN"], {"bias": {"NN": True}})],
-        ids=["tag-outside-classes", "no-classes", "weight-nan", "weight-bool"],
-    )
-    def test_tagger_weights_are_checked_before_any_page(self, demo_corpus_dir, tmp_path, caplog,
-                                                        monkeypatch, classes, weights):
-        path = tmp_path / "tagger.json"
-        path.write_text(json.dumps({"kind": "perceptron-tagger", "format_version": 1,
-                                    "classes": classes, "known_words": ["the"],
-                                    "weights": weights}), encoding="utf-8")
-        out = tmp_path / "features.csv"
-        _forbid_page_parsing(monkeypatch)
-        with caplog.at_level("ERROR", logger="veritag"):
-            assert main(["extract", "--corpus", str(demo_corpus_dir), "--tagger",
-                         f"perceptron:{path}", "--out", str(out)]) == 2
-        assert str(path) in _one_error(caplog)
-        assert not out.exists()
-
     def test_deeply_nested_model_is_a_data_error(self, demo_corpus_dir, tmp_path, caplog):
         model = tmp_path / "model.bin"
         model.write_text("[" * 100_000, encoding="utf-8")
@@ -1000,7 +1001,6 @@ class TestMalformedInputFiles:
             (["extract", "--config", "{bad}"], 1),
             (["extract", "--dictionary", "{bad}"], 2),
             (["extract", "--ad-domains", "{bad}"], 2),
-            (["extract", "--tagger", "perceptron:{bad}"], 2),
             (["filter-political", "--model", "{bad}"], 2),
             (["filter-political", "--topics", "{bad}"], 2),
             (["filter-political", "--topics", "{missing}"], 2),
@@ -1009,9 +1009,9 @@ class TestMalformedInputFiles:
             (["select", "--features", "{bad}"], 2),
             (["select", "--features", "{missing}"], 2),
         ],
-        ids=["schema", "model", "config", "dictionary", "ad-domains", "tagger",
-             "filter-model", "topics", "missing-topics", "train-features",
-             "train-missing-features", "select-features", "select-missing-features"],
+        ids=["schema", "model", "config", "dictionary", "ad-domains", "filter-model",
+             "topics", "missing-topics", "train-features", "train-missing-features",
+             "select-features", "select-missing-features"],
     )
     def test_unreadable_input_file_is_one_clean_error(
         self, demo_corpus_dir, tmp_path, caplog, argv, code
@@ -1515,8 +1515,8 @@ class TestConfigFileIntegration:
 
     @pytest.mark.parametrize("payload", [
         {"c": True}, {"year_range": ["a", "b"]}, {"year_range": [True, 2000]},
-        {"tagger": 5}, {"dictionary": 5},
-    ], ids=["bool-c", "string-years", "bool-year", "int-tagger", "int-dictionary"])
+        {"ad_domains": 5}, {"dictionary": 5},
+    ], ids=["bool-c", "string-years", "bool-year", "int-ad-domains", "int-dictionary"])
     def test_wrong_json_type_in_config_file_fails_cleanly(self, demo_corpus_dir, tmp_path,
                                                           payload):
         config = tmp_path / "run.json"

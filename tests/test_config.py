@@ -7,7 +7,8 @@ import json
 import pytest
 
 from veritag import (
-    ConfigError, PipelineSpec, RunConfig, load_config, load_run_resources, pipeline_spec,
+    ConfigError, PipelineSpec, RuleTagger, RunConfig, load_config, load_run_resources,
+    pipeline_spec,
 )
 from veritag.config import classifier_settings, merge_overrides, validate_paths
 
@@ -54,7 +55,6 @@ class TestRunConfig:
             {"political_threshold": 1.5},
             {"year_range": (2017, 2016)},
             {"year_range": (2016,)},
-            {"tagger": "hmm"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -75,7 +75,6 @@ class TestRunConfig:
             {"year_range": 2016},
             {"groups": "NR"},
             {"groups": {"N": 1}},
-            {"tagger": 5},
             {"dictionary": 5},
             {"ad_domains": ["ads.txt"]},
         ],
@@ -138,14 +137,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("tagger", ["rules", "perceptron"])
+    def test_tagger_is_an_unknown_key(self, tmp_path, tagger):
+        # the rule tagger is the only tagger, so no value, not even an
+        # existing weights file, chooses one
+        if tagger == "perceptron":
+            weights = tmp_path / "tagger.json"
+            weights.write_text("{}", encoding="utf-8")
+            tagger = f"perceptron:{weights}"
+        path = _write(tmp_path, {"seed": 3, "tagger": tagger})
+        with pytest.raises(ConfigError, match=r"unknown config keys \['tagger'\]"):
+            load_config(path)
+
     def test_missing_dictionary_path_rejected(self, tmp_path):
         path = _write(tmp_path, {"dictionary": str(tmp_path / "absent.dic")})
         with pytest.raises(ConfigError, match="dictionary file does not exist"):
-            load_config(path)
-
-    def test_missing_tagger_weights_rejected(self, tmp_path):
-        path = _write(tmp_path, {"tagger": f"perceptron:{tmp_path / 'absent.bin'}"})
-        with pytest.raises(ConfigError, match="weights file does not exist"):
             load_config(path)
 
 
@@ -162,6 +168,10 @@ class TestMergeOverrides:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown config overrides"):
             merge_overrides(RunConfig(), foldz=3)
+
+    def test_tagger_override_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config overrides.*tagger"):
+            merge_overrides(RunConfig(), tagger="rules")
 
     def test_override_revalidates(self):
         with pytest.raises(ConfigError):
@@ -195,7 +205,7 @@ class TestRunResources:
     def test_bundled_defaults(self):
         resources = load_run_resources(RunConfig())
         assert resources.dictionary is not None
-        assert resources.tagger is not None
+        assert isinstance(resources.tagger, RuleTagger)
         assert "doubleclick.net" in resources.ad_domains
 
     def test_custom_ad_domain_list(self, tmp_path):

@@ -143,6 +143,29 @@ class TestLoadManifest:
         manifest = load_manifest(root)
         assert manifest.load_document(manifest.entries[0]).html == b"<p>x</p>"
 
+    @pytest.mark.parametrize("link", ["page", "pages-directory"])
+    def test_symlinked_page_inside_the_corpus_loads(self, tmp_path, link):
+        """A link inside the corpus directory is its owner's choice, such
+        as a sampled corpus linking ``pages`` to its source's; the
+        ``html_path`` text itself still may not leave the corpus."""
+        source = tmp_path / "source" / "pages"
+        source.mkdir(parents=True)
+        (source / "x.html").write_bytes(b"<p>x</p>")
+        root = tmp_path / "corpus"
+        if link == "page":
+            (root / "pages").mkdir(parents=True)
+            (root / "pages" / "x.html").symlink_to(source / "x.html")
+        else:
+            root.mkdir()
+            (root / "pages").symlink_to(source, target_is_directory=True)
+        labels = {"site.example": "reliable"}
+        self._write_corpus(root, [self._record(html_path="pages/x.html")], labels)
+        manifest = load_manifest(root)
+        assert manifest.load_document(manifest.entries[0]).html == b"<p>x</p>"
+        self._write_corpus(root, [self._record(html_path="../source/pages/x.html")], labels)
+        with pytest.raises(DataError, match=r"manifest\.jsonl:1: html_path .* inside the corpus"):
+            load_manifest(root)
+
     def test_missing_html_file_fails_at_load(self, tmp_path):
         root = self._write_corpus(
             tmp_path, [self._record()], {"site.example": "reliable"}

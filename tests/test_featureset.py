@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from veritag import (
     PENN_TABLE_TAGS,
+    ClassifierSettings,
     FeatureSchema,
     FeatureVector,
     RawDocument,
+    RuleTagger,
     apply_paper_pruning,
     build_schema,
     extract_document,
@@ -24,13 +26,16 @@ from veritag import (
     read_schema,
     standardize_apply,
     standardize_fit,
+    train_tag_pipeline,
     vectors_to_matrix,
     write_feature_csv,
     write_schema,
 )
 from veritag.config import GRANULARITIES, GROUPS
 from veritag.errors import ConfigError, DataError
-from veritag.featureset import MARKUP_KEEP, PRUNE_BY_GRANULARITY, extract_vectors
+from veritag.featureset import (
+    MARKUP_KEEP, PRUNE_BY_GRANULARITY, document_labels, extract_vectors,
+)
 from veritag.linguistics import (
     READABILITY_FEATURES, dictionary_scores, morphological_features, readability_features,
     tokenize,
@@ -287,6 +292,48 @@ class TestExtractDocument:
             return
         assert vector.values.shape == (len(schema.names),)
         assert np.all(np.isfinite(vector.values))
+
+class TestTaggerParameter:
+    """The tagger handed to extraction counts the N group; none means the
+    bundled rule tagger."""
+
+    # no lexicon: every word is tagged by the fallback rules
+    BARE = RuleTagger(lexicon={})
+
+    @staticmethod
+    def _expected(tagger):
+        tokenized = tokenize(granularity_text(extract_article(parse_html(_PAGE.encode())), "C"))
+        counts = morphological_features(tokenized.tokens, tagger, tokenized.sentences)
+        return {f"N.{tag}": float(n) for tag, n in counts.items()}
+
+    def test_no_tagger_is_the_bundled_rule_tagger(self):
+        schema = build_schema("C", ("N",))
+        values = extract_document(_doc(), schema).values
+        bundled = extract_document(_doc(), schema, tagger=RuleTagger()).values
+        assert values.tobytes() == bundled.tobytes()
+        assert dict(zip(schema.names, values)) == self._expected(None)
+
+    @pytest.mark.parametrize("entry", ["extract_document", "extract_vectors"])
+    def test_the_given_tagger_counts_the_morphological_group(self, entry):
+        schema = build_schema("C", ("N",))
+        if entry == "extract_document":
+            vector = extract_document(_doc(), schema, tagger=self.BARE)
+        else:
+            (vector,) = extract_vectors(_doc(), [schema], tagger=self.BARE)
+        values = dict(zip(schema.names, vector.values))
+        assert values == self._expected(self.BARE)
+        assert values != self._expected(None)
+
+    def test_predict_documents_tags_with_the_given_tagger(self, demo_docs):
+        schema = build_schema("HC", ("N",))
+        X = np.stack([extract_document(d, schema).values for d in demo_docs])
+        pipeline = train_tag_pipeline(X, document_labels(demo_docs), schema,
+                                      ClassifierSettings(), jobs=1)
+        bare = np.stack([extract_document(d, schema, tagger=self.BARE).values for d in demo_docs])
+        _, scores = pipeline.predict_documents(demo_docs, tagger=self.BARE, jobs=1)
+        assert scores.tobytes() == pipeline.predict_matrix(bare)[1].tobytes()
+        assert scores.tobytes() != pipeline.predict_matrix(X)[1].tobytes()
+
 
 class TestPaperPruning:
     def test_markup_keep_set(self, demo_dictionary):

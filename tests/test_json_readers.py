@@ -27,7 +27,6 @@ from veritag.featureset import (
     FeatureSchema, StandardizerParams, read_feature_csv, read_schema, write_schema,
 )
 from veritag.linguistics import load_dictionary
-from veritag.linguistics.perceptron import PerceptronTagger
 from veritag.models import LinearSvmModel, TrainedPipeline
 from veritag.models.persistence import load_pipeline, save_pipeline
 from veritag.resources import load_wordlist
@@ -61,9 +60,6 @@ JSON_READERS = {
     "schema": (lambda tmp, b: read_schema(_file(tmp, b)), DataError, DataError),
     "filter model": (
         lambda tmp, b: PoliticalFilterModel.load(_file(tmp, b)), DataError, DataError,
-    ),
-    "tagger weights": (
-        lambda tmp, b: PerceptronTagger.load(_file(tmp, b)), DataError, ConfigError,
     ),
     "topic corpus": (
         lambda tmp, b: load_topic_corpus(_file(tmp, b, "topics.jsonl")), DataError, DataError,
@@ -103,8 +99,6 @@ def test_unreadable_file_is_bad_input(reader, content, tmp_path):
         read(tmp_path, content)
 
 
-_TAGGER = {"kind": "perceptron-tagger", "format_version": 1, "classes": ["NN"],
-           "known_words": ["cat"], "weights": {"bias": {"NN": 1.0}}}
 _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politics", "b"],
            "class_log_priors": {"politics": -0.6931471805599453, "b": -0.6931471805599453},
            "feature_log_likelihoods": {"vote": {"politics": -1.0, "b": -2.0}},
@@ -114,19 +108,12 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politic
 @pytest.mark.parametrize(
     "load, payload",
     [
-        (PerceptronTagger.load, {**_TAGGER, "classes": "NN"}),
-        (PerceptronTagger.load, {**_TAGGER, "known_words": None}),
-        (PerceptronTagger.load, {**_TAGGER, "weights": [1.0]}),
-        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"NN": "heavy"}}}),
         (PoliticalFilterModel.load, {**_FILTER, "vocabulary": {"vote": 0}}),
         (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": "high"}}),
         (PoliticalFilterModel.load, {**_FILTER, "feature_log_likelihoods": {"vote": 1.0}}),
         (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"politics": 0.0, "b": 0.0}}),
         (PoliticalFilterModel.load, {**_FILTER, "class_log_priors": {"politics": 1e308, "b": 0.0}}),
         (PoliticalFilterModel.load, {**_FILTER, "vocabulary": ["vote", "vote"]}),
-        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"NN": math.nan}}}),
-        (PerceptronTagger.load, {**_TAGGER, "weights": {"bias": {"VB": 1.0}}}),
-        (PerceptronTagger.load, {**_TAGGER, "classes": [], "weights": {}}),
         (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": math.nan}}),
         (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": True}}),
         (PoliticalFilterModel.load, {**_FILTER, "idf": {"vote": 1.0, "tax": 1.0}}),
@@ -137,10 +124,8 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politic
         (PoliticalFilterModel.load, {**_FILTER, "classes": ["politics", "b", "politics"]}),
     ],
     ids=[
-        "tagger-classes", "tagger-known-words", "tagger-weights", "tagger-weight-value",
         "filter-vocabulary", "filter-idf", "filter-likelihoods", "filter-priors-sum",
-        "filter-prior-overflow", "filter-duplicate-term", "tagger-weight-nan",
-        "tagger-tag-outside-classes", "tagger-no-classes", "filter-idf-nan", "filter-idf-bool",
+        "filter-prior-overflow", "filter-duplicate-term", "filter-idf-nan", "filter-idf-bool",
         "filter-term-without-likelihoods", "filter-term-lacking-a-class",
         "filter-class-without-prior", "filter-no-classes", "filter-repeated-class",
     ],
@@ -152,8 +137,7 @@ def test_wrong_shape_is_bad_input(load, payload, tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("load, payload", [(PerceptronTagger.load, _TAGGER),
-                                           (PoliticalFilterModel.load, _FILTER)])
+@pytest.mark.parametrize("load, payload", [(PoliticalFilterModel.load, _FILTER)])
 def test_well_formed_payload_loads(load, payload, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -205,9 +189,6 @@ VERSIONED = {
     "filter model": (lambda path: path.write_text(json.dumps(_FILTER)), PoliticalFilterModel.load, (
         "kind", "format_version", "classes", "class_log_priors", "feature_log_likelihoods",
         "idf", "vocabulary",
-    )),
-    "tagger weights": (lambda path: path.write_text(json.dumps(_TAGGER)), PerceptronTagger.load, (
-        "kind", "format_version", "classes", "known_words", "weights",
     )),
 }
 

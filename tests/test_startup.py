@@ -31,10 +31,9 @@ PUBLIC_NAMES = {
         "Article", "Element", "extract_article", "markup_features", "parse_html",
     ),
     "linguistics": (
-        "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "PerceptronTagger",
-        "RuleTagger", "TokenizedText", "count_syllables", "dictionary_scores",
-        "load_dictionary", "morphological_features", "pos_tag", "readability_features",
-        "resolve_tagger", "tokenize",
+        "PENN_TABLE_TAGS", "READABILITY_FEATURES", "CategoryDictionary", "RuleTagger",
+        "TokenizedText", "count_syllables", "dictionary_scores", "load_dictionary",
+        "morphological_features", "pos_tag", "readability_features", "tokenize",
     ),
     "featureset": (
         "FeatureSchema", "FeatureVector", "StandardizerParams", "apply_paper_pruning",
@@ -66,17 +65,13 @@ PUBLIC_NAMES = {
 LINGUISTICS_NAMES = {
     "dictionary": ("CategoryDictionary", "dictionary_scores", "load_dictionary"),
     "readability": ("READABILITY_FEATURES", "readability_features"),
-    "tagger": (
-        "PENN_TABLE_TAGS", "RuleTagger", "Tagger", "morphological_features", "pos_tag",
-        "resolve_tagger",
-    ),
-    "perceptron": ("PerceptronTagger",),
+    "tagger": ("PENN_TABLE_TAGS", "RuleTagger", "morphological_features", "pos_tag"),
     "text": ("TokenizedText", "count_syllables", "is_url_token", "tokenize"),
 }
 
 # What the bench's set-up code loads of the package: the corpus reader and
-# the extraction resources, with the rule tagger but not the perceptron,
-# the readability indices or the topic filter.
+# the extraction resources, with the rule tagger but not the readability
+# indices or the topic filter.
 SETUP_MODULES = {
     "veritag", "veritag.errors", "veritag.config", "veritag.corpus", "veritag.resources",
     "veritag.linguistics", "veritag.linguistics.text", "veritag.linguistics.dictionary",

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritag import PENN_TABLE_TAGS, morphological_features, pos_tag
-from veritag.errors import ConfigError
-from veritag.linguistics.perceptron import PerceptronTagger
 from veritag.linguistics.tagger import _RAW_TO_TABLE, RuleTagger
 
 
@@ -39,11 +37,60 @@ class TestPosTag:
     def test_empty(self):
         assert pos_tag([]) == []
 
+    @pytest.mark.parametrize("tokens, tags", [
+        (["the", "B2B"], ["DT", "CD"]),
+        (["the", "x²"], ["DT", "CD"]),
+        (["the", "Quickly"], ["DT", "NNP"]),
+        (["the", "Zorbing"], ["DT", "NNP"]),
+        (["Zorbingly"], ["RB"]),
+        (["ing"], ["NN"]),
+        (["THE", "Cat"], ["DT", "NN"]),
+        (["Ély", "élan"], ["RB", "NN"]),
+    ], ids=["digits-before-capital", "superscript-digit", "capital-before-ly",
+            "capital-before-ing", "ly-before-ing", "bare-ing", "lexicon-ignores-case",
+            "non-ascii-suffix"])
+    def test_fallback_rule_order(self, tokens, tags):
+        """The lexicon comes first, then digits, a capital inside the
+        sequence, the -ing suffix of a longer word, -ly, and NN."""
+        assert pos_tag(tokens) == tags
 
-class TestPerceptronTagger:
-    def test_untrained_raises(self):
-        with pytest.raises(ConfigError):
-            PerceptronTagger().tag(["word"])
+    @pytest.mark.parametrize("word, tag", [
+        ("more", "RBR"), ("less", "RBR"), ("such", "DT"), ("made", "VBD"), ("put", "VB"),
+        ("may", "MD"), ("back", "RB"), ("report", "VBP"), ("claims", "VBZ"),
+    ])
+    def test_a_word_in_two_lexicon_groups_takes_the_first(self, word, tag):
+        assert pos_tag([word]) == [tag]
+
+
+class TestRuleTaggerLexicon:
+    def test_a_given_lexicon_replaces_the_bundled_one(self):
+        tagger = RuleTagger(lexicon={"cat": "VB"})
+        assert tagger.tag(["the", "cat", "Monday"]) == ["NN", "VB", "NNP"]
+        assert pos_tag(["the", "cat"]) == ["DT", "NN"]
+
+    def test_the_lexicon_is_copied(self):
+        lexicon = {"cat": "VB"}
+        tagger = RuleTagger(lexicon=lexicon)
+        lexicon["cat"] = "JJ"
+        assert tagger.tag(["cat"]) == ["VB"]
+
+    def test_every_table_tag_but_pos_has_a_word(self):
+        """Each column of the N group can be nonzero, except ``POS``: the
+        tokenizer keeps ``'s`` inside its word, so nothing tags it."""
+        words = {
+            "WDT": "which", "PDT": "half", "JJ": "good", "VB": "be", "MD": "will",
+            "CD": "3", "VBD": "was", "VBG": "being", "VBN": "been", "RP": "up", "DT": "the",
+            "NNPS": "Americans", "NN": "cat", "CC": "and", "WRB": "when", "FOW": "von",
+            "NNS": "people", "TO": "to", "WP$": "whose", "JJS": "best", "WP": "who",
+            "VBP": "are", "RBR": "more", "NNP": "Monday", "UH": "oh", "PRP": "it",
+            "VBZ": "is", "RBS": "most", "PRP$": "my", "RB": "not", "JJR": "better",
+            "IN": "of",
+        }
+        assert set(words) == set(PENN_TABLE_TAGS) - {"POS"}
+        for tag, word in words.items():
+            assert morphological_features([word])[tag] == 1, word
+        emitted = set(RuleTagger().lexicon.values()) | {"CD", "NNP", "VBG", "RB", "NN"}
+        assert {_RAW_TO_TABLE[t] for t in emitted if t in _RAW_TO_TABLE} == set(words)
 
 
 class TestMorphologicalFeatures:
@@ -187,21 +234,3 @@ class TestCountsMatchThePerSentenceLoop:
         assert morphological_features(tokens, tagger, sentences) == _reference_counts(
             tokens, tagger, sentences
         )
-
-    @given(text=_sentenced_tokens())
-    @settings(max_examples=100, deadline=None)
-    def test_perceptron_tagger(self, perceptron, text):
-        tokens, sentences = text
-        assert morphological_features(tokens, perceptron, sentences) == _reference_counts(
-            tokens, perceptron, sentences
-        )
-
-
-@pytest.fixture(scope="module")
-def perceptron() -> PerceptronTagger:
-    rules = RuleTagger()
-    sentences = [["The", "cat", "sat", "quickly"], ["Zorblax", "met", "the", "Monday", "cat"],
-                 ["Running", "is", "good"], ["May", "Paris", "run", "3", "miles"]]
-    tagger = PerceptronTagger()
-    tagger.train([(s, rules.tag(s)) for s in sentences], epochs=3, seed=0)
-    return tagger
