@@ -124,7 +124,7 @@ def _read_features(
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
     """Labeled matrix of --features and its schema. A --schema may name a
     subset of the feature columns; the matrix is projected to its order."""
-    from .featureset import FeatureSchema, read_feature_csv, read_schema, vectors_to_matrix
+    from .featureset import decode_schema, read_feature_csv, read_schema, vectors_to_matrix
 
     if args.schema:
         _refuse(args, "--schema", ("--granularity",))
@@ -135,20 +135,11 @@ def _read_features(
     if not args.schema:
         if not names:
             raise DataError(f"{args.features}: no feature columns")
-        seen: set[str] = set()
-        for name in names:
-            group, _, base = name.partition(".")
-            if group not in GROUPS or not base:
-                raise DataError(
-                    f"{args.features}: column {name!r} is not GROUP.NAME with GROUP "
-                    f"one of {', '.join(GROUPS)}"
-                )
-            if name in seen:
-                raise DataError(f"{args.features}: column {name!r} appears twice")
-            seen.add(name)
-        groups = tuple(dict.fromkeys(name.split(".", 1)[0] for name in names))
-        schema = FeatureSchema(names=tuple(names), granularity=cfg.granularity, groups=groups)
-        return X, y, schema
+        # the feature groups the columns name, in order of first use; a
+        # column of any other group then fails the name rule, which names it
+        groups = [g for g in dict.fromkeys(n.partition(".")[0] for n in names) if g in GROUPS]
+        payload = {"names": names, "granularity": cfg.granularity, "groups": groups}
+        return X, y, decode_schema(payload, args.features)
     schema = read_schema(args.schema)
     missing = sorted(set(schema.names) - set(names))
     if missing:
@@ -460,7 +451,7 @@ def cmd_report_terms(args: argparse.Namespace) -> int:
     _, docs = _load_docs(args.corpus, cfg)
     report = term_frequency_report(docs, n_top=args.top)
     # the stdout form echoes no config
-    config = None if args.out in (None, "-") else {"top": args.top, "seed": cfg.seed}
+    config = None if args.out in (None, "-") else {"top": args.top}
     write_term_report_csv(args.out, report, config)
     log.info("term report over %d years", len(report.per_year))
     return 0
@@ -575,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("report-terms", help="per-year top term frequencies")
-    _add_flags(p, "--config", "--seed")
+    _add_flags(p, "--config")
     p.add_argument("--corpus", required=True)
     p.add_argument("--top", type=int, default=20)
     p.add_argument("--out", help="term CSV (default stdout)")

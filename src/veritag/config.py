@@ -149,12 +149,6 @@ class RunConfig:
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"{name} must be a path string or null")
 
-    def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["groups"] = list(self.groups)
-        out["year_range"] = list(self.year_range)
-        return out
-
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 

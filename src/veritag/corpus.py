@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from . import lazy_exports
 from .errors import ConfigError, DataError, is_int, iter_jsonl, read_json
 
 LABELS = ("reliable", "unreliable")
@@ -169,11 +168,3 @@ def balanced_sample(
         kept.extend(rng.sample(group, cap_per_site_year))
     kept.sort(key=lambda d: (d.site, d.year, d.id))
     return kept
-
-
-# The topic filter lives in political.py; its names stay reachable here
-# without loading it.
-__getattr__, __dir__ = lazy_exports(globals(), {"political": (
-    "FilterDecision", "PoliticalFilterModel", "apply_political_filter", "load_topic_corpus",
-    "train_political_filter",
-)})

@@ -71,17 +71,24 @@ class FeatureSchema:
     pruning: str = "none"
 
     def __post_init__(self) -> None:
+        """The one feature-name rule: each name is ``GROUP.NAME`` with
+        ``GROUP`` one of the schema's groups and ``NAME`` not empty, and no
+        name appears twice. The names are checked before the groups, so a
+        schema built from a CSV header names the first bad column."""
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"invalid granularity {self.granularity!r}")
-        check_groups(self.groups, "a schema's groups")
-        if len(set(self.names)) != len(self.names):
-            raise InvariantError("duplicate feature names in schema")
+        seen: set[str] = set()
         for name in self.names:
-            group = name.split(".", 1)[0]
-            if group not in self.groups:
+            group, _, base = name.partition(".")
+            if group not in self.groups or not base:
                 raise InvariantError(
-                    f"feature {name!r} outside schema groups {self.groups}"
+                    f"feature {name!r} is not GROUP.NAME with GROUP one of the schema's "
+                    f"groups {list(self.groups)}"
                 )
+            if name in seen:
+                raise InvariantError(f"feature {name!r} appears twice")
+            seen.add(name)
+        check_groups(self.groups, "a schema's groups")
         if not (
             self.pruning in ("none", "paper")
             or self.pruning.startswith(COMPUTED_PRUNING)

@@ -9,12 +9,13 @@ everything else matches by case-insensitive equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..errors import DataError, read_input
-from .text import lowered_census, token_census
+from .text import lowered_census
 
 _NO_HITS: frozenset[int] = frozenset()
 
@@ -134,7 +135,7 @@ def dictionary_scores(
     lowercased census (``TokenizedText.lowered``); without it one is taken.
     """
     if lowered is None:
-        lowered = lowered_census(token_census(tokens))
+        lowered = lowered_census(Counter(tokens))
     match = dictionary._match_lowered
     counts = [0] * len(dictionary.categories)
     for token, n in lowered.items():

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping, Sequence
 
-from .text import token_census
 
 # The 33 morphological feature tags, in schema order. FOW is the foreign-word
 # tag (raw Penn FW).
@@ -210,7 +209,7 @@ class RuleTagger:
         inside and falls through to the suffix rules as an opener), so
         such openers are recounted."""
         if counts is None:
-            counts = token_census(tokens)
+            counts = Counter(tokens)
         lexicon = self.lexicon
         tags: Counter[str] = Counter()
         proper: set[str] = set()  # NNP inside a sentence, by fallback only

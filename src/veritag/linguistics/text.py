@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .. import resources
 
@@ -55,17 +55,12 @@ class TokenizedText:
     @cached_property
     def counts(self) -> Counter[str]:
         """How often each distinct token occurs."""
-        return token_census(self.tokens)
+        return Counter(self.tokens)
 
     @cached_property
     def lowered(self) -> dict[str, int]:
         """How often each distinct lowercased token occurs."""
         return lowered_census(self.counts)
-
-
-def token_census(tokens: Iterable[str]) -> Counter[str]:
-    """How often each distinct token occurs."""
-    return Counter(tokens)
 
 
 def lowered_census(counts: Mapping[str, int]) -> dict[str, int]:

@@ -179,7 +179,8 @@ def _tree_class(tree: dict[str, list], x: list[float]) -> int:
     node = 0
     while (f := feature[node]) >= 0:
         node = tree["left"][node] if x[f] <= threshold[node] else tree["right"][node]
-    return int(np.argmax(tree["counts"][node]))  # tie -> lowest class id
+    counts = tree["counts"][node]
+    return counts.index(max(counts))  # tie -> lowest class id
 
 
 def rf_predict(model: RandomForestModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

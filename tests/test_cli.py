@@ -87,10 +87,10 @@ class TestEntryPoint:
             "evaluate": {"--config", "--seed", *schema, *resources, *classifier, "--jobs",
                          "--protocol", "--corpus", "--test-corpus", "--folds",
                          "--group-sets", "--out"},
-            "report-terms": {"--config", "--seed", "--corpus", "--top", "--out"},
+            "report-terms": {"--config", "--corpus", "--top", "--out"},
         }
         assert _subcommand_flags() == expected
-        assert sum(map(len, expected.values())) == 82
+        assert sum(map(len, expected.values())) == 81
 
     def test_readme_flag_table_matches_the_parser(self):
         """The README's table of subcommands and their flags is the parser's."""
@@ -548,7 +548,7 @@ def test_drift_temporal_report_bytes_are_pinned(drift_corpus_dir, tmp_path, clas
 
 # sha256 of the drift term report and the demo topic-filter decisions,
 # recorded alongside the flow digests
-_GOLDEN_TERM_DIGEST = "d12e5ea6ba89a0d31f0a0b583d73e0f47491a9852e831ec0afd373ccdfbaa29a"
+_GOLDEN_TERM_DIGEST = "cfcff96dc12f068081e2d468ccfb9f04a6d2171ef43980bfe8a8b4e73abb4f9b"
 _GOLDEN_FILTER_DIGEST = "8caafb6f4d265a9e8b6172b5c8dabf8b30f40bb1a7522651758bec99857f3b2b"
 
 
@@ -732,8 +732,8 @@ class TestFeatureFlow:
     @pytest.mark.parametrize(
         "header, column",
         [("doc_id,a,label", "a"), ("doc_id,N.DT,X.Y,label", "X.Y"),
-         ("doc_id,N,label", "N"), ("doc_id,R.W,R.W,label", "R.W")],
-        ids=["no-group", "unknown-group", "no-name", "twice"],
+         ("doc_id,N,label", "N"), ("doc_id,N.,label", "N."), ("doc_id,R.W,R.W,label", "R.W")],
+        ids=["no-group", "unknown-group", "no-name", "empty-name", "twice"],
     )
     def test_bad_feature_column_is_a_data_error(self, tmp_path, caplog, command, header, column):
         features = tmp_path / "features.csv"
@@ -1207,12 +1207,78 @@ class TestUnextractableSchemaName:
         assert not out.exists()
 
 
-def _edit_model(source, target, edit):
+_NOT_GROUP_NAME = pytest.mark.parametrize("name", ["N.", "N", "X.y"])
+
+
+class TestOneFeatureNameRule:
+    """A feature name that is not GROUP.NAME, with GROUP one of the schema's
+    groups and NAME not empty, is exit 2 naming its file, whether it comes
+    from a schema file or a model's schema (a CSV header:
+    ``test_bad_feature_column_is_a_data_error``)."""
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    @_NOT_GROUP_NAME
+    def test_schema_file_naming_a_column(self, tmp_path, caplog, command, name):
+        features = tmp_path / "features.csv"
+        features.write_text(
+            f"doc_id,{name},R.W,label\n"
+            + "".join(f"d{i},{i % 4}.5,{i},{i % 2}\n" for i in range(12)),
+            encoding="utf-8",
+        )
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "names": [name, "R.W"],
+                                      "granularity": "HC", "groups": ["N", "R"]}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, "--features", str(features), "--schema", str(schema),
+                         "--out", str(out)]) == 2
+        message = _one_error(caplog)
+        assert str(schema) in message and repr(name) in message
+        assert not out.exists()
+
+    @_NOT_GROUP_NAME
+    def test_extract_schema(self, demo_corpus_dir, tmp_path, caplog, monkeypatch, name):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "names": ["N.NN", name],
+                                      "granularity": "HC", "groups": ["N"]}), encoding="utf-8")
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["extract", "--corpus", str(demo_corpus_dir), "--schema", str(schema),
+                         "--out", str(tmp_path / "features.csv")]) == 2
+        message = _one_error(caplog)
+        assert str(schema) in message and repr(name) in message
+
+    @_NOT_GROUP_NAME
+    def test_model_schema(self, artifacts, demo_corpus_dir, tmp_path, caplog, monkeypatch,
+                          name):
+        from veritag.models.pipeline import _hash_json
+
+        schema = json.loads(artifacts["model"].read_text(encoding="utf-8"))["payload"]["schema"]
+        names = [name, *schema["names"][1:]]
+        model = tmp_path / "model.bin"
+        # the schema hash matches the edited names, so only the name rule can refuse them
+        _edit_model(artifacts["model"], model, _set(("schema", "names"), names),
+                    _hash_json([names, schema["granularity"], schema["groups"]]))
+        out = tmp_path / "predictions.csv"
+        _forbid_page_parsing(monkeypatch)
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["predict", "--model", str(model), "--corpus", str(demo_corpus_dir),
+                         "--out", str(out)]) == 2
+        message = _one_error(caplog)
+        assert str(model) in message and repr(name) in message
+        assert not out.exists()
+
+
+def _edit_model(source, target, edit, schema_hash=None):
     """Copy a model file with ``edit`` applied to its payload and the
-    checksum recomputed, so that only the payload checks can refuse it."""
+    checksum recomputed, so that only the payload checks can refuse it.
+    A ``schema_hash``, when given, replaces the file's."""
     body = json.loads(source.read_text(encoding="utf-8"))
     del body["checksum"]
     body["payload"] = edit(body["payload"])
+    if schema_hash is not None:
+        body["schema_hash"] = schema_hash
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body["checksum"] = hashlib.sha256(canonical).hexdigest()
     target.write_text(json.dumps(body), encoding="utf-8")
@@ -1445,7 +1511,7 @@ class TestReportTerms:
         assert main(["report-terms", "--corpus", str(demo_corpus_dir),
                      "--top", "5", "--out", str(out)]) == 0
         lines = _lines(out)
-        assert lines[0].startswith("# config: ")
+        assert json.loads(lines[0].removeprefix("# config: ")) == {"top": 5}
         assert lines[1] == "year,rank,term,count"
         years = {row.split(",")[0] for row in lines[2:]}
         assert years == {"2016", "2017"}
@@ -1456,6 +1522,13 @@ class TestReportTerms:
                      "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "year,rank,term,count"
+
+    def test_seed_is_not_a_flag(self, demo_corpus_dir, tmp_path):
+        """The term report draws nothing at random, so it takes no seed."""
+        out = tmp_path / "terms.csv"
+        assert main(["report-terms", "--corpus", str(demo_corpus_dir), "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_must_be_positive(self, demo_corpus_dir, tmp_path, top, caplog):

@@ -93,12 +93,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             RunConfig(k=True)
 
-    def test_echo_is_json_serializable(self):
-        echoed = RunConfig().echo()
-        round_tripped = json.loads(json.dumps(echoed, sort_keys=True))
-        assert round_tripped["groups"] == ["N", "L", "R", "W"]
-        assert round_tripped["folds"] == 5
-
 
 class TestLoadConfig:
     def test_valid_file(self, tmp_path):

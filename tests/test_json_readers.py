@@ -21,7 +21,7 @@ import pytest
 
 import veritag
 from veritag.config import load_config
-from veritag.corpus import PoliticalFilterModel, load_manifest, load_topic_corpus
+from veritag.corpus import load_manifest
 from veritag.errors import ConfigError, DataError, is_number, is_number_map
 from veritag.featureset import (
     FeatureSchema, StandardizerParams, read_feature_csv, read_schema, write_schema,
@@ -29,6 +29,7 @@ from veritag.featureset import (
 from veritag.linguistics import load_dictionary
 from veritag.models import LinearSvmModel, TrainedPipeline
 from veritag.models.persistence import load_pipeline, save_pipeline
+from veritag.political import PoliticalFilterModel, load_topic_corpus
 from veritag.resources import load_wordlist
 
 SRC = Path(veritag.__file__).resolve().parent

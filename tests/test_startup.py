@@ -23,9 +23,12 @@ SRC = Path(veritag.__file__).resolve().parents[1]
 PUBLIC_NAMES = {
     "errors": ("ConfigError", "DataError", "InvariantError", "VeritagError"),
     "corpus": (
-        "CLASS_TO_LABEL", "LABEL_TO_CLASS", "LABELS", "CorpusManifest", "FilterDecision",
-        "ManifestEntry", "PoliticalFilterModel", "RawDocument", "apply_political_filter",
-        "balanced_sample", "load_manifest", "load_topic_corpus", "train_political_filter",
+        "CLASS_TO_LABEL", "LABEL_TO_CLASS", "LABELS", "CorpusManifest", "ManifestEntry",
+        "RawDocument", "balanced_sample", "load_manifest",
+    ),
+    "political": (
+        "FilterDecision", "PoliticalFilterModel", "apply_political_filter",
+        "load_topic_corpus", "train_political_filter",
     ),
     "markup": (
         "Article", "Element", "extract_article", "markup_features", "parse_html",
