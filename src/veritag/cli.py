@@ -122,25 +122,29 @@ def _check_extractable(schema: FeatureSchema, dictionary, source: str) -> None:
 def _read_features(
     args: argparse.Namespace, cfg: RunConfig, purpose: str
 ) -> tuple[np.ndarray, np.ndarray, FeatureSchema]:
-    """Labeled matrix of --features and its schema. A --schema may name a
-    subset of the feature columns; the matrix is projected to its order."""
+    """Labeled matrix of --features and its schema. The header is held to
+    the feature-name rule; a --schema may name a subset of its columns, and
+    the matrix is projected to its order."""
     from .featureset import decode_schema, read_feature_csv, read_schema, vectors_to_matrix
 
+    schema = None
     if args.schema:
         _refuse(args, "--schema", ("--granularity",))
+        # read before the features, so a bad schema file is named first
+        schema = read_schema(args.schema)
     vectors, names = read_feature_csv(args.features)
     X, y, _ = vectors_to_matrix(vectors)
     if y is None:
         raise DataError(f"{args.features}: {purpose} needs a label column")
-    if not args.schema:
-        if not names:
-            raise DataError(f"{args.features}: no feature columns")
-        # the feature groups the columns name, in order of first use; a
-        # column of any other group then fails the name rule, which names it
-        groups = [g for g in dict.fromkeys(n.partition(".")[0] for n in names) if g in GROUPS]
-        payload = {"names": names, "granularity": cfg.granularity, "groups": groups}
-        return X, y, decode_schema(payload, args.features)
-    schema = read_schema(args.schema)
+    if not names:
+        raise DataError(f"{args.features}: no feature columns")
+    # the feature groups the columns name, in order of first use; a column
+    # of any other group then fails the name rule, which names it
+    groups = [g for g in dict.fromkeys(n.partition(".")[0] for n in names) if g in GROUPS]
+    payload = {"names": names, "granularity": cfg.granularity, "groups": groups}
+    header = decode_schema(payload, args.features)
+    if schema is None:
+        return X, y, header
     missing = sorted(set(schema.names) - set(names))
     if missing:
         raise DataError(

@@ -1213,7 +1213,7 @@ _NOT_GROUP_NAME = pytest.mark.parametrize("name", ["N.", "N", "X.y"])
 class TestOneFeatureNameRule:
     """A feature name that is not GROUP.NAME, with GROUP one of the schema's
     groups and NAME not empty, is exit 2 naming its file, whether it comes
-    from a schema file or a model's schema (a CSV header:
+    from a schema file, a model's schema or a CSV header (without --schema:
     ``test_bad_feature_column_is_a_data_error``)."""
 
     @pytest.mark.parametrize("command", ["train", "select"])
@@ -1235,6 +1235,28 @@ class TestOneFeatureNameRule:
                          "--out", str(out)]) == 2
         message = _one_error(caplog)
         assert str(schema) in message and repr(name) in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "select"])
+    def test_csv_header_under_a_schema(self, tmp_path, caplog, command):
+        # the header is held to the rule with --schema too: the projection
+        # would otherwise take one of the two columns named R.W
+        features = tmp_path / "features.csv"
+        features.write_text(
+            "doc_id,R.W,R.W,label\n"
+            + "".join(f"d{i},{i % 4}.5,{-i},{i % 2}\n" for i in range(12)),
+            encoding="utf-8",
+        )
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"format_version": 1, "names": ["R.W"],
+                                      "granularity": "HC", "groups": ["R"]}),
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main([command, "--features", str(features), "--schema", str(schema),
+                         "--out", str(out)]) == 2
+        message = _one_error(caplog)
+        assert str(features) in message and "'R.W' appears twice" in message
         assert not out.exists()
 
     @_NOT_GROUP_NAME

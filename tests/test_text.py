@@ -10,9 +10,11 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veritag import resources
+from veritag import extract_article, granularity_text, parse_html, resources
+from veritag.featureset import GRANULARITIES
 from veritag.linguistics import count_syllables, tokenize
 from veritag.linguistics.text import (
+    _ASCII_WORD_RE,
     _BOUNDARY_RE,
     URL_RE,
     WORD_RE,
@@ -262,7 +264,11 @@ _pieces = st.one_of(
         st.sampled_from(["é", "É", "²", "٣", "ß", "Ω"]),
     ),
 )
-_separators = st.sampled_from(["", " ", " ", " ", "  ", "\n", "\t"])
+# \x1c-\x1f are whitespace to str.isspace() and to a Unicode \s, but not
+# to an ASCII \s; the others are not ASCII
+_separators = st.sampled_from(
+    ["", " ", " ", " ", "  ", "\n", "\t", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+)
 _rich_texts = st.lists(st.tuples(_pieces, _separators), max_size=40).map(
     lambda parts: "".join(piece + sep for piece, sep in parts)
 )
@@ -324,15 +330,57 @@ class TestMatchesReference:
             "Say é. Then x². Then ٣. Then Café. End.",
             "Dr . Next one. a . Next one.",
             ". Leading mark. Last",
+            "Go.\x1cNow it ends.",
+            # a URL keeps ] and ” at its end, and with them the boundary's
+            # start: no sentence ends there
+            "See http://a.b/c.] Next one. Go www.x.com/a.” Now.",
+            "Ask Dr.] Smith. Then J.] Doe. Then Dr.”) Who.",
         ):
             _assert_matches_reference(text)
             _assert_matches_reference(text, abbreviations)
+
+    def test_ascii_text_and_one_non_ascii_letter(self):
+        # an ASCII text takes the ASCII word pattern, the same text with one
+        # é the Unicode one; both keep the Unicode boundary pattern, whose \s
+        # matches the ASCII separators \x1c-\x1f
+        text = (
+            "Dr. Smith's 3rd x_yz.\x1cThen J. Doe won 12.5 pts.\x1fRock'n'roll?!\x1d"
+            "Wait... Go.\x1e\x0bEnd_of it. See www.x.com. Next one."
+        )
+        assert text.isascii()
+        for version in (text, text.replace("Then", "Thén")):
+            _assert_matches_reference(version)
+            assert len(tokenize(version).sentences) == 8
+
+    def test_ascii_word_pattern_is_the_word_pattern_on_ascii(self):
+        text = "".join(f"{c}a'{c}b{c}'{c} 7{c}" for c in map(chr, range(128)))
+        assert _ASCII_WORD_RE.findall(text) == WORD_RE.findall(text)
 
     def test_long_text(self):
         # a misplaced cut only shows once many segments and boundaries exist
         text = _rich_text(random.Random(20), 20_000)
         assert len(tokenize(text).tokens) >= 20_000
         _assert_matches_reference(text)
+
+    def test_bench_pages(self):
+        # the long-pages workload's articles and hostile pages, the inputs
+        # the tokenizer's speed is measured on, cut to 20 KB of text so the
+        # quadratic oracle stays fast
+        from test_bench_contract import WORKLOADS, _load_bench_module
+
+        workloads = _load_bench_module(WORKLOADS)
+        labels = list(workloads.SITES.values())
+        sizes = workloads.SHAPES["full"]["long-pages"].long_sizes_kb
+        pages = [
+            workloads._long_page(labels[i % len(labels)], i, size_kb, random.Random(7))
+            for i, size_kb in enumerate(sizes)
+        ]
+        pages += workloads._hostile_pages(random.Random(7)).values()
+        assert len(pages) == 13
+        for html in pages:
+            article = extract_article(parse_html(html))
+            for granularity in GRANULARITIES:
+                _assert_matches_reference(granularity_text(article, granularity)[:20_000])
 
     def test_long_runs_of_marks(self):
         for marks in (".", "?!", ".)"):
