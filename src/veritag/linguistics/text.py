@@ -16,8 +16,7 @@ candidate sentence boundaries, one word scan per segment, and running
 token totals for the sentence ends. An ASCII text (the common case) is
 scanned with an ASCII copy of the word pattern, ``[A-Za-z0-9]`` for
 ``[^\W_]``, which accepts the same code points there and tests them
-faster, and its characters are counted against the ten ASCII whitespace
-code points. The boundary pattern has no ASCII copy: its ``\s`` must also
+faster. The boundary pattern has no ASCII copy: its ``\s`` must also
 match ``\x1c``-``\x1f``, which ``str.isspace()`` counts as whitespace and
 an ASCII ``\s`` does not.
 """
@@ -53,7 +52,6 @@ _WHITESPACE = (
     "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 )
-_ASCII_WHITESPACE = _WHITESPACE[:10].encode()  # the ten ASCII ones
 
 
 @dataclass
@@ -113,8 +111,7 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     """
     if abbreviations is None:
         abbreviations = resources.abbreviations()
-    ascii_text = text.isascii()
-    findall = (_ASCII_WORD_RE if ascii_text else WORD_RE).findall
+    findall = (_ASCII_WORD_RE if text.isascii() else WORD_RE).findall
     parts = _BOUNDARY_RE.split(text)
     segments = parts[::2]
     marks = parts[1::2]  # boundary i lies between segments i and i + 1
@@ -144,13 +141,9 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     cuts = dict.fromkeys(chain((0,), compress(ends, keep)))
     sentences = list(pairwise(cuts))
 
-    if ascii_text:
-        # one C pass that deletes the ten whitespace bytes
-        char_count = len(text.encode().translate(None, _ASCII_WHITESPACE))
-    else:
-        # one C-level count per whitespace code point: no per-character
-        # call and, unlike str.split(), no list of words
-        char_count = len(text) - sum(map(text.count, _WHITESPACE))
+    # one C-level count per whitespace code point: no per-character call
+    # and, unlike str.split(), no list of words
+    char_count = len(text) - sum(map(text.count, _WHITESPACE))
     return TokenizedText(tokens=tokens, sentences=sentences, char_count=char_count)
 
 
