@@ -22,6 +22,7 @@ from .config import (
     CLI_CLASSIFIERS,
     GRANULARITIES,
     GROUPS,
+    PRUNINGS,
     RunConfig,
     check_groups,
     classifier_settings,
@@ -470,7 +471,7 @@ _SHARED_FLAGS: dict[str, dict] = {
     "--seed": {"type": int},
     "--granularity": {"choices": GRANULARITIES},
     "--groups": {"help": "comma list from N,L,R,W"},
-    "--pruning": {"choices": ("none", "paper")},
+    "--pruning": {"choices": PRUNINGS},
     "--dictionary": {"help": "category dictionary path"},
     "--ad-domains": {"help": "ad-domain list path"},
     "--classifier": {"choices": CLI_CLASSIFIERS},

@@ -17,6 +17,7 @@ from .resources import demo_dictionary_path, load_wordlist
 # and evaluation import these names from here.
 GRANULARITIES = ("H", "C", "HC")
 GROUPS = ("N", "L", "R", "W")
+PRUNINGS = ("none", "paper")
 CLASSIFIER_NAMES = ("svm", "knn", "rf")
 CLI_CLASSIFIERS = CLASSIFIER_NAMES + ("baseline-svm",)
 
@@ -57,8 +58,10 @@ class PipelineSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("tag", "baseline"):
             raise ConfigError(f"unknown pipeline kind {self.kind!r}")
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"granularity must be one of {GRANULARITIES}")
         check_groups(self.groups, "a pipeline's groups")
-        if self.pruning not in ("none", "paper"):
+        if self.pruning not in PRUNINGS:
             raise ConfigError(f"unknown pruning mode {self.pruning!r}")
 
     def echo(self) -> dict:
@@ -109,7 +112,7 @@ class RunConfig:
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}")
         check_groups(self.groups, "groups")
-        if self.pruning not in ("none", "paper"):
+        if self.pruning not in PRUNINGS:
             raise ConfigError("pruning must be 'none' or 'paper'")
         if self.classifier not in CLI_CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLI_CLASSIFIERS}")

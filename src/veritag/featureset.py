@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import GRANULARITIES, GROUPS, check_groups
+from .config import GRANULARITIES, GROUPS, PRUNINGS, check_groups
 from .corpus import CLASS_TO_LABEL, LABEL_TO_CLASS, RawDocument
 from .errors import (
     ConfigError, DataError, Fields, InvariantError, is_str_list, read_format, read_input,
@@ -90,7 +90,7 @@ class FeatureSchema:
             seen.add(name)
         check_groups(self.groups, "a schema's groups")
         if not (
-            self.pruning in ("none", "paper")
+            self.pruning in PRUNINGS
             or self.pruning.startswith(COMPUTED_PRUNING)
         ):
             raise ConfigError(f"invalid pruning mode {self.pruning!r}")
@@ -107,11 +107,10 @@ def build_schema(
 ) -> FeatureSchema:
     """Schema of the requested groups, in N, L, R, W order: every feature
     they make, or with ``pruning="paper"`` the published paper pruning."""
-    if pruning not in ("none", "paper"):
+    if pruning not in PRUNINGS:
         raise ConfigError(f"invalid pruning mode {pruning!r}")
+    check_groups(groups, "a schema's groups")
     ordered = tuple(g for g in GROUPS if g in groups)
-    if set(groups) - set(ordered):
-        raise ConfigError(f"invalid feature groups {sorted(set(groups) - set(GROUPS))}")
     if "L" in ordered and dictionary is None:
         raise ConfigError("psychological group requires a category dictionary")
     names = [

@@ -42,6 +42,7 @@ from html import unescape
 from urllib.parse import urlsplit
 
 from . import resources
+from .errors import ConfigError
 
 VOID_ELEMENTS = frozenset(
     "area base br col embed frame hr img input link meta param source track wbr".split()
@@ -376,7 +377,9 @@ def granularity_text(article: Article, granularity: str) -> str:
         return article.headline
     if granularity == "C":
         return article.content
-    return article.headline + "\n" + article.content
+    if granularity == "HC":
+        return article.headline + "\n" + article.content
+    raise ConfigError(f"invalid granularity {granularity!r}")
 
 
 def _normalize(text: str) -> str:

@@ -4,22 +4,23 @@
 ``jobs`` processes, the caller included, pull the items' indices from one
 queue, a pipe filled before the fork, so a process that finishes early takes
 the next item instead of idling. A child reads its items from the memory it
-inherited and pickles back each result, or the exception its item raised.
-Results come back in item order, and each call reaps its children before it
-returns.
+inherited and pickles each result, or the exception its item raised, into its
+own unlinked temporary file in ``TMPDIR``, opened just before the fork; the
+caller reads that file after the child exits. A file never fills as a pipe
+does, so no child waits on the caller. Results come back in item order, and
+each call reaps its children before it returns.
 """
 
 from __future__ import annotations
 
 import contextvars
-import io
 import os
 import pickle
 import select
-import selectors
 import signal
 import struct
 import sys
+import tempfile
 import threading
 from typing import Callable, Sequence
 
@@ -64,11 +65,12 @@ def fork_map(fn: Callable, items: Sequence, jobs: int | None = None) -> list:
     The first failure in item order is raised, as a serial loop would raise
     it: a process stops at its item's exception, and since the queue hands
     items out in order, every item before a failure was taken. An item that
-    a child took and never reported, because the child died, fails with an
-    ``InvariantError``. An exception that cannot be pickled back becomes an
-    ``InvariantError`` naming it. Calls that ``fn`` makes run serially,
-    wherever it runs. A process that cannot be forked leaves its items to
-    the others. No child outlives the call."""
+    a child took and never wrote to its file, because the child died, fails
+    with an ``InvariantError``. An exception that cannot be pickled back
+    becomes an ``InvariantError`` naming it. Calls that ``fn`` makes run
+    serially, wherever it runs. A process that cannot be forked, or whose
+    temporary file cannot be opened, leaves its items to the others. No
+    child outlives the call."""
     n = processes(jobs, len(items))
     token = _inside.set(True)
     try:
@@ -97,8 +99,8 @@ def _round(fn: Callable, items: Sequence, n: int) -> list:
     tickets = min(len(items), _TICKETS)
     cuts = [len(items) * t // tickets for t in range(tickets + 1)]
     results: list = [None] * len(items)  # None: not reported
-    children: dict[int, int] = {}  # pid -> pipe from the child
-    received: dict[int, bytearray] = {}  # pipe from a child -> its bytes so far
+    files = []  # one per fork tried, closed when the call ends
+    children = {}  # pid -> the file its results go to
     statuses: list[int] = []
     queue, feed = os.pipe()
     try:
@@ -108,51 +110,29 @@ def _round(fn: Callable, items: Sequence, n: int) -> list:
             os.close(feed)  # an empty queue now reads as the end
         _flush_stdio()  # else a child would write the caller's buffered output again
         for _ in range(1, n):
-            read, write = os.pipe()
             try:
+                files.append(out := tempfile.TemporaryFile())
                 pid = os.fork()
-            except OSError:  # out of processes or memory: the others take its items
-                os.close(read)
-                os.close(write)
+            except OSError:  # out of files, processes or memory: the others take its items
                 break
             if pid == 0:  # the child leaves only through os._exit
                 code = 1
                 try:
-                    os.close(read)
-                    with os.fdopen(write, "wb") as pipe:
-                        _work(fn, items, cuts, queue, lambda i, result: _send(pipe, i, result))
+                    _work(fn, items, cuts, queue, lambda i, result: _send(out, i, result))
+                    out.flush()
                     _flush_stdio()
                     code = 0
                 finally:
                     os._exit(code)
-            os.close(write)
-            children[pid] = read
-            received[read] = bytearray()
-        with selectors.DefaultSelector() as selector:
-            for read in received:
-                selector.register(read, selectors.EVENT_READ)
-
-            def drain(timeout: float | None) -> None:
-                """Read what the children have sent, so none blocks on a full pipe."""
-                for key, _ in selector.select(timeout):
-                    data = os.read(key.fd, 1 << 16)
-                    received[key.fd] += data
-                    if not data:
-                        selector.unregister(key.fd)
-
-            def keep(i: int, result: tuple) -> None:
-                results[i] = result
-                drain(0)
-
-            _work(fn, items, cuts, queue, keep)
-            while selector.get_map():
-                drain(None)
+            children[pid] = out
+        _work(fn, items, cuts, queue, results.__setitem__)
         for pid in list(children):
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            stream = io.BytesIO(received[children.pop(pid)])
+            out = children.pop(pid)
+            out.seek(0)
             while True:
                 try:
-                    i, result = pickle.load(stream)
+                    i, result = pickle.load(out)
                 except (EOFError, pickle.UnpicklingError):  # the end, or a child cut short
                     break
                 results[i] = result
@@ -163,8 +143,9 @@ def _round(fn: Callable, items: Sequence, n: int) -> list:
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped already
                 pass
-        for fd in [queue, *received]:
-            os.close(fd)
+        for out in files:
+            out.close()
+        os.close(queue)
     for i, result in enumerate(results):
         if result is None:
             died = dict.fromkeys(status for status in statuses if status != 0) or statuses
@@ -183,7 +164,7 @@ def _flush_stdio() -> None:
             stream.flush()
 
 
-def _send(pipe, i: int, result: tuple) -> None:
+def _send(out, i: int, result: tuple) -> None:
     """Write one pickled ``(i, result)``; an exception or value that cannot
     make the round trip goes as an ``InvariantError`` naming it."""
     try:
@@ -193,5 +174,4 @@ def _send(pipe, i: int, result: tuple) -> None:
     except Exception as exc:
         error = InvariantError(f"{type(result[1]).__name__}: {result[1]} ({exc})")
         data = pickle.dumps((i, (False, error)))
-    pipe.write(data)
-    pipe.flush()
+    out.write(data)

@@ -194,6 +194,11 @@ class TestSpecMapping:
         with pytest.raises(ConfigError, match="none twice"):
             PipelineSpec(groups=groups)
 
+    @pytest.mark.parametrize("granularity", ["X", "hc", "CH", ""])
+    def test_spec_granularity_is_one_of_h_c_hc(self, granularity):
+        with pytest.raises(ConfigError, match="granularity must be one of"):
+            PipelineSpec(granularity=granularity)
+
 
 class TestRunResources:
     def test_bundled_defaults(self):

@@ -114,6 +114,10 @@ class TestBuildSchema:
         with pytest.raises(ConfigError):
             build_schema("HC", ("N", "Q"))
 
+    def test_a_repeated_group_is_refused(self):
+        with pytest.raises(ConfigError, match="none twice"):
+            build_schema("HC", ("N", "N"))
+
     @pytest.mark.parametrize("granularity", ["H", "C", "HC"])
     def test_paper_pruning_argument(self, demo_dictionary, granularity):
         full = build_schema(granularity, ("N", "L", "R", "W"), demo_dictionary)
@@ -177,6 +181,12 @@ class TestGranularityText:
     def test_both_joined_by_newline(self):
         article = Article(headline="Head", content="Body text.")
         assert granularity_text(article, "HC") == "Head\nBody text."
+
+    @pytest.mark.parametrize("granularity", ["X", "hc", "CH", ""])
+    def test_any_other_granularity_is_a_config_error(self, granularity):
+        article = Article(headline="Head", content="Body text.")
+        with pytest.raises(ConfigError, match="invalid granularity"):
+            granularity_text(article, granularity)
 
 
 class TestExtractDocument:

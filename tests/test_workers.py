@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -258,6 +259,75 @@ class TestForkMap:
         monkeypatch.setattr(os, "fork", no_fork)
         results = fork_map(lambda i: (i, os.getpid()), list(range(7)), 3)
         assert results == [(i, os.getpid()) for i in range(7)]
+
+    @pytest.mark.parametrize("opened", [0, 1])
+    def test_a_process_whose_file_cannot_be_opened_leaves_its_items_to_the_others(
+        self, monkeypatch, forks, opened
+    ):
+        _three_cpus(monkeypatch)
+        temporary_file, calls = tempfile.TemporaryFile, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > opened:
+                raise OSError(24, "Too many open files")
+            return temporary_file(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+
+        def task(i):
+            _slow_in_caller(0.01)
+            return i, os.getpid()
+
+        results = fork_map(task, list(range(7)), 3)
+        assert [i for i, _ in results] == list(range(7))
+        assert len(forks) == opened
+        assert len({pid for _, pid in results} - {os.getpid()}) <= opened
+
+    def test_results_larger_than_a_pipe_come_back_while_the_caller_works(self, monkeypatch):
+        _three_cpus(monkeypatch)
+        size = 256 * 1024  # four times a Linux pipe's 64 KB
+
+        def task(i):
+            time.sleep(0.01 if _in_child() else 0.3)
+            return os.getpid(), bytes([i]) * size
+
+        results = fork_map(task, list(range(9)), 3)
+        assert [data for _, data in results] == [bytes([i]) * size for i in range(9)]
+        assert [pid for pid, _ in results].count(os.getpid()) == 1  # no child waited
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    @pytest.mark.parametrize("case", ["normal", "failed fork", "dead child"])
+    def test_a_round_leaves_no_file_descriptor_open(self, monkeypatch, case):
+        _three_cpus(monkeypatch)
+        fork, calls = os.fork, []
+        temporary_file, opened = tempfile.TemporaryFile, []
+        monkeypatch.setattr(
+            tempfile, "TemporaryFile", lambda: opened.append(temporary_file()) or opened[-1]
+        )
+
+        def second_fork_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(11, "Resource temporarily unavailable")
+            return fork()
+
+        if case == "failed fork":
+            monkeypatch.setattr(os, "fork", second_fork_fails)
+
+        def task(i):
+            _slow_in_caller()
+            if case == "dead child" and _in_child():
+                os._exit(7)
+            return i
+
+        before = sorted(os.listdir("/proc/self/fd"))
+        try:
+            assert fork_map(task, list(range(9)), 3) == list(range(9))
+        except InvariantError:
+            assert case == "dead child"
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert opened and all(f.closed for f in opened)
 
     def test_without_fork_the_loop_is_serial(self, monkeypatch):
         _three_cpus(monkeypatch)
@@ -600,6 +670,41 @@ def test_output_buffered_before_a_fork_is_written_once():
     proc = _run([], script)
     assert proc.returncode == 0
     assert proc.stdout == "before[2, 4, 6]\n"
+
+
+def test_no_file_is_left_unclosed_under_dev_mode():
+    """A normal round, a failed fork and a dead child, with every unclosed
+    file an error; a file left to the garbage collector writes to stderr."""
+    script = (
+        "import os, time\n"
+        "import veritag.workers as workers\n"
+        "from veritag import InvariantError\n"
+        "workers._usable_cpus = lambda: 3\n"
+        "parent, fork, forks, die = os.getpid(), os.fork, [], False\n"
+        "def second_fork_fails():\n"
+        "    forks.append(1)\n"
+        "    if len(forks) == 2:\n"
+        "        raise OSError(11, 'Resource temporarily unavailable')\n"
+        "    return fork()\n"
+        "def task(i):\n"
+        "    if os.getpid() == parent:\n"
+        "        time.sleep(0.05)\n"
+        "    elif die:\n"
+        "        os._exit(7)\n"
+        "    return i\n"
+        "assert workers.fork_map(task, list(range(9)), 3) == list(range(9))\n"
+        "os.fork = second_fork_fails\n"
+        "assert workers.fork_map(task, list(range(4)), 3) == list(range(4))\n"
+        "die = True\n"
+        "try:\n"
+        "    workers.fork_map(task, list(range(9)), 3)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = _run(["-X", "dev", "-W", "error::ResourceWarning", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert re.fullmatch(r"worker exited with status 7 before reporting item \d\n", proc.stdout)
 
 
 def test_importing_the_package_starts_no_pool_machinery():
