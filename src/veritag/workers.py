@@ -1,18 +1,22 @@
 """Independent loops in forked processes, with the standard library only.
 
-``fork_map(fn, items, jobs)`` is ``[fn(item) for item in items]``. Up to
-``jobs`` processes, the caller included, pull the items' indices from one
-queue, a pipe filled before the fork, so a process that finishes early takes
-the next item instead of idling. A child reads its items from the memory it
-inherited and pickles each result, or the exception its item raised, into its
-own unlinked temporary file in ``TMPDIR``, opened just before the fork; the
+``fork_map(fn, items, jobs)`` is ``[fn(item) for item in items]`` as the
+caller computes it. Up to ``jobs`` processes, the caller included, pull the
+items' indices from one queue, a pipe filled before the fork, so a process
+that finishes early takes the next item instead of idling. A child reads its
+items from the memory it inherited and pickles each value into its own
+unlinked temporary file in ``TMPDIR``, opened just before the fork; the
 caller reads that file after the child exits. A file never fills as a pipe
-does, so no child waits on the caller. Results come back in item order, and
-each call reaps its children before it returns.
+does, so no child waits on the caller. Every process stops at its first
+exception, and the caller runs every item that no process reported itself,
+in item order: a child that dies or cannot report costs only time, and a
+failure is raised as the serial loop raises it. Each call reaps its children
+before it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import os
 import pickle
@@ -24,7 +28,7 @@ import tempfile
 import threading
 from typing import Callable, Sequence
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 
 # The queue holds one ticket per item, or with more items than tickets one
 # contiguous block of items per ticket. One write of PIPE_BUF bytes fits any
@@ -59,22 +63,22 @@ def processes(jobs: int | None, items: int) -> int:
 
 
 def fork_map(fn: Callable, items: Sequence, jobs: int | None = None) -> list:
-    """``[fn(item) for item in items]`` in ``processes(jobs, len(items))``
-    processes; see the module docstring.
+    """``[fn(item) for item in items]`` as the caller computes it, using
+    ``processes(jobs, len(items))`` processes; see the module docstring.
 
-    The first failure in item order is raised, as a serial loop would raise
-    it: a process stops at its item's exception, and since the queue hands
-    items out in order, every item before a failure was taken. An item that
-    a child took and never wrote to its file, because the child died, fails
-    with an ``InvariantError``. An exception that cannot be pickled back
-    becomes an ``InvariantError`` naming it. Calls that ``fn`` makes run
-    serially, wherever it runs. A process that cannot be forked, or whose
-    temporary file cannot be opened, leaves its items to the others. No
-    child outlives the call."""
+    Each process stops at its first exception and leaves that item
+    unreported, and the caller then runs every unreported item itself, in
+    item order. So a failure is raised as a serial loop would raise it, and
+    an item that raises runs twice. A child that dies, or cannot write or
+    pickle what it reports, costs only time, and so does a process that
+    cannot be forked or whose temporary file cannot be opened. Calls that
+    ``fn`` makes run serially, wherever it runs. No child outlives the
+    call."""
     n = processes(jobs, len(items))
     token = _inside.set(True)
     try:
-        return _round(fn, items, n) if n > 1 else [fn(item) for item in items]
+        done = _round(fn, items, n) if n > 1 else {}
+        return [done[i] if i in done else fn(item) for i, item in enumerate(items)]
     finally:
         _inside.reset(token)
 
@@ -82,26 +86,23 @@ def fork_map(fn: Callable, items: Sequence, jobs: int | None = None) -> list:
 def _work(fn: Callable, items: Sequence, cuts: Sequence[int], queue: int,
           report: Callable) -> None:
     """Run the items of each ticket taken from the queue and report each
-    result, until the queue is empty or an item fails."""
+    value, until the queue is empty or an item or its report fails."""
     while ticket := os.read(queue, _TICKET.size):
         (t,) = _TICKET.unpack(ticket)
         for i in range(cuts[t], cuts[t + 1]):
             try:
-                result = (True, fn(items[i]))
-            except Exception as exc:
-                result = (False, exc)
-            report(i, result)
-            if not result[0]:
+                report(i, fn(items[i]))
+            except Exception:  # the caller runs the item again
                 return
 
 
-def _round(fn: Callable, items: Sequence, n: int) -> list:
+def _round(fn: Callable, items: Sequence, n: int) -> dict:
+    """The values that the ``n`` processes report, by item index."""
     tickets = min(len(items), _TICKETS)
     cuts = [len(items) * t // tickets for t in range(tickets + 1)]
-    results: list = [None] * len(items)  # None: not reported
+    done: dict = {}
     files = []  # one per fork tried, closed when the call ends
-    children = {}  # pid -> the file its results go to
-    statuses: list[int] = []
+    children = {}  # pid -> the file its values go to
     queue, feed = os.pipe()
     try:
         try:
@@ -116,26 +117,23 @@ def _round(fn: Callable, items: Sequence, n: int) -> list:
             except OSError:  # out of files, processes or memory: the others take its items
                 break
             if pid == 0:  # the child leaves only through os._exit
-                code = 1
                 try:
-                    _work(fn, items, cuts, queue, lambda i, result: _send(out, i, result))
+                    _work(fn, items, cuts, queue,
+                          lambda i, value: out.write(pickle.dumps((i, value))))
                     out.flush()
                     _flush_stdio()
-                    code = 0
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             children[pid] = out
-        _work(fn, items, cuts, queue, results.__setitem__)
+        _work(fn, items, cuts, queue, done.__setitem__)
         for pid in list(children):
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            os.waitpid(pid, 0)
             out = children.pop(pid)
-            out.seek(0)
-            while True:
-                try:
-                    i, result = pickle.load(out)
-                except (EOFError, pickle.UnpicklingError):  # the end, or a child cut short
-                    break
-                results[i] = result
+            with contextlib.suppress(Exception):  # the end, or a record cut short or not loadable
+                out.seek(0)
+                while True:
+                    i, value = pickle.load(out)
+                    done[i] = value
     finally:
         for pid in children:
             try:
@@ -146,32 +144,10 @@ def _round(fn: Callable, items: Sequence, n: int) -> list:
         for out in files:
             out.close()
         os.close(queue)
-    for i, result in enumerate(results):
-        if result is None:
-            died = dict.fromkeys(status for status in statuses if status != 0) or statuses
-            raise InvariantError(
-                f"worker exited with status {', '.join(map(str, died))} "
-                f"before reporting item {i}"
-            )
-        if not result[0]:
-            raise result[1]
-    return [value for _, value in results]
+    return done
 
 
 def _flush_stdio() -> None:
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()
-
-
-def _send(out, i: int, result: tuple) -> None:
-    """Write one pickled ``(i, result)``; an exception or value that cannot
-    make the round trip goes as an ``InvariantError`` naming it."""
-    try:
-        data = pickle.dumps((i, result))
-        if not result[0]:
-            pickle.loads(data)
-    except Exception as exc:
-        error = InvariantError(f"{type(result[1]).__name__}: {result[1]} ({exc})")
-        data = pickle.dumps((i, (False, error)))
-    out.write(data)
