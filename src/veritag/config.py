@@ -5,12 +5,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import DEFAULT_YEAR_RANGE
 from .errors import ConfigError, is_number, read_json
-from .linguistics import CategoryDictionary, RuleTagger, load_dictionary
 from .resources import ad_domains as _bundled_ad_domains
 from .resources import demo_dictionary_path, load_wordlist
+
+# Only ``load_run_resources`` runs the linguistics modules, so a command that
+# reads no page loads none of them.
+if TYPE_CHECKING:
+    from .linguistics import CategoryDictionary, RuleTagger
 
 # The run's vocabulary lives here, free of numpy, so that validating a
 # config needs none of the modules that compute with it; featureset, models
@@ -190,6 +195,8 @@ def validate_paths(cfg: RunConfig) -> None:
 
 def load_run_resources(cfg: RunConfig) -> ExtractionResources:
     """Materialize the dictionary, tagger, and ad-domain list."""
+    from .linguistics import RuleTagger, load_dictionary
+
     dictionary_path = cfg.dictionary if cfg.dictionary else demo_dictionary_path()
     dictionary = load_dictionary(dictionary_path)
     domains = (

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..errors import DataError, read_input
-from .text import lowered_census
 
 _NO_HITS: frozenset[int] = frozenset()
 
@@ -135,7 +134,7 @@ def dictionary_scores(
     lowercased census (``TokenizedText.lowered``); without it one is taken.
     """
     if lowered is None:
-        lowered = lowered_census(Counter(tokens))
+        lowered = Counter(map(str.lower, tokens))
     match = dictionary._match_lowered
     counts = [0] * len(dictionary.categories)
     for token, n in lowered.items():

@@ -163,11 +163,20 @@ for _tag, _words in _LEXICON_GROUPS.items():
         _LEXICON.setdefault(_w, _tag)
 
 
+# Words whose 's is no possessive ending ("it's" is "it is" or "it has",
+# "let's" is "let us"); such a word tags VBZ.
+_CLITIC_VBZ_HOSTS = frozenset("it he she that what who there here where how let".split())
+
+
 def _fallback_tag(token: str, index: int) -> str:
     """Tag for a word with no lexical information."""
     # no code point is both alphabetic and a digit
     if not token.isalpha() and any(c.isdigit() for c in token):
         return "CD"
+    # One tag per token: Penn splits "John's" into John/NNP 's/POS, but the
+    # tokenizer keeps it whole, so the word takes its clitic's tag.
+    if token.endswith(("'s", "’s")):
+        return "VBZ" if token[:-2].lower() in _CLITIC_VBZ_HOSTS else "POS"
     if index > 0 and token[:1].isupper():
         return "NNP"
     low = token.lower()

@@ -3,8 +3,9 @@ r"""Tokenization, sentence splitting, and syllable counting.
 These are the word/sentence/character primitives every linguistic feature
 group is built on, so their behavior is pinned exactly:
 
-- a token is a maximal run of letters/digits, with internal apostrophes kept
-  ("don't" is one token); URLs are recognized first and kept whole;
+- a token is a maximal run of letters/digits, with internal apostrophes,
+  straight or curly, kept ("don't" and "Mary’s" are one token each); URLs
+  are recognized first and kept whole;
 - sentences split on runs of ``. ! ?`` (optionally followed by closing
   quotes/brackets) when followed by whitespace plus a capital letter or end
   of text, except after a listed abbreviation or a single-letter initial;
@@ -29,13 +30,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, pairwise, repeat
-from typing import Callable, Mapping
+from typing import Callable
 
 from .. import resources
 
 URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>\"']+")
-WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
-# WORD_RE on an ASCII text: [^\W_] accepts exactly these there
+WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
+# WORD_RE on an ASCII text, which holds no ’: [^\W_] accepts exactly these there
 _ASCII_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
 VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 # The pattern opens with the mark class so that ``re`` can search for its
@@ -73,19 +74,15 @@ class TokenizedText:
 
     @cached_property
     def lowered(self) -> dict[str, int]:
-        """How often each distinct lowercased token occurs."""
-        return lowered_census(self.counts)
-
-
-def lowered_census(counts: Mapping[str, int]) -> dict[str, int]:
-    """Merge a token census by lowercased token: each distinct token is
-    lowercased once, not each occurrence."""
-    lowered: dict[str, int] = {}
-    get = lowered.get
-    for token, n in counts.items():
-        low = token.lower()
-        lowered[low] = get(low, 0) + n
-    return lowered
+        """How often each distinct lowercased token occurs, in the order of
+        first occurrence. Each distinct token is lowercased once, not each
+        occurrence."""
+        lowered: dict[str, int] = {}
+        get = lowered.get
+        for token, n in self.counts.items():
+            low = token.lower()
+            lowered[low] = get(low, 0) + n
+        return lowered
 
 
 def is_url_token(token: str) -> bool:

@@ -28,10 +28,6 @@ POLITICS_TOPIC = "politics"
 FILTER_MODEL_FORMAT_VERSION = 1
 
 
-def _terms(text: str) -> list[str]:
-    return [t.lower() for t in tokenize(text).tokens]
-
-
 @dataclass
 class PoliticalFilterModel:
     """Multinomial Naive Bayes over sublinear-tf smooth-idf term weights."""
@@ -118,12 +114,9 @@ def train_political_filter(labeled_texts: Sequence[tuple[str, str]]) -> Politica
     docs: list[tuple[dict[str, int], str]] = []
     df: dict[str, int] = {}
     for text, topic in labeled_texts:
-        terms = _terms(text)
-        if not terms:
+        counts = tokenize(text).lowered
+        if not counts:
             raise DataError("empty text in topic-training corpus")
-        counts: dict[str, int] = {}
-        for t in terms:
-            counts[t] = counts.get(t, 0) + 1
         for t in counts:
             df[t] = df.get(t, 0) + 1
         docs.append((counts, topic))
@@ -172,13 +165,10 @@ def apply_political_filter(
     if POLITICS_TOPIC not in model.classes:
         raise ConfigError(f"model has no {POLITICS_TOPIC!r} class")
 
-    counts: dict[str, int] = {}
-    for t in _terms(text):
-        if t in model.idf:
-            counts[t] = counts.get(t, 0) + 1
-
     scores = dict(model.class_log_priors)
-    for t, n in counts.items():
+    for t, n in tokenize(text).lowered.items():
+        if t not in model.idf:  # a term the model never saw weighs nothing
+            continue
         weight = (1.0 + math.log(n)) * model.idf[t]
         per_class = model.feature_log_likelihoods[t]
         for c in model.classes:

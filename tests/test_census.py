@@ -4,7 +4,6 @@ read from it must equal the count a token-by-token loop gives."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,20 +22,20 @@ from veritag.linguistics import (
     readability_features,
 )
 from veritag.linguistics.tagger import _RAW_TO_TABLE
-from veritag.linguistics.text import lowered_census
 from veritag.resources import easy_words, stopwords
 
 # case variants of lexicon words, sentence openers that tag differently
-# inside a sentence, URLs, digits, and words whose lowercasing is not a
-# plain ASCII fold: İ grows a combining dot, ẞ becomes ß, the final
-# sigma of ΟΔΟΣ, and the titlecase digraph ǅ
+# inside a sentence, URLs, digits, possessives, and words whose lowercasing
+# is not a plain ASCII fold: İ grows a combining dot, ẞ becomes ß, the
+# final sigma of ΟΔΟΣ, and the titlecase digraph ǅ
 _WORDS = (
     "the", "The", "THE", "and", "And", "of", "Monday", "monday", "Zorblax",
     "zorblax", "Quickly", "quickly", "Running", "running", "government",
     "Government", "considerable", "little", "Table", "don't", "Don't",
     "http://example.com/A", "https://Example.org", "www.example.com", "WWW.Example.com",
     "3", "1984", "x²", "B2B", "İstanbul", "istanbul", "İ", "i̇", "ẞ", "ß", "STRAẞE",
-    "ΟΔΟΣ", "οδος", "οδοσ", "ǅ", "ǆ", "Ǆ", "ǅemal", "Ély", "élan",
+    "ΟΔΟΣ", "οδος", "οδοσ", "ǅ", "ǆ", "Ǆ", "ǅemal", "Ély", "élan", "John's", "It's",
+    "Mary’s",
 )
 _token = st.one_of(
     st.sampled_from(_WORDS),
@@ -142,7 +141,6 @@ class TestCensus:
         assert dict(text.counts) == {t: tokens.count(t) for t in set(tokens)}
         lowered = [t.lower() for t in tokens]
         assert text.lowered == {t: lowered.count(t) for t in set(lowered)}
-        assert text.lowered == lowered_census(Counter(tokens))
         assert sum(text.counts.values()) == sum(text.lowered.values()) == len(tokens)
 
     @given(st.text())

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from veritag import (
+    PoliticalFilterModel,
     RawDocument,
     apply_political_filter,
     balanced_sample,
+    extract_article,
+    granularity_text,
     load_manifest,
     load_topic_corpus,
+    parse_html,
+    tokenize,
     train_political_filter,
 )
 from veritag.errors import ConfigError, DataError
@@ -280,3 +286,71 @@ class TestPoliticalFilter:
         assert len(pairs) == 10
         model = train_political_filter(pairs)
         assert "politics" in model.classes
+
+    def test_the_census_gives_the_hand_counted_model_and_scores(
+        self, topic_fixture_path, demo_docs, drift_docs, tmp_path
+    ):
+        pairs = load_topic_corpus(topic_fixture_path)
+        model = train_political_filter(pairs)
+        reference = _reference_filter(pairs)
+        model.save(tmp_path / "model.json")
+        reference.save(tmp_path / "reference.json")
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+        texts = [
+            granularity_text(extract_article(parse_html(doc.html)), "HC")
+            for doc in demo_docs + drift_docs
+        ]
+        assert [apply_political_filter(model, text).score for text in texts] == [
+            _reference_score(reference, text) for text in texts
+        ]
+
+
+def _hand_counts(text: str) -> dict[str, int]:
+    """Lowercased term counts, in first-occurrence order, one token at a time."""
+    counts: dict[str, int] = {}
+    for t in [t.lower() for t in tokenize(text).tokens]:
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def _reference_filter(pairs) -> PoliticalFilterModel:
+    """The topic model fitted from hand-counted terms, summed in the same
+    order as ``train_political_filter``."""
+    classes = tuple(sorted({topic for _, topic in pairs}))
+    docs = [(_hand_counts(text), topic) for text, topic in pairs]
+    df: dict[str, int] = {}
+    for counts, _ in docs:
+        for t in counts:
+            df[t] = df.get(t, 0) + 1
+    vocabulary = tuple(sorted(df))
+    idf = {t: math.log((1 + len(docs)) / (1 + df[t])) + 1.0 for t in vocabulary}
+    mass: dict[str, dict[str, float]] = {c: {} for c in classes}
+    for counts, topic in docs:
+        for t, n in counts.items():
+            mass[topic][t] = mass[topic].get(t, 0.0) + (1.0 + math.log(n)) * idf[t]
+    likelihoods: dict[str, dict[str, float]] = {t: {} for t in vocabulary}
+    for c in classes:
+        denom = sum(mass[c].values()) + len(vocabulary)
+        for t in vocabulary:
+            likelihoods[t][c] = math.log((mass[c].get(t, 0.0) + 1.0) / denom)
+    topics = [topic for _, topic in pairs]
+    return PoliticalFilterModel(
+        classes=classes,
+        class_log_priors={c: math.log(topics.count(c) / len(docs)) for c in classes},
+        feature_log_likelihoods=likelihoods,
+        idf=idf,
+        vocabulary=vocabulary,
+    )
+
+
+def _reference_score(model: PoliticalFilterModel, text: str) -> float:
+    """The posterior of ``politics`` from hand-counted terms."""
+    scores = dict(model.class_log_priors)
+    for t, n in _hand_counts(text).items():
+        if t in model.idf:
+            weight = (1.0 + math.log(n)) * model.idf[t]
+            for c in model.classes:
+                scores[c] += weight * model.feature_log_likelihoods[t][c]
+    top = max(scores.values())
+    exps = {c: math.exp(s - top) for c, s in scores.items()}
+    return exps["politics"] / sum(exps.values())

@@ -73,12 +73,11 @@ LINGUISTICS_NAMES = {
 }
 
 # What the bench's set-up code loads of the package: the corpus reader and
-# the extraction resources, with the rule tagger but not the readability
-# indices or the topic filter.
+# the extraction resources, with the rule tagger but not the tokenizer, the
+# readability indices or the topic filter.
 SETUP_MODULES = {
     "veritag", "veritag.errors", "veritag.config", "veritag.corpus", "veritag.resources",
-    "veritag.linguistics", "veritag.linguistics.text", "veritag.linguistics.dictionary",
-    "veritag.linguistics.tagger",
+    "veritag.linguistics", "veritag.linguistics.dictionary", "veritag.linguistics.tagger",
 }
 
 HEAVY = ("numpy", "veritag.featureset", "veritag.models", "veritag.selection",
@@ -100,6 +99,19 @@ import atexit, runpy, sys
 atexit.register(lambda: sys.stderr.write("\\nMODULES " + " ".join(sys.modules)))
 runpy.run_module("veritag", run_name="__main__", alter_sys=True)
 """
+
+
+def _light_commands(corpus_dir, topics, tmp_path) -> list[list[str]]:
+    """Command lines that read no page's features."""
+    corpus = str(corpus_dir)
+    return [
+        ["--version"],
+        ["--help"],
+        ["ingest", "--corpus", corpus, "--check"],
+        ["sample", "--corpus", corpus, "--cap", "2", "--out", str(tmp_path / "s.jsonl")],
+        ["filter-political", "--corpus", corpus, "--topics", str(topics),
+         "--out", str(tmp_path / "f.csv")],
+    ]
 
 
 def _imported_by(*args: str) -> set[str]:
@@ -187,18 +199,20 @@ class TestImportSets:
         assert not [m for m in proc.stdout.split() if m.startswith("veritag.linguistics.")]
 
     def test_light_commands_load_no_numpy(self, demo_corpus_dir, topic_fixture_path, tmp_path):
-        corpus = str(demo_corpus_dir)
-        for args in (
-            ["--version"],
-            ["--help"],
-            ["ingest", "--corpus", corpus, "--check"],
-            ["sample", "--corpus", corpus, "--cap", "2", "--out", str(tmp_path / "s.jsonl")],
-            ["filter-political", "--corpus", corpus, "--topics", str(topic_fixture_path),
-             "--out", str(tmp_path / "f.csv")],
-        ):
+        for args in _light_commands(demo_corpus_dir, topic_fixture_path, tmp_path):
             loaded = _imported_by(*args)
             assert "veritag.cli" in loaded
             assert loaded.isdisjoint(HEAVY), args[0]
+
+    def test_light_commands_load_only_the_linguistics_they_run(
+        self, demo_corpus_dir, topic_fixture_path, tmp_path
+    ):
+        # only the topic filter reads text, and it needs the tokenizer alone
+        for args in _light_commands(demo_corpus_dir, topic_fixture_path, tmp_path):
+            loaded = _imported_by(*args)
+            linguistics = {m for m in loaded if m.startswith("veritag.linguistics.")}
+            expected = {"veritag.linguistics.text"} if args[0] == "filter-political" else set()
+            assert linguistics == expected, args[0]
 
     def test_extract_loads_no_models_selection_or_evaluation(self, demo_corpus_dir, tmp_path):
         loaded = _imported_by("extract", "--corpus", str(demo_corpus_dir),

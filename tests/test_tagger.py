@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from veritag import PENN_TABLE_TAGS, morphological_features, pos_tag
+from veritag import PENN_TABLE_TAGS, morphological_features, pos_tag, tokenize
 from veritag.linguistics.tagger import _RAW_TO_TABLE, RuleTagger
 
 
@@ -74,9 +74,8 @@ class TestRuleTaggerLexicon:
         lexicon["cat"] = "JJ"
         assert tagger.tag(["cat"]) == ["VB"]
 
-    def test_every_table_tag_but_pos_has_a_word(self):
-        """Each column of the N group can be nonzero, except ``POS``: the
-        tokenizer keeps ``'s`` inside its word, so nothing tags it."""
+    def test_every_table_tag_has_a_word(self):
+        """Each column of the N group can be nonzero."""
         words = {
             "WDT": "which", "PDT": "half", "JJ": "good", "VB": "be", "MD": "will",
             "CD": "3", "VBD": "was", "VBG": "being", "VBN": "been", "RP": "up", "DT": "the",
@@ -84,13 +83,47 @@ class TestRuleTaggerLexicon:
             "NNS": "people", "TO": "to", "WP$": "whose", "JJS": "best", "WP": "who",
             "VBP": "are", "RBR": "more", "NNP": "Monday", "UH": "oh", "PRP": "it",
             "VBZ": "is", "RBS": "most", "PRP$": "my", "RB": "not", "JJR": "better",
-            "IN": "of",
+            "IN": "of", "POS": "John's",
         }
-        assert set(words) == set(PENN_TABLE_TAGS) - {"POS"}
+        assert set(words) == set(PENN_TABLE_TAGS)
         for tag, word in words.items():
             assert morphological_features([word])[tag] == 1, word
-        emitted = set(RuleTagger().lexicon.values()) | {"CD", "NNP", "VBG", "RB", "NN"}
+        emitted = set(RuleTagger().lexicon.values()) | {"CD", "POS", "NNP", "VBG", "RB", "NN"}
         assert {_RAW_TO_TABLE[t] for t in emitted if t in _RAW_TO_TABLE} == set(words)
+
+
+class TestPossessives:
+    def test_a_fixed_text(self):
+        # one tag per token: the word takes its clitic's tag, POS for the
+        # possessive and VBZ after a listed host; a trailing apostrophe is
+        # not part of the word, and n't is no 's
+        text = tokenize(
+            "John's dog met Mary’s cat. It's late, and it's the voters' choice that won't wait."
+        )
+        assert text.tokens == [
+            "John's", "dog", "met", "Mary’s", "cat", "It's", "late", "and", "it's", "the",
+            "voters", "choice", "that", "won't", "wait",
+        ]
+        assert pos_tag(text.tokens) == [
+            "POS", "NN", "VBD", "POS", "NN", "VBZ", "JJ", "CC", "VBZ", "DT",
+            "NNS", "NN", "IN", "NN", "VBP",
+        ]
+        counts = morphological_features(text.tokens, None, text.sentences, text.counts)
+        assert (counts["POS"], counts["VBZ"]) == (2, 2)
+
+    @pytest.mark.parametrize("host", "it he she that what who there here where how let".split())
+    def test_a_listed_host_takes_vbz(self, host):
+        assert pos_tag(["the", host + "'s", host.capitalize() + "’s"]) == ["DT", "VBZ", "VBZ"]
+
+    @pytest.mark.parametrize("tokens, tags", [
+        (["John's"], ["POS"]),
+        (["the", "John's"], ["DT", "POS"]),
+        (["the", "Its's"], ["DT", "POS"]),
+        (["the", "1990's"], ["DT", "CD"]),
+        (["the", "JOHN'S"], ["DT", "NNP"]),
+    ], ids=["opener", "inside", "not-a-listed-host", "digits-first", "upper-case-s"])
+    def test_the_possessive_rule_comes_after_digits_and_ignores_position(self, tokens, tags):
+        assert pos_tag(tokens) == tags
 
 
 class TestMorphologicalFeatures:
@@ -176,12 +209,14 @@ def _reference_counts(tokens, tagger=None, sentences=None):
 # Words whose tag depends on opening a sentence (capitalized unknowns,
 # capitalized -ly/-ing words), words that do not (lexicon entries, the
 # lexicon's NNP "Monday", digits including the superscript "²" that
-# str.isdigit accepts), and lower- and upper-case forms of each.
+# str.isdigit accepts, and words ending in 's), and lower- and upper-case
+# forms of each.
 _WORDS = (
     "the", "The", "cat", "Cat", "sat", "Zorblax", "zorblax", "ZORBLAX",
     "Quickly", "quickly", "Running", "running", "Zorbing", "Monday", "monday",
     "May", "Paris", "paris", "There", "von", "Von", "Americans", "3", "1984",
-    "x²", "²", "B2B", "Ély", "élan", "Ünited",
+    "x²", "²", "B2B", "Ély", "élan", "Ünited", "John's", "john's", "Mary’s", "It's",
+    "it's", "won't",
 )
 _token = st.one_of(
     st.sampled_from(_WORDS),

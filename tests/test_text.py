@@ -53,6 +53,11 @@ class TestTokenize:
     def test_leading_apostrophe_is_not_attached(self):
         assert tokenize("'tis fine").tokens == ["tis", "fine"]
 
+    def test_curly_apostrophe_joins_as_the_straight_one_does(self):
+        assert tokenize("Mary’s don’t ’tis voters’ rock’n’roll it’'s").tokens == [
+            "Mary’s", "don’t", "tis", "voters", "rock’n’roll", "it", "s",
+        ]
+
     def test_url_kept_whole(self):
         tk = tokenize("Read https://example.com/a.b?c=1 today.")
         assert "https://example.com/a.b?c=1" in tk.tokens
@@ -150,6 +155,8 @@ class TestProperties:
 
 
 _REFERENCE_BOUNDARY_RE = re.compile(r"[.!?]+[\"'”’)\]]*(?=\s+[A-Z]|\s*$)")
+# a word: letters and digits, joined by single straight or curly apostrophes
+_REFERENCE_WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
 
 
 def _reference_tokenize(text: str, abbreviations: frozenset[str]) -> TokenizedText:
@@ -164,12 +171,12 @@ def _reference_tokenize(text: str, abbreviations: frozenset[str]) -> TokenizedTe
         if not url:
             continue
         end = m.start() + len(url)
-        for w in WORD_RE.finditer(text, cursor, m.start()):
+        for w in _REFERENCE_WORD_RE.finditer(text, cursor, m.start()):
             spans.append((w.start(), w.end(), w.group()))
         spans.append((m.start(), end, url))
         url_ranges.append((m.start(), end))
         cursor = m.end()
-    for w in WORD_RE.finditer(text, cursor):
+    for w in _REFERENCE_WORD_RE.finditer(text, cursor):
         spans.append((w.start(), w.end(), w.group()))
 
     def token_ending_at(pos):
@@ -228,7 +235,8 @@ _CLOSERS = ('"', "'", "”", "’", ")", "]")
 _pieces = st.one_of(
     _words,
     _words.map(str.capitalize),
-    st.sampled_from(["don't", "O'Neil", "rock'n'roll", "'tis", "it's"]),
+    st.sampled_from(["don't", "O'Neil", "rock'n'roll", "'tis", "it's", "Mary’s", "don’t",
+                     "’tis", "voters’", "it’'s", "won't"]),
     st.sampled_from(_ABBREVIATIONS).map(lambda a: a.capitalize() + "."),
     st.sampled_from(_ABBREVIATIONS).map(str.capitalize),
     st.sampled_from(string.ascii_letters).map(lambda c: c + "."),
