@@ -35,7 +35,7 @@ _LEXICON_GROUPS: Mapping[str, str] = {
     "CC": "and or but nor plus",
     "TO": "to",
     "PRP": "i you he she it we they them him us me himself herself itself "
-           "themselves myself yourself ourselves mine yours hers theirs",
+           "themselves myself yourself ourselves mine yours hers theirs let's",
     "PRP$": "my your his her its our their",
     "WDT": "which whichever",
     "WP": "who what whom whoever whatever",
@@ -163,9 +163,9 @@ for _tag, _words in _LEXICON_GROUPS.items():
         _LEXICON.setdefault(_w, _tag)
 
 
-# Words whose 's is no possessive ending ("it's" is "it is" or "it has",
-# "let's" is "let us"); such a word tags VBZ.
-_CLITIC_VBZ_HOSTS = frozenset("it he she that what who there here where how let".split())
+# Words whose 's is no possessive ending but "is" or "has" ("it's"); such a
+# word tags VBZ. The 's of "let's" is "us", and the lexicon tags it PRP.
+_CLITIC_VBZ_HOSTS = frozenset("it he she that what who there here where how".split())
 
 
 def _fallback_tag(token: str, index: int) -> str:
@@ -175,7 +175,7 @@ def _fallback_tag(token: str, index: int) -> str:
         return "CD"
     # One tag per token: Penn splits "John's" into John/NNP 's/POS, but the
     # tokenizer keeps it whole, so the word takes its clitic's tag.
-    if token.endswith(("'s", "’s")):
+    if token.endswith("'s"):
         return "VBZ" if token[:-2].lower() in _CLITIC_VBZ_HOSTS else "POS"
     if index > 0 and token[:1].isupper():
         return "NNP"

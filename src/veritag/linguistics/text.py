@@ -3,9 +3,9 @@ r"""Tokenization, sentence splitting, and syllable counting.
 These are the word/sentence/character primitives every linguistic feature
 group is built on, so their behavior is pinned exactly:
 
-- a token is a maximal run of letters/digits, with internal apostrophes,
-  straight or curly, kept ("don't" and "Mary’s" are one token each); URLs
-  are recognized first and kept whole;
+- a token is a maximal run of letters/digits, with internal apostrophes
+  kept ("don't" is one token); a curly apostrophe reads as a straight one
+  ("Mary’s" is "Mary's"); URLs are recognized first and kept whole;
 - sentences split on runs of ``. ! ?`` (optionally followed by closing
   quotes/brackets) when followed by whitespace plus a capital letter or end
   of text, except after a listed abbreviation or a single-letter initial;
@@ -35,8 +35,8 @@ from typing import Callable
 from .. import resources
 
 URL_RE = re.compile(r"(?:https?://|www\.)[^\s<>\"']+")
-WORD_RE = re.compile(r"[^\W_]+(?:['’][^\W_]+)*")
-# WORD_RE on an ASCII text, which holds no ’: [^\W_] accepts exactly these there
+WORD_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+# WORD_RE on an ASCII text: [^\W_] accepts exactly these there
 _ASCII_WORD_RE = re.compile(r"[A-Za-z0-9]+(?:'[A-Za-z0-9]+)*")
 VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 # The pattern opens with the mark class so that ``re`` can search for its
@@ -108,7 +108,14 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     """
     if abbreviations is None:
         abbreviations = resources.abbreviations()
-    findall = (_ASCII_WORD_RE if text.isascii() else WORD_RE).findall
+    if text.isascii():
+        findall = _ASCII_WORD_RE.findall
+    else:
+        # A curly apostrophe reads as a straight one, in a word as in a URL,
+        # so a token carries the one form the word lists spell. The text
+        # keeps its length and whitespace, and both forms close a sentence.
+        text = text.replace("’", "'")
+        findall = WORD_RE.findall
     parts = _BOUNDARY_RE.split(text)
     segments = parts[::2]
     marks = parts[1::2]  # boundary i lies between segments i and i + 1

@@ -494,23 +494,10 @@ def _src_host(el: Element) -> str:
     return host.lower()
 
 
-# A DNS name has at most 127 labels. The suffix walk below costs the summed
-# length of the suffixes, which grows with the square of a host's length
-# when most of its characters are dots, so a longer host (which no page can
-# load from) tests each listed domain instead.
-_MAX_HOST_LABELS = 127
-
-
 def _host_in_domains(host: str, domains: frozenset[str]) -> bool:
-    """Whether the host is a listed domain or ends in ``"." + domain`` for
-    one. The host and each part of it after a ``.`` are looked up in the
-    set, so the cost does not grow with the length of the list."""
     if not host:
         return False
-    labels = host.split(".")
-    if len(labels) > _MAX_HOST_LABELS:
-        return host in domains or any(host.endswith("." + d) for d in domains)
-    return any(".".join(labels[i:]) in domains for i in range(len(labels)))
+    return host in domains or any(host.endswith("." + d) for d in domains)
 
 
 def _is_ad(el: Element, domains: frozenset[str]) -> bool:

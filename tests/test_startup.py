@@ -101,19 +101,6 @@ runpy.run_module("veritag", run_name="__main__", alter_sys=True)
 """
 
 
-def _light_commands(corpus_dir, topics, tmp_path) -> list[list[str]]:
-    """Command lines that read no page's features."""
-    corpus = str(corpus_dir)
-    return [
-        ["--version"],
-        ["--help"],
-        ["ingest", "--corpus", corpus, "--check"],
-        ["sample", "--corpus", corpus, "--cap", "2", "--out", str(tmp_path / "s.jsonl")],
-        ["filter-political", "--corpus", corpus, "--topics", str(topics),
-         "--out", str(tmp_path / "f.csv")],
-    ]
-
-
 def _imported_by(*args: str) -> set[str]:
     """The modules a fresh ``python -m veritag ARGS`` imports; it must exit 0."""
     proc = _python("-c", _LIST_MODULES_AT_EXIT, *args)
@@ -199,17 +186,19 @@ class TestImportSets:
         assert not [m for m in proc.stdout.split() if m.startswith("veritag.linguistics.")]
 
     def test_light_commands_load_no_numpy(self, demo_corpus_dir, topic_fixture_path, tmp_path):
-        for args in _light_commands(demo_corpus_dir, topic_fixture_path, tmp_path):
+        corpus = str(demo_corpus_dir)
+        for args in (
+            ["--version"],
+            ["--help"],
+            ["ingest", "--corpus", corpus, "--check"],
+            ["sample", "--corpus", corpus, "--cap", "2", "--out", str(tmp_path / "s.jsonl")],
+            ["filter-political", "--corpus", corpus, "--topics", str(topic_fixture_path),
+             "--out", str(tmp_path / "f.csv")],
+        ):
             loaded = _imported_by(*args)
             assert "veritag.cli" in loaded
             assert loaded.isdisjoint(HEAVY), args[0]
-
-    def test_light_commands_load_only_the_linguistics_they_run(
-        self, demo_corpus_dir, topic_fixture_path, tmp_path
-    ):
-        # only the topic filter reads text, and it needs the tokenizer alone
-        for args in _light_commands(demo_corpus_dir, topic_fixture_path, tmp_path):
-            loaded = _imported_by(*args)
+            # only the topic filter reads text, and it needs the tokenizer alone
             linguistics = {m for m in loaded if m.startswith("veritag.linguistics.")}
             expected = {"veritag.linguistics.text"} if args[0] == "filter-political" else set()
             assert linguistics == expected, args[0]
