@@ -64,9 +64,9 @@ _EXPORTS = {
         "write_schema",
     ),
     "selection": (
-        "ImportanceScores", "aggregate_importance", "combine_factors", "l1_score",
-        "mutual_info_score", "quantile_bin", "select_features", "shannon_entropy_score",
-        "tree_importance", "write_importance_report",
+        "ImportanceScores", "combine_factors", "l1_score", "mutual_info_score",
+        "quantile_bin", "select_features", "shannon_entropy_score", "tree_importance",
+        "write_importance_report",
     ),
     "models": (
         "BaselineFeaturizer", "KnnModel", "LinearSvmModel", "RandomForestModel",

@@ -197,7 +197,6 @@ def _decode_payload(field: Fields) -> TrainedPipeline:
         featurizer = _decode_featurizer(field.object("featurizer"), width)
     classifier = field.object("classifier")
     return TrainedPipeline(
-        kind=kind,
         classifier_name=field("classifier_name", lambda v: v == classifier("type")),
         classifier=_decode_classifier(classifier, width),
         standardizer=StandardizerParams(

@@ -56,7 +56,6 @@ def _hash_json(obj) -> str:
 
 @dataclass
 class TrainedPipeline:
-    kind: str  # "tag" | "baseline"
     classifier_name: str
     classifier: object
     standardizer: StandardizerParams
@@ -65,14 +64,12 @@ class TrainedPipeline:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind == "tag":
-            if self.schema is None:
-                raise ConfigError("tag pipeline needs a schema")
-        elif self.kind == "baseline":
-            if self.featurizer is None:
-                raise ConfigError("baseline pipeline needs a featurizer")
-        else:
-            raise ConfigError(f"unknown pipeline kind {self.kind!r}")
+        if (self.schema is None) == (self.featurizer is None):
+            raise ConfigError("a pipeline needs exactly one of a schema and a featurizer")
+
+    @property
+    def kind(self) -> str:
+        return "tag" if self.schema is not None else "baseline"
 
     def schema_hash(self) -> str:
         if self.kind == "tag":
@@ -134,7 +131,7 @@ class TrainedPipeline:
 
 
 def _train(
-    kind: str, X: np.ndarray, y: np.ndarray, settings: ClassifierSettings,
+    X: np.ndarray, y: np.ndarray, settings: ClassifierSettings,
     granularity: str, groups: Sequence[str], jobs: int | None, **parts,
 ) -> TrainedPipeline:
     """Standardize (fit on this data only), then train the classifier; a
@@ -142,7 +139,6 @@ def _train(
     pipeline's schema or featurizer."""
     params = standardize_fit(X)
     return TrainedPipeline(
-        kind=kind,
         classifier_name=settings.name,
         classifier=train_classifier(standardize_apply(params, X), y, settings, jobs=jobs),
         standardizer=params,
@@ -170,7 +166,7 @@ def train_tag_pipeline(
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != len(schema.names):
         raise DataError("matrix does not match the schema")
-    return _train("tag", X, y, settings, schema.granularity, schema.groups, jobs, schema=schema)
+    return _train(X, y, settings, schema.granularity, schema.groups, jobs, schema=schema)
 
 
 def train_baseline_pipeline(
@@ -188,6 +184,4 @@ def train_baseline_pipeline(
     its trees in up to ``jobs`` processes."""
     featurizer = BaselineFeaturizer(granularity, dictionary, min_df=min_df)
     X = featurizer.fit(texts).transform_many(texts)
-    return _train(
-        "baseline", X, y, settings, granularity, ("tfidf", "L", "R"), jobs, featurizer=featurizer
-    )
+    return _train(X, y, settings, granularity, ("tfidf", "L", "R"), jobs, featurizer=featurizer)

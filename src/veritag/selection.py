@@ -15,13 +15,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvariantError, write_csv
+from .errors import ConfigError, DataError, write_csv
 from .featureset import FeatureSchema, prune_to_names, standardize_apply, standardize_fit
 from .models.forest import extra_tree
 from .workers import fork_map
@@ -237,61 +237,46 @@ def combine_factors(
 
 @dataclass(frozen=True)
 class ImportanceScores:
+    """The four raw scores per feature; the normalized factors and r derive
+    from them. Entropy enters inverted (1/(se+eps)); all four factors are
+    min-max normalized across features before the geometric mean."""
+
     names: tuple[str, ...]
     se_raw: np.ndarray
     tb_raw: np.ndarray
     l1_raw: np.ndarray
     mi_raw: np.ndarray
-    se_inv_norm: np.ndarray
-    tb_norm: np.ndarray
-    l1_norm: np.ndarray
-    mi_norm: np.ndarray
-    r: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = (
-            self.se_raw, self.tb_raw, self.l1_raw, self.mi_raw,
-            self.se_inv_norm, self.tb_norm, self.l1_norm, self.mi_norm, self.r,
-        )
-        if any(a.shape != (len(self.names),) for a in arrays):
-            raise InvariantError("importance arrays misaligned with names")
-        check = (self.se_inv_norm * self.tb_norm * self.l1_norm * self.mi_norm) ** 0.25
-        if np.max(np.abs(check - self.r), initial=0.0) > 1e-12:
-            raise InvariantError("r does not equal the geometric mean of factors")
+        object.__setattr__(self, "names", tuple(self.names))
+        for raw in ("se_raw", "tb_raw", "l1_raw", "mi_raw"):
+            object.__setattr__(self, raw, np.asarray(getattr(self, raw), dtype=np.float64))
+            if getattr(self, raw).shape != (len(self.names),):
+                raise DataError("score arrays must all match the feature count")
+
+    @cached_property
+    def se_inv_norm(self) -> np.ndarray:
+        return _minmax(1.0 / (self.se_raw + SE_EPSILON))
+
+    @cached_property
+    def tb_norm(self) -> np.ndarray:
+        return _minmax(self.tb_raw)
+
+    @cached_property
+    def l1_norm(self) -> np.ndarray:
+        return _minmax(self.l1_raw)
+
+    @cached_property
+    def mi_norm(self) -> np.ndarray:
+        return _minmax(self.mi_raw)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return combine_factors(self.se_inv_norm, self.tb_norm, self.l1_norm, self.mi_norm)
 
     @property
     def retained(self) -> np.ndarray:
         return self.r > 0.0
-
-
-def aggregate_importance(
-    names: Sequence[str],
-    se_raw: np.ndarray,
-    tb_raw: np.ndarray,
-    l1_raw: np.ndarray,
-    mi_raw: np.ndarray,
-) -> ImportanceScores:
-    """Combine the four raw scores into r per feature.
-
-    Entropy enters inverted (1/(se+eps)); all four factors are min-max
-    normalized across features before the geometric mean.
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in (se_raw, tb_raw, l1_raw, mi_raw)]
-    if len({a.shape for a in arrays}) != 1 or arrays[0].shape != (len(names),):
-        raise DataError("score arrays must all match the feature count")
-    se_raw, tb_raw, l1_raw, mi_raw = arrays
-    se_inv = 1.0 / (se_raw + SE_EPSILON)
-    se_inv_norm = _minmax(se_inv)
-    tb_norm = _minmax(tb_raw)
-    l1_norm = _minmax(l1_raw)
-    mi_norm = _minmax(mi_raw)
-    r = combine_factors(se_inv_norm, tb_norm, l1_norm, mi_norm)
-    return ImportanceScores(
-        names=tuple(names),
-        se_raw=se_raw, tb_raw=tb_raw, l1_raw=l1_raw, mi_raw=mi_raw,
-        se_inv_norm=se_inv_norm, tb_norm=tb_norm, l1_norm=l1_norm,
-        mi_norm=mi_norm, r=r,
-    )
 
 
 def select_features(
@@ -328,7 +313,7 @@ def select_features(
     (se, mi), l1_raw, *per_tree = fork_map(
         _run, [per_column, l1, *_tree_scorers(X, y, trees, seed)], jobs
     )
-    scores = aggregate_importance(schema.names, se, _mean_importance(per_tree), l1_raw, mi)
+    scores = ImportanceScores(schema.names, se, _mean_importance(per_tree), l1_raw, mi)
     survivors = [n for n, keep in zip(schema.names, scores.retained) if keep]
     if not survivors:
         raise DataError("every feature scored r = 0; data looks degenerate")

@@ -1441,6 +1441,23 @@ class TestEmptyCorpus:
         assert [r.getMessage() for r in caplog.records] == ["cannot evaluate an empty corpus"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("empty", ["training", "test"])
+    def test_cross_domain_names_the_empty_corpus(
+        self, demo_corpus_dir, empty_corpus, tmp_path, caplog, empty
+    ):
+        train, test = (
+            (empty_corpus, demo_corpus_dir) if empty == "training"
+            else (demo_corpus_dir, empty_corpus)
+        )
+        out = tmp_path / "report.csv"
+        with caplog.at_level("ERROR", logger="veritag"):
+            assert main(["evaluate", "--protocol", "cross-domain", "--corpus", str(train),
+                         "--test-corpus", str(test), "--out", str(out)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cannot evaluate across domains: the {empty} corpus has no pages"
+        ]
+        assert not out.exists()
+
 
 class TestMalformedPages:
     """One odd page must not fail a whole extraction run."""

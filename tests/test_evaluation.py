@@ -116,17 +116,12 @@ class TestStratifiedFolds:
 class TestEvalReportInvariants:
     def test_accuracy_outside_unit_interval_rejected(self):
         with pytest.raises(InvariantError):
-            EvalReport("cv", (1.5,), 1.5, {})
-
-    def test_mean_must_match_folds(self):
-        with pytest.raises(InvariantError):
-            EvalReport("cv", (0.5, 0.5), 0.7, {})
+            EvalReport((1.5,), {})
 
 
 class TestKfoldCv:
     def test_demo_corpus_separates_perfectly(self, demo_docs, resources):
         report = kfold_cv(demo_docs, PipelineSpec(), resources, k=5, seed=0)
-        assert report.protocol == "cv"
         assert len(report.fold_accuracies) == 5
         assert report.mean_accuracy == 1.0
 
@@ -486,7 +481,7 @@ class TestTermFrequencyReport:
 
 class TestCsvWriters:
     def test_cv_csv_bytes(self, tmp_path):
-        report = EvalReport("cv", (1.0, 0.5), 0.75, {"k": 2, "seed": 0})
+        report = EvalReport((1.0, 0.5), {"k": 2, "seed": 0})
         path = tmp_path / "cv.csv"
         write_cv_report_csv(path, report)
         assert path.read_bytes() == (
@@ -527,11 +522,11 @@ class TestCsvWriters:
 
     def test_grid_csv_derives_shared_config(self, tmp_path):
         r1 = EvalReport(
-            "cv", (1.0, 0.5), 0.75,
+            (1.0, 0.5),
             {"k": 2, "seed": 0, "kind": "tag", "groups": ("N", "R"), "granularity": "H"},
         )
         r2 = EvalReport(
-            "cv", (1.0, 1.0), 1.0,
+            (1.0, 1.0),
             {"k": 2, "seed": 0, "kind": "tag", "groups": ("R",), "granularity": "HC"},
         )
         path = tmp_path / "grid.csv"
@@ -555,7 +550,7 @@ class TestCsvWriters:
         )
 
     def test_config_comment_parses_back_as_json(self, tmp_path):
-        report = EvalReport("cv", (1.0,), 1.0, {"k": 1, "seed": 3})
+        report = EvalReport((1.0,), {"k": 1, "seed": 3})
         path = tmp_path / "cv.csv"
         write_cv_report_csv(path, report)
         first = path.read_text(encoding="utf-8").splitlines()[0]

@@ -172,7 +172,7 @@ _SCHEMA = FeatureSchema(names=("R.FK",), granularity="HC", groups=("R",))
 
 def _write_model(path):
     save_pipeline(TrainedPipeline(
-        kind="tag", classifier_name="svm",
+        classifier_name="svm",
         classifier=LinearSvmModel(weights=np.ones(1), bias=0.5, cost=0.1),
         standardizer=StandardizerParams(mean=np.zeros(1), stddev=np.ones(1)), schema=_SCHEMA,
     ), path)

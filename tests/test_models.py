@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -429,6 +430,16 @@ class TestTagPipeline:
         with pytest.raises(ConfigError):
             ClassifierSettings(name="perceptron", c=1.0, k=3, trees=5, seed=0)
 
+    @pytest.mark.parametrize("featurizer", [True, False], ids=["both", "neither"])
+    def test_needs_exactly_one_of_schema_and_featurizer(self, demo_dictionary, featurizer):
+        pipeline, _, _ = _tag_pipeline()
+        parts = (
+            {"featurizer": BaselineFeaturizer("HC", demo_dictionary)} if featurizer
+            else {"schema": None}
+        )
+        with pytest.raises(ConfigError, match="exactly one of a schema and a featurizer"):
+            dataclasses.replace(pipeline, **parts)
+
     def test_matrix_schema_mismatch_rejected(self):
         schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",))
         settings = ClassifierSettings(name="svm", c=1.0, k=3, trees=5, seed=0)
@@ -613,6 +624,17 @@ class TestPersistence:
         assert loaded.featurizer.vocabulary == pipeline.featurizer.vocabulary
         X = loaded.featurizer.transform_many(texts)
         assert loaded.predict_matrix(X)[0].shape == (4,)
+
+    def test_kind_follows_the_parts_before_and_after_loading(self, tmp_path, demo_dictionary):
+        settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
+        tag, _, _ = _tag_pipeline()
+        baseline = train_baseline_pipeline(
+            _texts("HC", demo_dictionary), np.array([0, 0, 1, 1]), "HC", demo_dictionary,
+            settings, min_df=1,
+        )
+        for pipeline, kind in ((tag, "tag"), (baseline, "baseline")):
+            save_pipeline(pipeline, tmp_path / "model.bin")
+            assert pipeline.kind == load_pipeline(tmp_path / "model.bin").kind == kind
 
     def test_saved_bytes_are_stable(self, tmp_path):
         pipeline, _, _ = _tag_pipeline(seed=2)

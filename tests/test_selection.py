@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from veritag import (
-    aggregate_importance,
+    ImportanceScores,
     build_schema,
     combine_factors,
     l1_score,
@@ -22,7 +22,7 @@ from veritag import (
     write_importance_report,
 )
 from veritag.errors import ConfigError, DataError
-from veritag.selection import _sigmoid
+from veritag.selection import SE_EPSILON, _minmax, _sigmoid
 
 
 class TestQuantileBin:
@@ -305,11 +305,11 @@ class TestCombineFactors:
             combine_factors(np.ones(2), np.ones(3), np.ones(2), np.ones(2))
 
 
-class TestAggregateImportance:
+class TestImportanceScores:
     def test_all_equal_factor_normalizes_neutral(self):
         # identical tb everywhere: min-max maps it to all ones
         names = ["a", "b"]
-        scores = aggregate_importance(
+        scores = ImportanceScores(
             names,
             se_raw=np.array([1.0, 2.0]),
             tb_raw=np.array([3.0, 3.0]),
@@ -320,7 +320,7 @@ class TestAggregateImportance:
 
     def test_inverted_entropy_ranks_low_entropy_high(self):
         names = ["low", "high"]
-        scores = aggregate_importance(
+        scores = ImportanceScores(
             names,
             se_raw=np.array([0.1, 3.0]),
             tb_raw=np.array([1.0, 1.0]),
@@ -333,7 +333,7 @@ class TestAggregateImportance:
     def test_r_is_geometric_mean_of_normalized_factors(self):
         rng = np.random.default_rng(23)
         names = [f"f{i}" for i in range(6)]
-        scores = aggregate_importance(
+        scores = ImportanceScores(
             names,
             se_raw=rng.uniform(0, 3, 6),
             tb_raw=rng.uniform(0, 1, 6),
@@ -345,14 +345,13 @@ class TestAggregateImportance:
         ) ** 0.25
         assert np.allclose(scores.r, expected, atol=1e-15)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_importance(
-                ["a"], np.ones(2), np.ones(2), np.ones(2), np.ones(2)
-            )
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (1, 1, 2, 1)], ids=["all", "one"])
+    def test_length_mismatch_rejected(self, sizes):
+        with pytest.raises(DataError, match="must all match the feature count"):
+            ImportanceScores(["a"], *(np.ones(n) for n in sizes))
 
     def test_retained_mask(self):
-        scores = aggregate_importance(
+        scores = ImportanceScores(
             ["a", "b"],
             se_raw=np.array([1.0, 2.0]),
             tb_raw=np.array([1.0, 0.0]),
@@ -360,6 +359,64 @@ class TestAggregateImportance:
             mi_raw=np.array([1.0, 1.0]),
         )
         assert scores.retained.tolist() == [True, False]
+
+
+def _reference_aggregate_importance(names, se_raw, tb_raw, l1_raw, mi_raw):
+    """aggregate_importance as it was while ImportanceScores stored its
+    factors and r: the same arithmetic, returning the arrays it stored."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in (se_raw, tb_raw, l1_raw, mi_raw)]
+    if len({a.shape for a in arrays}) != 1 or arrays[0].shape != (len(names),):
+        raise DataError("score arrays must all match the feature count")
+    se_raw, tb_raw, l1_raw, mi_raw = arrays
+    se_inv = 1.0 / (se_raw + SE_EPSILON)
+    se_inv_norm = _minmax(se_inv)
+    tb_norm = _minmax(tb_raw)
+    l1_norm = _minmax(l1_raw)
+    mi_norm = _minmax(mi_raw)
+    r = combine_factors(se_inv_norm, tb_norm, l1_norm, mi_norm)
+    return dict(
+        se_raw=se_raw, tb_raw=tb_raw, l1_raw=l1_raw, mi_raw=mi_raw,
+        se_inv_norm=se_inv_norm, tb_norm=tb_norm, l1_norm=l1_norm,
+        mi_norm=mi_norm, r=r,
+    )
+
+
+_SCORE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # ties
+    st.floats(0.0, 1.0, allow_subnormal=False),
+    st.floats(0.0, 1e12, allow_subnormal=False),
+    st.floats(1e-12, 1e-6),
+)
+
+
+@st.composite
+def _raw_scores(draw, d):
+    """One raw score per feature: a constant or all-zero column, or a mix
+    of tied values and magnitudes from 1e-12 to 1e12."""
+    kind = draw(st.sampled_from(["zeros", "constant", "mixed"]))
+    if kind == "zeros":
+        return np.zeros(d)
+    if kind == "constant":
+        return np.full(d, draw(_SCORE))
+    return np.array(draw(st.lists(_SCORE, min_size=d, max_size=d)))
+
+
+@st.composite
+def _score_sets(draw):
+    d = draw(st.integers(1, 12))
+    return [f"f{i}" for i in range(d)], [draw(_raw_scores(d)) for _ in range(4)]
+
+
+class TestImportanceScoresMatchReference:
+    @given(_score_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_every_array_is_bit_equal(self, problem):
+        names, raw = problem
+        expected = _reference_aggregate_importance(names, *raw)
+        scores = ImportanceScores(names, *raw)
+        for field, array in expected.items():
+            assert getattr(scores, field).tobytes() == array.tobytes(), field
+        assert np.array_equal(scores.retained, expected["r"] > 0.0)
 
 
 def _synthetic_selection_problem(seed=0, n=500):

@@ -45,9 +45,9 @@ PUBLIC_NAMES = {
         "write_feature_csv", "write_schema",
     ),
     "selection": (
-        "ImportanceScores", "aggregate_importance", "combine_factors", "l1_score",
-        "mutual_info_score", "quantile_bin", "select_features", "shannon_entropy_score",
-        "tree_importance", "write_importance_report",
+        "ImportanceScores", "combine_factors", "l1_score", "mutual_info_score",
+        "quantile_bin", "select_features", "shannon_entropy_score", "tree_importance",
+        "write_importance_report",
     ),
     "models": (
         "BaselineFeaturizer", "ClassifierSettings", "KnnModel", "LinearSvmModel",

@@ -263,7 +263,7 @@ X = np.eye(d)
 y = np.arange(d) % 2
 model = rf_train(X, y, n_trees=2, seed=0)
 pipeline = TrainedPipeline(
-    kind="tag", classifier_name="rf", classifier=model,
+    classifier_name="rf", classifier=model,
     standardizer=StandardizerParams(mean=np.zeros(d), stddev=np.ones(d)),
     schema=FeatureSchema(names=tuple(f"R.x{{i}}" for i in range(d)), granularity="HC", groups=("R",)),
 )
