@@ -90,6 +90,24 @@ def _fill(template: str, pool: tuple[str, ...], rng: random.Random) -> str:
     return out
 
 
+def _paragraphs(
+    sentences: tuple[str, ...],
+    pool: tuple[str, ...],
+    rng: random.Random,
+    per_paragraph: tuple[int, int],
+    paragraphs: tuple[int, int],
+) -> list[str]:
+    """Paragraphs of filled template sentences; both counts are drawn from
+    their half-open ranges."""
+    return [
+        " ".join(
+            _fill(sentences[rng.randrange(len(sentences))], pool, rng)
+            for _ in range(rng.randrange(*per_paragraph))
+        )
+        for _ in range(rng.randrange(*paragraphs))
+    ]
+
+
 def _emphasize(paragraph: str, tag: str, rng: random.Random) -> str:
     """Wrap one word in an inline tag; the extracted text is unchanged."""
     words = paragraph.split(" ")
@@ -171,6 +189,18 @@ def _tabloid_page(headline: str, paragraphs: list[str], rng: random.Random) -> s
 """
 
 
+def _record(doc_id: str, site: str, label: str, year: int) -> dict:
+    """The manifest record of a generated page."""
+    return {
+        "id": doc_id,
+        "url": f"https://{site}/{year}/{doc_id}",
+        "site": site,
+        "label": label,
+        "year": year,
+        "html_path": f"pages/{doc_id}.html",
+    }
+
+
 def _write_corpus(root: Path, site_labels: dict[str, str], records: list[dict], pages: dict[str, str]) -> Path:
     root = Path(root)
     (root / "pages").mkdir(parents=True, exist_ok=True)
@@ -206,34 +236,13 @@ def build_demo_corpus(root: str | Path, seed: int = 0) -> Path:
                     headline = _fill(
                         "Report finds steady progress on the {n} program", _FORMAL_NOUNS, rng
                     )
-                    paragraphs = [
-                        " ".join(
-                            _fill(_FORMAL_SENTENCES[rng.randrange(len(_FORMAL_SENTENCES))], _FORMAL_NOUNS, rng)
-                            for _ in range(rng.randrange(2, 4))
-                        )
-                        for _ in range(rng.randrange(4, 7))
-                    ]
+                    paragraphs = _paragraphs(_FORMAL_SENTENCES, _FORMAL_NOUNS, rng, (2, 4), (4, 7))
                     html = _formal_page(headline, paragraphs, rng, inline_links=True)
                 else:
                     headline = _fill("You will NOT believe this {n} story!", _TABLOID_NOUNS, rng)
-                    paragraphs = [
-                        " ".join(
-                            _fill(_TABLOID_SENTENCES[rng.randrange(len(_TABLOID_SENTENCES))], _TABLOID_NOUNS, rng)
-                            for _ in range(rng.randrange(1, 3))
-                        )
-                        for _ in range(rng.randrange(5, 9))
-                    ]
+                    paragraphs = _paragraphs(_TABLOID_SENTENCES, _TABLOID_NOUNS, rng, (1, 3), (5, 9))
                     html = _tabloid_page(headline, paragraphs, rng)
-                records.append(
-                    {
-                        "id": doc_id,
-                        "url": f"https://{site}/{year}/{doc_id}",
-                        "site": site,
-                        "label": label,
-                        "year": year,
-                        "html_path": f"pages/{doc_id}.html",
-                    }
-                )
+                records.append(_record(doc_id, site, label, year))
                 pages[doc_id] = html
     return _write_corpus(Path(root), sites, records, pages)
 
@@ -268,28 +277,13 @@ def build_drift_corpus(root: str | Path, seed: int = 0) -> Path:
                 headline = _fill(
                     _DRIFT_HEADLINES[text_rng.randrange(len(_DRIFT_HEADLINES))], pool, text_rng
                 )
-                paragraphs = [
-                    " ".join(
-                        _fill(_DRIFT_SENTENCES[text_rng.randrange(len(_DRIFT_SENTENCES))], pool, text_rng)
-                        for _ in range(text_rng.randrange(2, 4))
-                    )
-                    for _ in range(text_rng.randrange(3, 6))
-                ]
+                paragraphs = _paragraphs(_DRIFT_SENTENCES, pool, text_rng, (2, 4), (3, 6))
                 chrome_rng = random.Random(f"{seed}:drift-page:{label}:{i}")
                 if label == "reliable":
                     html = _formal_page(headline, paragraphs, chrome_rng, inline_links=False)
                 else:
                     html = _tabloid_page(headline, paragraphs, chrome_rng)
-                records.append(
-                    {
-                        "id": doc_id,
-                        "url": f"https://{site}/{year}/{doc_id}",
-                        "site": site,
-                        "label": label,
-                        "year": year,
-                        "html_path": f"pages/{doc_id}.html",
-                    }
-                )
+                records.append(_record(doc_id, site, label, year))
                 pages[doc_id] = html
     return _write_corpus(Path(root), sites, records, pages)
 

@@ -10,7 +10,7 @@ everything else matches by case-insensitive equality.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,12 +24,8 @@ class CategoryDictionary:
     categories: list[str]
     patterns: list[tuple[str, tuple[int, ...]]]
 
-    # match structures, derived once in __post_init__
-    _literal: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
-    _prefix: dict[str, frozenset[int]] = field(default_factory=dict, repr=False)
-    _prefix_lens: tuple[int, ...] = field(default=(), repr=False)
-
     def __post_init__(self) -> None:
+        """Check the patterns and derive the match tables from them."""
         if len(set(self.categories)) != len(self.categories):
             raise DataError("duplicate category names in dictionary")
         n = len(self.categories)

@@ -9,14 +9,14 @@ keep that gap in mind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .. import workers
 from ..corpus import RawDocument
-from ..errors import ConfigError, DataError
+from ..errors import DataError
 from ..linguistics import CategoryDictionary, dictionary_scores, readability_features, tokenize
 from ..markup import Article, extract_article, granularity_text, parse_html
 
@@ -80,28 +80,34 @@ class BaselineFeaturizer:
     """TF-IDF vocabulary over unigrams+bigrams, concatenated with the
     psychological and readability groups of the same text.
 
-    Every method takes the texts that ``baseline_text`` or
+    ``fit`` learns one; ``idf`` holds the vocabulary's terms in column
+    order. Every method takes the texts that ``baseline_text`` or
     ``document_texts`` prepare at the featurizer's granularity and
     dictionary, so a caller that fits and transforms the same pages many
     times tokenizes each page once."""
 
     granularity: str
     dictionary: CategoryDictionary
-    min_df: int = DEFAULT_MIN_DF
-    vocabulary: tuple[str, ...] = ()
-    idf: dict[str, float] = field(default_factory=dict)
-    fitted: bool = False
+    min_df: int
+    idf: dict[str, float]
 
     def __post_init__(self) -> None:
-        if self.fitted:
-            self._index_vocabulary()
+        # term columns and an idf array for _row; derived, never persisted
+        self._columns = {t: i for i, t in enumerate(self.idf)}
+        self._idf = np.array(list(self.idf.values()), dtype=np.float64)
 
-    def _index_vocabulary(self) -> None:
-        """Term columns and an idf array for _row; derived, never persisted."""
-        self._columns = {t: i for i, t in enumerate(self.vocabulary)}
-        self._idf = np.array([self.idf[t] for t in self.vocabulary], dtype=np.float64)
+    @property
+    def vocabulary(self) -> tuple[str, ...]:
+        return tuple(self.idf)
 
-    def fit(self, texts: Sequence[BaselineText]) -> "BaselineFeaturizer":
+    @classmethod
+    def fit(
+        cls,
+        texts: Sequence[BaselineText],
+        granularity: str,
+        dictionary: CategoryDictionary,
+        min_df: int = DEFAULT_MIN_DF,
+    ) -> "BaselineFeaturizer":
         """Learn the vocabulary (terms in ≥ min_df documents) and idf."""
         if not texts:
             raise DataError("cannot fit the baseline on an empty corpus")
@@ -110,19 +116,15 @@ class BaselineFeaturizer:
             for term in set(_ngrams(text.tokens)):
                 df[term] = df.get(term, 0) + 1
         n = len(texts)
-        self.vocabulary = tuple(sorted(t for t, c in df.items() if c >= self.min_df))
-        self.idf = {
-            t: math.log((1 + n) / (1 + df[t])) + 1.0 for t in self.vocabulary
-        }
-        self.fitted = True
-        self._index_vocabulary()
-        return self
+        vocabulary = sorted(t for t, c in df.items() if c >= min_df)
+        idf = {t: math.log((1 + n) / (1 + df[t])) + 1.0 for t in vocabulary}
+        return cls(granularity, dictionary, min_df, idf)
 
     def _row(self, text: BaselineText) -> np.ndarray:
         """L2-normalized raw-tf × idf block, then L, then R."""
         hits = [i for i in map(self._columns.get, _ngrams(text.tokens)) if i is not None]
         tfidf = np.bincount(
-            np.array(hits, dtype=np.intp), minlength=len(self.vocabulary)
+            np.array(hits, dtype=np.intp), minlength=self._idf.size
         ).astype(np.float64)
         tfidf *= self._idf
         norm = math.sqrt(float(tfidf @ tfidf))
@@ -131,6 +133,4 @@ class BaselineFeaturizer:
         return np.concatenate([tfidf, text.lr_block])
 
     def transform_many(self, texts: Sequence[BaselineText]) -> np.ndarray:
-        if not self.fitted:
-            raise ConfigError("baseline featurizer is not fitted")
         return np.stack([self._row(t) for t in texts])

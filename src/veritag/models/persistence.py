@@ -10,7 +10,6 @@ DataError naming the file, and every tree of a loaded forest ends.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from ..linguistics import READABILITY_FEATURES, CategoryDictionary
 from .baseline import BaselineFeaturizer
 from .forest import RandomForestModel
 from .neighbors import KnnModel
-from .pipeline import TrainedPipeline
+from .pipeline import TrainedPipeline, _hash_json
 from .svm import LinearSvmModel
 
 MODEL_FORMAT_VERSION = 2
@@ -175,9 +174,7 @@ def _decode_featurizer(field: Fields, width: int) -> BaselineFeaturizer:
         granularity=field("granularity", lambda v: v in GRANULARITIES),
         dictionary=dictionary,
         min_df=field("min_df", lambda v: is_int(v, 1)),
-        vocabulary=tuple(vocabulary),
-        idf={term: float(v) for term, v in idf.items()},
-        fitted=True,
+        idf={term: float(idf[term]) for term in vocabulary},
     )
 
 
@@ -208,10 +205,6 @@ def _decode_payload(field: Fields) -> TrainedPipeline:
     )
 
 
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
     body = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -219,7 +212,7 @@ def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
         "schema_hash": pipeline.schema_hash(),
         "payload": _encode_payload(pipeline),
     }
-    body["checksum"] = hashlib.sha256(_canonical(body)).hexdigest()
+    body["checksum"] = _hash_json(body)
     Path(path).write_text(json.dumps(body), encoding="utf-8")
 
 
@@ -228,7 +221,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     if not isinstance(body, dict) or "checksum" not in body:
         raise DataError(f"corrupt model file {path}: missing checksum")
     recorded = body.pop("checksum")
-    if hashlib.sha256(_canonical(body)).hexdigest() != recorded:
+    if _hash_json(body) != recorded:
         raise DataError(f"corrupt model file {path}: checksum mismatch")
     version = body.get("format_version")
     if version != MODEL_FORMAT_VERSION:

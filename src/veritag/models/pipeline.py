@@ -182,6 +182,6 @@ def train_baseline_pipeline(
     """Fit the TF-IDF vocabulary and idf on these texts only, then
     standardize the combined block and train the classifier; a forest grows
     its trees in up to ``jobs`` processes."""
-    featurizer = BaselineFeaturizer(granularity, dictionary, min_df=min_df)
-    X = featurizer.fit(texts).transform_many(texts)
+    featurizer = BaselineFeaturizer.fit(texts, granularity, dictionary, min_df)
+    X = featurizer.transform_many(texts)
     return _train(X, y, settings, granularity, ("tfidf", "L", "R"), jobs, featurizer=featurizer)

@@ -7,7 +7,7 @@ classes, class_log_priors, feature_log_likelihoods, idf, vocabulary}``.
 ``classes`` names ``politics`` and no class twice, ``class_log_priors``
 has one entry per class, every ``idf`` term has a
 ``feature_log_likelihoods`` entry with one value per class, and
-``vocabulary`` is not empty.
+``vocabulary`` names each ``idf`` term once.
 """
 
 from __future__ import annotations
@@ -32,18 +32,22 @@ FILTER_MODEL_FORMAT_VERSION = 1
 class PoliticalFilterModel:
     """Multinomial Naive Bayes over sublinear-tf smooth-idf term weights."""
 
-    classes: tuple[str, ...]
     class_log_priors: dict[str, float]
     feature_log_likelihoods: dict[str, dict[str, float]]
     idf: dict[str, float]
-    vocabulary: tuple[str, ...]
 
     def __post_init__(self) -> None:
         total = sum(math.exp(p) for p in self.class_log_priors.values())
         if abs(total - 1.0) > 1e-9:
             raise InvariantError("class priors do not sum to 1")
-        if len(set(self.vocabulary)) != len(self.vocabulary):
-            raise InvariantError("duplicate terms in vocabulary")
+
+    @property
+    def classes(self) -> tuple[str, ...]:
+        return tuple(self.class_log_priors)
+
+    @property
+    def vocabulary(self) -> tuple[str, ...]:
+        return tuple(self.idf)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -72,15 +76,16 @@ class PoliticalFilterModel:
             isinstance(v, dict) and all(map(is_number_map, v.values()))
             and all(v.get(term, {}).keys() >= names for term in idf)
         ))
+        vocabulary = field("vocabulary", lambda v: (
+            is_str_list(v) and len(v) == len(idf) and idf.keys() == set(v)
+        ))
         try:
             return cls(
-                classes=tuple(classes),
-                class_log_priors={k: float(v) for k, v in priors.items()},
+                class_log_priors={c: float(priors[c]) for c in classes},
                 feature_log_likelihoods={
                     t: {c: float(v) for c, v in per.items()} for t, per in likelihoods.items()
                 },
-                idf={k: float(v) for k, v in idf.items()},
-                vocabulary=tuple(field("vocabulary", lambda v: is_str_list(v) and bool(v))),
+                idf={t: float(idf[t]) for t in vocabulary},
             )
         except (InvariantError, OverflowError) as exc:
             raise DataError(f"{path}: {exc}") from exc
@@ -143,11 +148,7 @@ def train_political_filter(labeled_texts: Sequence[tuple[str, str]]) -> Politica
 
     log_priors = {c: math.log(class_docs[c] / n_docs) for c in classes}
     return PoliticalFilterModel(
-        classes=classes,
-        class_log_priors=log_priors,
-        feature_log_likelihoods=log_likelihoods,
-        idf=idf,
-        vocabulary=vocabulary,
+        class_log_priors=log_priors, feature_log_likelihoods=log_likelihoods, idf=idf
     )
 
 
@@ -171,7 +172,7 @@ def apply_political_filter(
             continue
         weight = (1.0 + math.log(n)) * model.idf[t]
         per_class = model.feature_log_likelihoods[t]
-        for c in model.classes:
+        for c in scores:
             scores[c] += weight * per_class[c]
 
     top = max(scores.values())

@@ -1,8 +1,12 @@
 """Bundled resource lists and their loaders.
 
 Every list is a plain data file in this directory so the features computed
-from it are reproducible bit-for-bit. All of them can be overridden with a
-user-supplied file of the same format (one entry per line, ``#`` comments).
+from it are reproducible bit-for-bit. Word lists hold one entry per line,
+with ``#`` comments. Only the ad-domain list and the category dictionary
+can be replaced with a user-supplied file (``--ad-domains``,
+``--dictionary``). The stopword, easy-word and abbreviation lists can be
+replaced only through the keyword arguments of the functions that read
+them; the tag-group table and the reference text cannot be replaced.
 """
 
 from __future__ import annotations

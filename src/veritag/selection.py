@@ -235,11 +235,14 @@ def combine_factors(
     return (se_inv * tb * l1 * mi) ** 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceScores:
     """The four raw scores per feature; the normalized factors and r derive
     from them. Entropy enters inverted (1/(se+eps)); all four factors are
-    min-max normalized across features before the geometric mean."""
+    min-max normalized across features before the geometric mean.
+
+    Two score sets compare and hash by identity: a field-wise ``==`` would
+    ask numpy for the truth of an array."""
 
     names: tuple[str, ...]
     se_raw: np.ndarray

@@ -335,11 +335,9 @@ def _reference_filter(pairs) -> PoliticalFilterModel:
             likelihoods[t][c] = math.log((mass[c].get(t, 0.0) + 1.0) / denom)
     topics = [topic for _, topic in pairs]
     return PoliticalFilterModel(
-        classes=classes,
         class_log_priors={c: math.log(topics.count(c) / len(docs)) for c in classes},
         feature_log_likelihoods=likelihoods,
         idf=idf,
-        vocabulary=vocabulary,
     )
 
 

@@ -123,12 +123,19 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politic
         (PoliticalFilterModel.load, {**_FILTER, "classes": ["politics", "b", "c"]}),
         (PoliticalFilterModel.load, {**_FILTER, "classes": []}),
         (PoliticalFilterModel.load, {**_FILTER, "classes": ["politics", "b", "politics"]}),
+        (PoliticalFilterModel.load, {
+            **_FILTER, "idf": {"vote": 1.0, "tax": 1.0}, "feature_log_likelihoods": {
+                "vote": {"politics": -1.0, "b": -2.0}, "tax": {"politics": -2.0, "b": -1.0},
+            },
+        }),
+        (PoliticalFilterModel.load, {**_FILTER, "vocabulary": ["vote", "tax"]}),
     ],
     ids=[
         "filter-vocabulary", "filter-idf", "filter-likelihoods", "filter-priors-sum",
         "filter-prior-overflow", "filter-duplicate-term", "filter-idf-nan", "filter-idf-bool",
         "filter-term-without-likelihoods", "filter-term-lacking-a-class",
         "filter-class-without-prior", "filter-no-classes", "filter-repeated-class",
+        "filter-vocabulary-lacks-a-term", "filter-vocabulary-extra-term",
     ],
 )
 def test_wrong_shape_is_bad_input(load, payload, tmp_path):

@@ -433,8 +433,9 @@ class TestTagPipeline:
     @pytest.mark.parametrize("featurizer", [True, False], ids=["both", "neither"])
     def test_needs_exactly_one_of_schema_and_featurizer(self, demo_dictionary, featurizer):
         pipeline, _, _ = _tag_pipeline()
+        texts = _texts("HC", demo_dictionary)
         parts = (
-            {"featurizer": BaselineFeaturizer("HC", demo_dictionary)} if featurizer
+            {"featurizer": BaselineFeaturizer.fit(texts, "HC", demo_dictionary)} if featurizer
             else {"schema": None}
         )
         with pytest.raises(ConfigError, match="exactly one of a schema and a featurizer"):
@@ -494,33 +495,24 @@ class TestBaselinePipeline:
     def test_training_fits_through_fit(self, demo_dictionary, monkeypatch):
         fit, fits = BaselineFeaturizer.fit, []
         monkeypatch.setattr(
-            BaselineFeaturizer, "fit", lambda self, texts: fits.append(self) or fit(self, texts)
+            BaselineFeaturizer, "fit", lambda *args: fits.append(fit(*args)) or fits[-1]
         )
         y = np.array([0, 0, 1, 1])
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
         texts = _texts("HC", demo_dictionary)
         pipeline = train_baseline_pipeline(texts, y, "HC", demo_dictionary, settings, min_df=1)
-        assert fits == [pipeline.featurizer]
+        assert len(fits) == 1 and fits[0] is pipeline.featurizer
 
     def test_min_df_filters_vocabulary(self, demo_dictionary):
-        featurizer = BaselineFeaturizer(
-            granularity="HC", dictionary=demo_dictionary, min_df=2
-        ).fit(_texts("HC", demo_dictionary))
+        featurizer = BaselineFeaturizer.fit(_texts("HC", demo_dictionary), "HC", demo_dictionary, 2)
         # "budget" appears in two documents, "tonight" in one
         assert "budget" in featurizer.vocabulary
         assert "tonight" not in featurizer.vocabulary
 
     def test_idf_formula(self, demo_dictionary):
-        featurizer = BaselineFeaturizer(
-            granularity="HC", dictionary=demo_dictionary, min_df=1
-        ).fit(_texts("HC", demo_dictionary))
+        featurizer = BaselineFeaturizer.fit(_texts("HC", demo_dictionary), "HC", demo_dictionary, 1)
         # "budget" document frequency is 2 of 4
         assert featurizer.idf["budget"] == pytest.approx(np.log(5.0 / 3.0) + 1.0)
-
-    def test_unfitted_transform_rejected(self, demo_dictionary):
-        featurizer = BaselineFeaturizer(granularity="HC", dictionary=demo_dictionary)
-        with pytest.raises(ConfigError):
-            featurizer.transform_many(_texts("HC", demo_dictionary)[:1])
 
     def test_empty_corpus_rejected(self, demo_dictionary):
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
@@ -584,14 +576,13 @@ class TestBaselineMatchesReference:
                 articles[::2], articles, granularity, demo_dictionary, min_df
             )
             texts = _texts(granularity, demo_dictionary, articles)
-            featurizer = BaselineFeaturizer(granularity, demo_dictionary, min_df=min_df)
-            featurizer.fit(texts[::2])
+            featurizer = BaselineFeaturizer.fit(texts[::2], granularity, demo_dictionary, min_df)
             assert featurizer.vocabulary == vocabulary
             assert featurizer.idf == idf
             assert featurizer.transform_many(texts).tobytes() == X.tobytes()
             assert featurizer.transform_many(texts[1:2]).tobytes() == X[1].tobytes()
             train = texts[::2]
-            assert featurizer.fit(train).transform_many(train).tobytes() == X[::2].tobytes()
+            assert featurizer.transform_many(train).tobytes() == X[::2].tobytes()
 
     def test_texts_share_one_string_per_word(self, demo_docs, demo_dictionary):
         tokens = [
@@ -624,6 +615,24 @@ class TestPersistence:
         assert loaded.featurizer.vocabulary == pipeline.featurizer.vocabulary
         X = loaded.featurizer.transform_many(texts)
         assert loaded.predict_matrix(X)[0].shape == (4,)
+
+    def test_columns_follow_the_files_vocabulary(self, tmp_path, demo_dictionary):
+        settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
+        texts = _texts("HC", demo_dictionary)
+        pipeline = train_baseline_pipeline(
+            texts, np.array([0, 0, 1, 1]), "HC", demo_dictionary, settings, min_df=1
+        )
+        path = tmp_path / "model.bin"
+        save_pipeline(pipeline, path)
+        body = json.loads(path.read_text())
+        # the checksum hashes keys sorted, so it still holds
+        idf = body["payload"]["featurizer"]["idf"]
+        body["payload"]["featurizer"]["idf"] = dict(reversed(idf.items()))
+        path.write_text(json.dumps(body))
+        loaded = load_pipeline(path).featurizer
+        assert loaded.vocabulary == pipeline.featurizer.vocabulary
+        expected = pipeline.featurizer.transform_many(texts)
+        assert loaded.transform_many(texts).tobytes() == expected.tobytes()
 
     def test_kind_follows_the_parts_before_and_after_loading(self, tmp_path, demo_dictionary):
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)

@@ -350,6 +350,12 @@ class TestImportanceScores:
         with pytest.raises(DataError, match="must all match the feature count"):
             ImportanceScores(["a"], *(np.ones(n) for n in sizes))
 
+    def test_compares_and_hashes_by_identity(self):
+        scores = ImportanceScores(["a", "b"], *[np.ones(2)] * 4)
+        assert scores == scores
+        assert scores != ImportanceScores(["a", "b"], *[np.ones(2)] * 4)
+        assert hash(scores) == hash(scores)
+
     def test_retained_mask(self):
         scores = ImportanceScores(
             ["a", "b"],
