@@ -37,43 +37,6 @@ def check_groups(groups, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class ClassifierSettings:
-    name: str = "svm"
-    c: float = 0.1
-    k: int = 5
-    trees: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.name not in CLASSIFIER_NAMES:
-            raise ConfigError(f"unknown classifier {self.name!r}")
-
-
-@dataclass(frozen=True)
-class PipelineSpec:
-    """What to train: feature configuration plus the classifier."""
-
-    kind: str = "tag"  # "tag" | "baseline"
-    granularity: str = "HC"
-    groups: tuple[str, ...] = ("N", "L", "R", "W")
-    pruning: str = "none"  # "none" | "paper"
-    classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
-    min_df: int = 2  # baseline TF-IDF vocabulary floor
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("tag", "baseline"):
-            raise ConfigError(f"unknown pipeline kind {self.kind!r}")
-        if self.granularity not in GRANULARITIES:
-            raise ConfigError(f"granularity must be one of {GRANULARITIES}")
-        check_groups(self.groups, "a pipeline's groups")
-        if self.pruning not in PRUNINGS:
-            raise ConfigError(f"unknown pruning mode {self.pruning!r}")
-
-    def echo(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
 class ExtractionResources:
     """Everything extraction needs besides the page itself."""
 
@@ -86,8 +49,10 @@ class ExtractionResources:
 class RunConfig:
     """Everything a run needs besides the corpus itself.
 
-    ``dictionary`` and ``ad_domains`` are file paths; when unset the
-    bundled demo dictionary and ad-domain list are used.
+    Each default setting is written here once: ``ClassifierSettings``,
+    ``PipelineSpec`` and every library function that keeps a default read
+    these fields. ``dictionary`` and ``ad_domains`` are file paths; when
+    unset the bundled demo dictionary and ad-domain list are used.
     """
 
     seed: int = 0
@@ -158,6 +123,43 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a path string or null")
 
 
+@dataclass(frozen=True)
+class ClassifierSettings:
+    name: str = RunConfig.classifier
+    c: float = RunConfig.c
+    k: int = RunConfig.k
+    trees: int = RunConfig.trees
+    seed: int = RunConfig.seed
+
+    def __post_init__(self) -> None:
+        if self.name not in CLASSIFIER_NAMES:
+            raise ConfigError(f"unknown classifier {self.name!r}")
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """What to train: feature configuration plus the classifier."""
+
+    kind: str = "tag"  # "tag" | "baseline"
+    granularity: str = RunConfig.granularity
+    groups: tuple[str, ...] = RunConfig.groups
+    pruning: str = RunConfig.pruning  # "none" | "paper"
+    classifier: ClassifierSettings = field(default_factory=ClassifierSettings)
+    min_df: int = RunConfig.min_df  # baseline TF-IDF vocabulary floor
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("tag", "baseline"):
+            raise ConfigError(f"unknown pipeline kind {self.kind!r}")
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"granularity must be one of {GRANULARITIES}")
+        check_groups(self.groups, "a pipeline's groups")
+        if self.pruning not in PRUNINGS:
+            raise ConfigError(f"unknown pruning mode {self.pruning!r}")
+
+    def echo(self) -> dict:
+        return dataclasses.asdict(self)
+
+
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
 
@@ -199,9 +201,7 @@ def load_run_resources(cfg: RunConfig) -> ExtractionResources:
 
     dictionary_path = cfg.dictionary if cfg.dictionary else demo_dictionary_path()
     dictionary = load_dictionary(dictionary_path)
-    domains = (
-        load_wordlist(path=cfg.ad_domains) if cfg.ad_domains else _bundled_ad_domains()
-    )
+    domains = load_wordlist(cfg.ad_domains) if cfg.ad_domains else _bundled_ad_domains()
     return ExtractionResources(dictionary=dictionary, tagger=RuleTagger(), ad_domains=domains)
 
 

@@ -11,9 +11,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import workers
+from . import resources as bundled, workers
 from .config import (
-    GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec, check_groups,
+    CLASSIFIER_NAMES, GRANULARITIES, ClassifierSettings, ExtractionResources, PipelineSpec,
+    check_groups,
 )
 from .corpus import RawDocument
 from .errors import ConfigError, DataError, InvariantError, write_csv
@@ -24,7 +25,6 @@ from .linguistics import CategoryDictionary, tokenize
 from .markup import extract_article, granularity_text, parse_html
 from .models import TrainedPipeline, train_baseline_pipeline, train_tag_pipeline
 from .models.baseline import BaselineText, _ngrams, document_texts
-from .resources import stopwords as _default_stopwords
 
 log = logging.getLogger("veritag")
 
@@ -57,8 +57,15 @@ class EvalReport:
 class TemporalReport:
     years: tuple[int, ...]
     cells: dict[tuple[int, int], float]  # (train_year, test_year) -> accuracy
-    train_means: dict[int, float]
     config: dict
+
+    @property
+    def train_means(self) -> dict[int, float]:
+        """Each train year's mean accuracy over its row, in test-year order."""
+        rows: dict[int, list[float]] = {}
+        for (train_year, _), acc in sorted(self.cells.items()):
+            rows.setdefault(train_year, []).append(acc)
+        return {year: float(np.mean(row)) for year, row in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -213,8 +220,8 @@ def kfold_cv(
     docs: Sequence[RawDocument],
     spec: PipelineSpec,
     resources: ExtractionResources,
-    k: int = 5,
-    seed: int = 0,
+    k: int,
+    seed: int,
     *,
     jobs: int | None = None,
 ) -> EvalReport:
@@ -257,14 +264,10 @@ def temporal_eval(
         return [fitter.evaluate(pipeline, year_idx[year]) for year in years if year != train_year]
 
     cells: dict[tuple[int, int], float] = {}
-    train_means: dict[int, float] = {}
     for train_year, accuracies in zip(train_years, workers.fork_map(row, train_years, jobs)):
         test_years = [year for year in years if year != train_year]
         cells.update(zip(((train_year, year) for year in test_years), accuracies))
-        train_means[train_year] = float(np.mean(accuracies))
-    return TemporalReport(
-        years=years, cells=cells, train_means=train_means, config=spec.echo()
-    )
+    return TemporalReport(years=years, cells=cells, config=spec.echo())
 
 
 def cross_domain_eval(
@@ -272,7 +275,7 @@ def cross_domain_eval(
     test_docs: Sequence[RawDocument],
     spec: PipelineSpec,
     resources: ExtractionResources,
-    classifiers: Sequence[str] = ("svm", "knn", "rf"),
+    classifiers: Sequence[str] = CLASSIFIER_NAMES,
     *,
     jobs: int | None = None,
 ) -> dict[str, float]:
@@ -301,8 +304,8 @@ def feature_grid_eval(
     spec: PipelineSpec,
     resources: ExtractionResources,
     group_sets: Sequence[Sequence[str]],
-    k: int = 5,
-    seed: int = 0,
+    k: int,
+    seed: int,
     *,
     jobs: int | None = None,
 ) -> list[EvalReport]:
@@ -340,14 +343,10 @@ def feature_grid_eval(
     ]
 
 
-def term_frequency_report(
-    docs: Sequence[RawDocument],
-    n_top: int,
-    stopword_list: frozenset[str] | None = None,
-) -> TermFrequencyReport:
+def term_frequency_report(docs: Sequence[RawDocument], n_top: int) -> TermFrequencyReport:
     """Top lowercased unigrams+bigrams per year; grams containing a
-    stopword are dropped; ties break lexicographically."""
-    stop = _default_stopwords() if stopword_list is None else stopword_list
+    bundled stopword are dropped; ties break lexicographically."""
+    stop = bundled.stopwords()
     counts: dict[int, dict[str, int]] = {}
     for doc in docs:
         article = extract_article(parse_html(doc.html))

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import GRANULARITIES, GROUPS, PRUNINGS, check_groups
+from .config import GRANULARITIES, GROUPS, PRUNINGS, RunConfig, check_groups
 from .corpus import CLASS_TO_LABEL, LABEL_TO_CLASS, RawDocument
 from .errors import (
     ConfigError, DataError, Fields, InvariantError, is_str_list, read_format, read_input,
@@ -68,7 +68,7 @@ class FeatureSchema:
     names: tuple[str, ...]
     granularity: str
     groups: tuple[str, ...]
-    pruning: str = "none"
+    pruning: str
 
     def __post_init__(self) -> None:
         """The one feature-name rule: each name is ``GROUP.NAME`` with
@@ -103,7 +103,7 @@ def build_schema(
     granularity: str,
     groups: Sequence[str],
     dictionary: CategoryDictionary | None = None,
-    pruning: str = "none",
+    pruning: str = RunConfig.pruning,
 ) -> FeatureSchema:
     """Schema of the requested groups, in N, L, R, W order: every feature
     they make, or with ``pruning="paper"`` the published paper pruning."""
@@ -118,7 +118,9 @@ def build_schema(
         for g in ordered
         for name in (dictionary.categories if g == "L" else GROUP_FEATURES[g])
     ]
-    schema = FeatureSchema(names=tuple(names), granularity=granularity, groups=ordered)
+    schema = FeatureSchema(
+        names=tuple(names), granularity=granularity, groups=ordered, pruning="none"
+    )
     return apply_paper_pruning(schema) if pruning == "paper" else schema
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..resources import easy_words as _default_easy_words
-from ..resources import stopwords as _default_stopwords
+from .. import resources
 from .text import TokenizedText, count_syllables, is_url_token
 
 # Schema order of the readability group. CW covers two distinct features
@@ -48,14 +47,11 @@ def _linsear_write(
     return ratio / 2.0 if ratio > 20 else (ratio - 2.0) / 2.0
 
 
-def readability_features(
-    tokenized: TokenizedText,
-    easy_words: frozenset[str] | None = None,
-    stopwords: frozenset[str] | None = None,
-) -> dict[str, float]:
-    """The readability group's values, keyed by READABILITY_FEATURES in order."""
-    easy = _default_easy_words() if easy_words is None else easy_words
-    stop = _default_stopwords() if stopwords is None else stopwords
+def readability_features(tokenized: TokenizedText) -> dict[str, float]:
+    """The readability group's values, keyed by READABILITY_FEATURES in
+    order; DW and PS read the bundled easy-word and stopword lists."""
+    easy = resources.easy_words()
+    stop = resources.stopwords()
 
     tokens = tokenized.tokens
     w = len(tokens)

@@ -89,7 +89,7 @@ def is_url_token(token: str) -> bool:
     return token.startswith(("http://", "https://", "www."))
 
 
-def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> TokenizedText:
+def tokenize(text: str) -> TokenizedText:
     """Deterministic tokenization and sentence splitting per the module rules.
 
     The work is a few passes over the whole text, each running in C:
@@ -106,8 +106,7 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> Tokenize
     into the same passes: its text replaces the words inside it, in the
     segment it starts in, and a boundary that starts inside it is dropped.
     """
-    if abbreviations is None:
-        abbreviations = resources.abbreviations()
+    abbreviations = resources.abbreviations()
     if text.isascii():
         findall = _ASCII_WORD_RE.findall
     else:

@@ -172,8 +172,8 @@ class Document(Element):
     def find_all(self, tag: str, within: Element | None = None) -> list[Element]:
         return [el for el in self.iter_elements(within) if el.tag == tag]
 
-    def find(self, tag: str, within: Element | None = None) -> Element | None:
-        for el in self.iter_elements(within):
+    def find(self, tag: str) -> Element | None:
+        for el in self.elements:
             if el.tag == tag:
                 return el
         return None

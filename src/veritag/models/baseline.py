@@ -20,8 +20,6 @@ from ..errors import DataError
 from ..linguistics import CategoryDictionary, dictionary_scores, readability_features, tokenize
 from ..markup import Article, extract_article, granularity_text, parse_html
 
-DEFAULT_MIN_DF = 2
-
 
 @dataclass(frozen=True)
 class BaselineText:
@@ -106,7 +104,7 @@ class BaselineFeaturizer:
         texts: Sequence[BaselineText],
         granularity: str,
         dictionary: CategoryDictionary,
-        min_df: int = DEFAULT_MIN_DF,
+        min_df: int,
     ) -> "BaselineFeaturizer":
         """Learn the vocabulary (terms in ≥ min_df documents) and idf."""
         if not texts:

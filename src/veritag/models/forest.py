@@ -19,8 +19,6 @@ from ..errors import DataError
 from ..featureset import feature_rows
 from ..workers import fork_map
 
-DEFAULT_TREES = 100
-
 
 def _gini(counts: np.ndarray, total: int) -> float:
     p = counts / total
@@ -149,7 +147,7 @@ class RandomForestModel:
 
 
 def rf_train(
-    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0,
+    X: np.ndarray, y: np.ndarray, n_trees: int, seed: int,
     *, jobs: int | None = None,
 ) -> RandomForestModel:
     """Each tree grows on a bootstrap sample to purity (or single-example

@@ -9,8 +9,6 @@ import numpy as np
 from ..errors import DataError, InvariantError
 from ..featureset import feature_rows
 
-DEFAULT_K = 5
-
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -29,7 +27,7 @@ class KnnModel:
         object.__setattr__(self, "labels", labels)
 
 
-def knn_train(X: np.ndarray, y: np.ndarray, k: int = DEFAULT_K) -> KnnModel:
+def knn_train(X: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     y = np.asarray(y)
     if np.unique(y).size < 2:
         raise DataError("training needs both classes present")

@@ -175,7 +175,7 @@ def train_baseline_pipeline(
     granularity: str,
     dictionary: CategoryDictionary,
     settings: ClassifierSettings,
-    min_df: int = 2,
+    min_df: int,
     *,
     jobs: int | None = None,
 ) -> TrainedPipeline:

@@ -20,7 +20,6 @@ import numpy as np
 from ..errors import DataError, InvariantError
 from ..featureset import feature_rows
 
-DEFAULT_COST = 0.1
 DUALITY_GAP_TOL = 1e-4
 MAX_PASSES = 10_000
 _MONOTONE_SLACK = 1e-9
@@ -54,7 +53,7 @@ def check_binary(y: np.ndarray) -> None:
 def svm_train(
     X: np.ndarray,
     y: np.ndarray,
-    C: float = DEFAULT_COST,
+    C: float,
     max_passes: int = MAX_PASSES,
 ) -> LinearSvmModel:
     """Fit by cyclic dual coordinate descent.

@@ -5,8 +5,8 @@ political a page's text is, trained from a JSONL file of
 Model file: a JSON object ``{format_version, kind: "political-filter",
 classes, class_log_priors, feature_log_likelihoods, idf, vocabulary}``.
 ``classes`` names ``politics`` and no class twice, ``class_log_priors``
-has one entry per class, every ``idf`` term has a
-``feature_log_likelihoods`` entry with one value per class, and
+has one entry per class, ``feature_log_likelihoods`` has an entry for
+exactly the ``idf`` terms, each with a value for exactly the classes, and
 ``vocabulary`` names each ``idf`` term once.
 """
 
@@ -73,8 +73,8 @@ class PoliticalFilterModel:
         priors = field("class_log_priors", lambda v: is_number_map(v) and v.keys() == names)
         idf = field("idf", is_number_map)
         likelihoods = field("feature_log_likelihoods", lambda v: (
-            isinstance(v, dict) and all(map(is_number_map, v.values()))
-            and all(v.get(term, {}).keys() >= names for term in idf)
+            isinstance(v, dict) and v.keys() == idf.keys()
+            and all(is_number_map(per) and per.keys() == names for per in v.values())
         ))
         vocabulary = field("vocabulary", lambda v: (
             is_str_list(v) and len(v) == len(idf) and idf.keys() == set(v)
@@ -159,7 +159,7 @@ class FilterDecision:
 
 
 def apply_political_filter(
-    model: PoliticalFilterModel, text: str, threshold: float = 0.5
+    model: PoliticalFilterModel, text: str, threshold: float
 ) -> FilterDecision:
     """Posterior probability that the text is political; decision at the
     threshold (score ≥ threshold ⇒ political)."""

@@ -21,14 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, DataError, write_csv
 from .featureset import FeatureSchema, prune_to_names, standardize_apply, standardize_fit
 from .models.forest import extra_tree
 from .workers import fork_map
 
-DEFAULT_BINS = 10
-DEFAULT_TREES = 250
-DEFAULT_L1_LAMBDA = 0.05
 SE_EPSILON = 1e-9
 
 _L1_TOL = 1e-6
@@ -53,7 +51,7 @@ def quantile_bin(column: np.ndarray, bins: int) -> np.ndarray:
     return np.searchsorted(edges, column, side="left")
 
 
-def shannon_entropy_score(column: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+def shannon_entropy_score(column: np.ndarray, bins: int) -> float:
     """Entropy in bits of the quantile-binned column."""
     ids = quantile_bin(column, bins)
     counts = np.bincount(ids)
@@ -61,9 +59,7 @@ def shannon_entropy_score(column: np.ndarray, bins: int = DEFAULT_BINS) -> float
     return float(-(p * np.log2(p)).sum() + 0.0)  # +0.0 avoids -0.0 in reports
 
 
-def mutual_info_score(
-    column: np.ndarray, y: np.ndarray, bins: int = DEFAULT_BINS
-) -> float:
+def mutual_info_score(column: np.ndarray, y: np.ndarray, bins: int) -> float:
     """Plug-in MI in bits between the quantile-binned column and labels."""
     y = np.asarray(y)
     if y.size == 0:
@@ -127,8 +123,7 @@ def _run(task: Callable):
 
 
 def tree_importance(
-    X: np.ndarray, y: np.ndarray, n_trees: int = DEFAULT_TREES, seed: int = 0,
-    *, jobs: int | None = None,
+    X: np.ndarray, y: np.ndarray, n_trees: int, seed: int, *, jobs: int | None = None,
 ) -> np.ndarray:
     """Impurity-decrease importance from an ensemble of extremely
     randomized trees, normalized to sum 1.
@@ -150,7 +145,7 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 def l1_score(
     X: np.ndarray,
     y: np.ndarray,
-    lam: float = DEFAULT_L1_LAMBDA,
+    lam: float,
     max_sweeps: int = _L1_MAX_SWEEPS,
 ) -> np.ndarray:
     """|coefficients| of L1-regularized logistic regression.
@@ -286,11 +281,11 @@ def select_features(
     X: np.ndarray,
     y: np.ndarray,
     schema: FeatureSchema,
-    bins: int = DEFAULT_BINS,
-    trees: int = DEFAULT_TREES,
-    lam: float = DEFAULT_L1_LAMBDA,
-    seed: int = 0,
+    bins: int = RunConfig.bins,
+    trees: int = RunConfig.selection_trees,
+    lam: float = RunConfig.l1_lambda,
     *,
+    seed: int,
     jobs: int | None = None,
 ) -> tuple[FeatureSchema, ImportanceScores]:
     """One-shot selection: score every feature, drop those with r = 0.

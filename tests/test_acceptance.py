@@ -157,7 +157,7 @@ def test_criterion_3_selection_sanity():
         X[:, 0] = y.astype(float)
         X[:, 1] = 3.14
         names = tuple(f"R.f{j:02d}" for j in range(20))
-        schema = FeatureSchema(names=names, granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=names, granularity="HC", groups=("R",), pruning="none")
 
         pruned, scores = select_features(
             X, y, schema, bins=10, trees=250, lam=0.05, seed=0
@@ -213,7 +213,9 @@ def test_criterion_4_classifier_suite(tmp_path):
         ):
             assert got.tobytes() == want.tobytes()
 
-        schema = FeatureSchema(names=("R.x1", "R.x2"), granularity="HC", groups=("R",))
+        schema = FeatureSchema(
+            names=("R.x1", "R.x2"), granularity="HC", groups=("R",), pruning="none"
+        )
         settings = ClassifierSettings(name="svm", c=0.1)
         path_a, path_b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_pipeline(train_tag_pipeline(X, y, schema, settings), path_a)

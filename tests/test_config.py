@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from veritag import (
-    ConfigError, PipelineSpec, RuleTagger, RunConfig, load_config, load_run_resources,
-    pipeline_spec,
+    ClassifierSettings, ConfigError, PipelineSpec, RuleTagger, RunConfig, build_schema,
+    load_config, load_manifest, load_run_resources, pipeline_spec, select_features,
 )
 from veritag.config import classifier_settings, merge_overrides, validate_paths
 
@@ -188,6 +192,35 @@ class TestSpecMapping:
     def test_classifier_settings_carry_seed(self):
         settings = classifier_settings(RunConfig(seed=9, classifier="knn", k=3))
         assert (settings.name, settings.k, settings.seed) == ("knn", 3, 9)
+
+    def test_the_run_defaults_are_the_spec_defaults(self):
+        assert pipeline_spec(RunConfig()) == PipelineSpec()
+        assert classifier_settings(RunConfig()) == ClassifierSettings()
+
+    @pytest.mark.parametrize("function, parameter, setting", [
+        (select_features, "bins", "bins"),
+        (select_features, "trees", "selection_trees"),
+        (select_features, "lam", "l1_lambda"),
+        (build_schema, "pruning", "pruning"),
+        (load_manifest, "year_range", "year_range"),
+    ])
+    def test_a_kept_library_default_is_the_run_default(self, function, parameter, setting):
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(RunConfig(), setting)
+
+    def test_readme_states_the_run_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme[readme.index("as the fields of `RunConfig`"):].split("\n\n")[0]
+        stated = dict(re.findall(r"`(\w+)` ([\w.,]*\w)", paragraph))
+        cfg = RunConfig()
+        settings = [f.name for f in dataclasses.fields(cfg) if f.name not in (
+            "dictionary", "ad_domains", "year_range",
+        )]
+        written = {name: getattr(cfg, name) for name in settings}
+        assert {name: stated.get(name) for name in settings} == {
+            name: ",".join(value) if isinstance(value, tuple) else str(value)
+            for name, value in written.items()
+        }
 
     @pytest.mark.parametrize("groups", [("R", "R"), ("N", "W", "N"), (), ("X",)])
     def test_spec_groups_are_held_to_the_rule_of_groups(self, groups):

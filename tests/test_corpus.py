@@ -259,7 +259,7 @@ class TestPoliticalFilter:
 
     def test_frozen_score(self):
         model = self._model()
-        decision = apply_political_filter(model, "senate vote")
+        decision = apply_political_filter(model, "senate vote", threshold=0.5)
         assert decision.score == pytest.approx(0.9969595711705566, abs=1e-12)
         assert decision.is_political
 
@@ -270,7 +270,7 @@ class TestPoliticalFilter:
 
     def test_celebrity_text_scores_low(self):
         model = self._model()
-        decision = apply_political_filter(model, "album premiere carpet")
+        decision = apply_political_filter(model, "album premiere carpet", threshold=0.5)
         assert decision.score < 0.5
 
     def test_single_topic_rejected(self):
@@ -300,7 +300,7 @@ class TestPoliticalFilter:
             granularity_text(extract_article(parse_html(doc.html)), "HC")
             for doc in demo_docs + drift_docs
         ]
-        assert [apply_political_filter(model, text).score for text in texts] == [
+        assert [apply_political_filter(model, text, 0.5).score for text in texts] == [
             _reference_score(reference, text) for text in texts
         ]
 

@@ -13,6 +13,7 @@ import pytest
 import veritag.evaluation
 import veritag.featureset
 import veritag.models.baseline
+import veritag.resources
 from veritag import (
     LABEL_TO_CLASS,
     ConfigError,
@@ -350,7 +351,8 @@ class TestExtractOnce:
                     for d in train
                 ]
                 pipeline = train_baseline_pipeline(
-                    texts, y_train, spec.granularity, resources.dictionary, settings
+                    texts, y_train, spec.granularity, resources.dictionary, settings,
+                    min_df=spec.min_df,
                 )
             predictions, _ = pipeline.predict_documents(
                 test, resources.dictionary, resources.tagger, resources.ad_domains
@@ -368,20 +370,22 @@ class TestExtractOnce:
         calls = _count_parses(monkeypatch)
         feature_grid_eval(  # one process, so every parse reaches the counter
             docs, PipelineSpec(kind=kind), resources,
-            [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2, jobs=1,
+            [("N",), ("L",), ("R",), ("W",), ("N", "L", "R", "W")], k=2, seed=0, jobs=1,
         )
         assert sorted(calls) == sorted(d.html for d in docs)
 
     def test_grid_refuses_a_cell_without_groups(self, demo_docs, resources, monkeypatch):
         calls = _count_parses(monkeypatch)
         with pytest.raises(ConfigError, match="at least one feature group"):
-            feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ()], k=2)
+            feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ()], k=2, seed=0)
         assert calls == []
 
     def test_grid_refuses_a_cell_with_a_repeated_group(self, demo_docs, resources, monkeypatch):
         calls = _count_parses(monkeypatch)
         with pytest.raises(ConfigError, match="twice"):
-            feature_grid_eval(demo_docs, PipelineSpec(), resources, [("R",), ("N", "R", "N")], k=2)
+            feature_grid_eval(
+                demo_docs, PipelineSpec(), resources, [("R",), ("N", "R", "N")], k=2, seed=0
+            )
         assert calls == []
 
     @pytest.mark.parametrize("protocol", ["cv", "temporal"])
@@ -471,11 +475,10 @@ class TestTermFrequencyReport:
         report = term_frequency_report(docs, n_top=2)
         assert report.per_year[2016] == [("alpha", 3), ("beta", 2)]
 
-    def test_custom_stopword_list(self):
+    def test_custom_stopword_list(self, monkeypatch):
         docs = [_doc(1, 2016, "alpha", "alpha beta.")]
-        report = term_frequency_report(
-            docs, n_top=10, stopword_list=frozenset({"alpha"})
-        )
+        monkeypatch.setattr(veritag.resources, "stopwords", lambda: frozenset({"alpha"}))
+        report = term_frequency_report(docs, n_top=10)
         assert report.per_year[2016] == [("beta", 1)]
 
 
@@ -496,7 +499,6 @@ class TestCsvWriters:
         report = TemporalReport(
             years=(2016, 2017),
             cells={(2017, 2016): 1.0, (2016, 2017): 0.25},
-            train_means={2017: 1.0, 2016: 0.25},
             config={"a": 1},
         )
         path = tmp_path / "temporal.csv"

@@ -134,7 +134,7 @@ class TestBuildSchema:
         from veritag.errors import InvariantError
 
         with pytest.raises(InvariantError):
-            FeatureSchema(names=("N.DT", "N.DT"), granularity="H", groups=("N",))
+            FeatureSchema(names=("N.DT", "N.DT"), granularity="H", groups=("N",), pruning="none")
 
 
 class TestOneNameListPerGroup:
@@ -506,7 +506,7 @@ class TestSchemaIo:
 
     def test_a_repeated_group_is_refused(self, tmp_path):
         with pytest.raises(ConfigError, match="none twice"):
-            FeatureSchema(names=("R.FK",), granularity="HC", groups=("R", "R"))
+            FeatureSchema(names=("R.FK",), granularity="HC", groups=("R", "R"), pruning="none")
         path = tmp_path / "schema.json"
         path.write_text(json.dumps(
             {"format_version": 1, "names": ["R.FK"], "granularity": "HC", "groups": ["R", "R"]}

@@ -129,6 +129,12 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politic
             },
         }),
         (PoliticalFilterModel.load, {**_FILTER, "vocabulary": ["vote", "tax"]}),
+        (PoliticalFilterModel.load, {**_FILTER, "feature_log_likelihoods": {
+            "vote": {"politics": -1.0, "b": -2.0}, "zzz": {"politics": -1.0, "b": -2.0},
+        }}),
+        (PoliticalFilterModel.load, {
+            **_FILTER, "feature_log_likelihoods": {"vote": {"politics": -1.0, "b": -2.0, "c": 5.0}},
+        }),
     ],
     ids=[
         "filter-vocabulary", "filter-idf", "filter-likelihoods", "filter-priors-sum",
@@ -136,6 +142,7 @@ _FILTER = {"kind": "political-filter", "format_version": 1, "classes": ["politic
         "filter-term-without-likelihoods", "filter-term-lacking-a-class",
         "filter-class-without-prior", "filter-no-classes", "filter-repeated-class",
         "filter-vocabulary-lacks-a-term", "filter-vocabulary-extra-term",
+        "filter-likelihood-extra-term", "filter-likelihood-extra-class",
     ],
 )
 def test_wrong_shape_is_bad_input(load, payload, tmp_path):
@@ -174,7 +181,7 @@ def test_jsonl_splits_only_at_line_ends(tmp_path):
     assert load_topic_corpus(path) == [(t, "p") for t in texts]
 
 
-_SCHEMA = FeatureSchema(names=("R.FK",), granularity="HC", groups=("R",))
+_SCHEMA = FeatureSchema(names=("R.FK",), granularity="HC", groups=("R",), pruning="none")
 
 
 def _write_model(path):

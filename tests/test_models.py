@@ -76,7 +76,7 @@ class TestSvm:
 
     def test_margin_sign_decides_class(self):
         X, y = _separated_set(seed=5)
-        model = svm_train(X, y)
+        model = svm_train(X, y, C=0.1)
         classes, margins = svm_predict(model, X)
         assert np.array_equal(classes == 1, margins > 0.0)
 
@@ -96,11 +96,11 @@ class TestSvm:
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            svm_train(np.ones((4, 2)), np.zeros(4, dtype=int))
+            svm_train(np.ones((4, 2)), np.zeros(4, dtype=int), C=0.1)
 
     def test_non_binary_rejected(self):
         with pytest.raises(DataError):
-            svm_train(np.ones((3, 2)), np.array([0, 1, 2]))
+            svm_train(np.ones((3, 2)), np.array([0, 1, 2]), C=0.1)
 
     def test_nonpositive_cost_rejected(self):
         X, y = _separated_set(n=20)
@@ -109,7 +109,7 @@ class TestSvm:
 
     def test_wrong_width_prediction_rejected(self):
         X, y = _separated_set(n=20)
-        model = svm_train(X, y)
+        model = svm_train(X, y, C=0.1)
         with pytest.raises(DataError):
             svm_predict(model, np.ones((1, 5)))
 
@@ -341,7 +341,7 @@ class TestSvmMargins:
 
 
 _TRAIN_AND_PREDICT = {
-    "svm": (lambda X, y: svm_train(X, y), svm_predict),
+    "svm": (lambda X, y: svm_train(X, y, C=0.1), svm_predict),
     "knn": (lambda X, y: knn_train(X, y, k=3), knn_predict),
     "rf": (lambda X, y: rf_train(X, y, n_trees=5, seed=0), rf_predict),
 }
@@ -406,7 +406,7 @@ class TestRandomForest:
 def _tag_pipeline(seed=0, classifier="svm"):
     rng = np.random.default_rng(seed)
     schema = FeatureSchema(
-        names=("R.W", "R.STC", "R.SY"), granularity="HC", groups=("R",)
+        names=("R.W", "R.STC", "R.SY"), granularity="HC", groups=("R",), pruning="none"
     )
     y = rng.integers(0, 2, size=60)
     X = np.column_stack([y * 3.0 + rng.normal(0, 0.1, 60),
@@ -435,14 +435,14 @@ class TestTagPipeline:
         pipeline, _, _ = _tag_pipeline()
         texts = _texts("HC", demo_dictionary)
         parts = (
-            {"featurizer": BaselineFeaturizer.fit(texts, "HC", demo_dictionary)} if featurizer
-            else {"schema": None}
+            {"featurizer": BaselineFeaturizer.fit(texts, "HC", demo_dictionary, min_df=2)}
+            if featurizer else {"schema": None}
         )
         with pytest.raises(ConfigError, match="exactly one of a schema and a featurizer"):
             dataclasses.replace(pipeline, **parts)
 
     def test_matrix_schema_mismatch_rejected(self):
-        schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",), pruning="none")
         settings = ClassifierSettings(name="svm", c=1.0, k=3, trees=5, seed=0)
         with pytest.raises(DataError):
             train_tag_pipeline(np.ones((4, 2)), np.array([0, 1, 0, 1]), schema, settings)
@@ -451,7 +451,7 @@ class TestTagPipeline:
     def test_labels_other_than_0_and_1_are_refused(self, name):
         # a model file holds classes 0 and 1, so any other label would give
         # a model that cannot be loaded
-        schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=("R.W",), granularity="HC", groups=("R",), pruning="none")
         settings = ClassifierSettings(name=name, c=1.0, k=1, trees=2, seed=0)
         with pytest.raises(DataError, match="labels must be 0/1"):
             train_tag_pipeline(np.arange(4.0)[:, None], np.array([0, 2, 0, 2]), schema, settings)
@@ -517,7 +517,7 @@ class TestBaselinePipeline:
     def test_empty_corpus_rejected(self, demo_dictionary):
         settings = ClassifierSettings(name="svm", c=1.0, k=1, trees=5, seed=0)
         with pytest.raises(DataError):
-            train_baseline_pipeline([], np.array([]), "HC", demo_dictionary, settings)
+            train_baseline_pipeline([], np.array([]), "HC", demo_dictionary, settings, min_df=2)
 
 
 def _reference_baseline(train, test, granularity, dictionary, min_df):
@@ -746,6 +746,7 @@ class TestMutatedModelPayload:
         (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary)
         pipelines["baseline-svm"] = train_baseline_pipeline(
             texts, document_labels(demo_docs), "HC", resources.dictionary, ClassifierSettings(),
+            min_df=2,
         )
         path = tmp_path_factory.mktemp("models") / "model.bin"
         out = {}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import veritag.resources
 from veritag.linguistics import (
     READABILITY_FEATURES,
     count_syllables,
@@ -88,14 +89,15 @@ class TestEdgeCases:
         r = readability_features(tokenize("An excellent lengthy word set."))
         assert r["LW"] == 2
 
-    def test_stopword_percentage(self):
-        stop = frozenset({"the", "on"})
-        r = readability_features(tokenize("The cat sat on the mat."), stopwords=stop)
+    def test_stopword_percentage(self, monkeypatch):
+        monkeypatch.setattr(veritag.resources, "stopwords", lambda: frozenset({"the", "on"}))
+        r = readability_features(tokenize("The cat sat on the mat."))
         assert r["PS"] == pytest.approx(50.0)
 
-    def test_difficult_words_against_easy_list(self):
+    def test_difficult_words_against_easy_list(self, monkeypatch):
         easy = frozenset({"the", "cat", "sat", "on", "mat"})
-        r = readability_features(tokenize("The cat sat on the mat."), easy_words=easy)
+        monkeypatch.setattr(veritag.resources, "easy_words", lambda: easy)
+        r = readability_features(tokenize("The cat sat on the mat."))
         assert r["DW"] == 0
 
     def test_feature_name_table_matches_keys(self):

@@ -176,23 +176,23 @@ class TestL1Score:
         y = rng.integers(0, 2, size=100)
         X = self._standardized(np.column_stack([y + rng.normal(0, 0.5, 100), rng.normal(size=100)]))
         with caplog.at_level("WARNING", logger="veritag"):
-            capped = l1_score(X, y, max_sweeps=1)
+            capped = l1_score(X, y, lam=0.05, max_sweeps=1)
         warnings = [r.getMessage() for r in caplog.records]
         assert len(warnings) == 1
         assert "1-sweep cap" in warnings[0] and "largest step" in warnings[0]
         assert capped.shape == (2,)
         caplog.clear()
         with caplog.at_level("WARNING", logger="veritag"):
-            l1_score(X, y)
+            l1_score(X, y, lam=0.05)
         assert caplog.records == []
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(DataError):
-            l1_score(np.ones((4, 1)), np.array([0, 1, 2, 1]))
+            l1_score(np.ones((4, 1)), np.array([0, 1, 2, 1]), lam=0.05)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
-            l1_score(np.ones((4, 1)), np.zeros(4, dtype=int))
+            l1_score(np.ones((4, 1)), np.zeros(4, dtype=int), lam=0.05)
 
 
 def _reference_l1_score(X, y, lam=0.05, tol=1e-6, max_sweeps=10_000):
@@ -443,7 +443,7 @@ class TestSelectFeatures:
         X, y, names = _synthetic_selection_problem()
         from veritag import FeatureSchema
 
-        schema = FeatureSchema(names=names, granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=names, granularity="HC", groups=("R",), pruning="none")
         pruned, scores = select_features(X, y, schema, seed=0)
         assert "R.W" in pruned.names
         assert "R.STC" not in pruned.names
@@ -454,7 +454,7 @@ class TestSelectFeatures:
         X, y, names = _synthetic_selection_problem(seed=1)
         from veritag import FeatureSchema
 
-        schema = FeatureSchema(names=names, granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=names, granularity="HC", groups=("R",), pruning="none")
         pruned, _ = select_features(X, y, schema, seed=0)
         positions = [schema.names.index(n) for n in pruned.names]
         assert positions == sorted(positions)
@@ -467,7 +467,9 @@ class TestSelectFeatures:
         rng = np.random.default_rng(31)
         y = np.array([0, 1] * 30)
         X = np.column_stack([np.full(60, 1.0), rng.normal(size=60)])
-        schema = FeatureSchema(names=("R.W", "R.STC"), granularity="HC", groups=("R",))
+        schema = FeatureSchema(
+            names=("R.W", "R.STC"), granularity="HC", groups=("R",), pruning="none"
+        )
         with pytest.raises(DataError):
             select_features(X, y, schema, seed=0)
 
@@ -475,7 +477,7 @@ class TestSelectFeatures:
         X, y, names = _synthetic_selection_problem(seed=2, n=120)
         from veritag import FeatureSchema
 
-        schema = FeatureSchema(names=names, granularity="HC", groups=("R",))
+        schema = FeatureSchema(names=names, granularity="HC", groups=("R",), pruning="none")
         _, scores = select_features(X, y, schema, seed=0)
         path = tmp_path / "importance.csv"
         write_importance_report(path, scores)

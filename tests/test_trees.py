@@ -265,7 +265,9 @@ model = rf_train(X, y, n_trees=2, seed=0)
 pipeline = TrainedPipeline(
     classifier_name="rf", classifier=model,
     standardizer=StandardizerParams(mean=np.zeros(d), stddev=np.ones(d)),
-    schema=FeatureSchema(names=tuple(f"R.x{{i}}" for i in range(d)), granularity="HC", groups=("R",)),
+    schema=FeatureSchema(
+        names=tuple(f"R.x{{i}}" for i in range(d)), granularity="HC", groups=("R",), pruning="none"
+    ),
 )
 save_pipeline(pipeline, {str(tmp_path / "deep.model")!r})
 classes, scores = load_pipeline({str(tmp_path / "deep.model")!r}).predict_matrix(X)

@@ -462,20 +462,20 @@ class TestUsers:
             spec = PipelineSpec(kind="baseline")
             (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary)
             pipeline = train_baseline_pipeline(
-                texts, y, "HC", resources.dictionary, ClassifierSettings()
+                texts, y, "HC", resources.dictionary, ClassifierSettings(), min_df=2
             )
         page_rounds()
         pipeline.predict_documents(
             drift_docs, resources.dictionary, resources.tagger, resources.ad_domains
         )
         assert handed(drift_docs)
-        kfold_cv(demo_docs, spec, resources, k=3)
+        kfold_cv(demo_docs, spec, resources, k=3, seed=0)
         assert handed(demo_docs)
         temporal_eval(drift_docs, spec, resources)
         assert handed(drift_docs)
         cross_domain_eval(demo_docs, drift_docs, spec, resources, ["svm"])
         assert handed(demo_docs + drift_docs)
-        feature_grid_eval(demo_docs, spec, resources, [("R",), ("W",)], k=3)
+        feature_grid_eval(demo_docs, spec, resources, [("R",), ("W",)], k=3, seed=0)
         assert handed(demo_docs)
 
     def test_a_single_page_never_forks(
@@ -484,7 +484,8 @@ class TestUsers:
         _three_cpus(monkeypatch)
         (texts,) = document_texts(demo_docs, ["HC"], resources.dictionary, jobs=1)
         pipeline = train_baseline_pipeline(
-            texts, document_labels(demo_docs), "HC", resources.dictionary, ClassifierSettings()
+            texts, document_labels(demo_docs), "HC", resources.dictionary, ClassifierSettings(),
+            min_df=2,
         )
         classes, _ = pipeline.predict_documents(demo_docs[:1])
         assert classes.tolist() == pipeline.predict_matrix(
@@ -512,7 +513,7 @@ class TestUsers:
         scores = {tree_importance(X, y, 30, seed=5, jobs=jobs).tobytes() for jobs in (1, 2, 3)}
         assert len(scores) == 1
         schema = FeatureSchema(names=tuple(f"R.{i}" for i in range(9)), granularity="HC",
-                               groups=("R",))
+                               groups=("R",), pruning="none")
         selections = [
             select_features(X, y, schema, trees=30, seed=5, jobs=jobs) for jobs in (1, 2, 3)
         ]
@@ -524,7 +525,7 @@ class TestUsers:
 
 def test_a_dead_child_leaves_a_protocol_as_a_serial_run(demo_docs, resources, monkeypatch):
     _three_cpus(monkeypatch)
-    expected = kfold_cv(demo_docs, PipelineSpec(), resources, k=3, jobs=1)
+    expected = kfold_cv(demo_docs, PipelineSpec(), resources, k=3, seed=0, jobs=1)
     score = veritag.evaluation._Fitter.score
 
     def dying(self, *args):
@@ -534,7 +535,7 @@ def test_a_dead_child_leaves_a_protocol_as_a_serial_run(demo_docs, resources, mo
         return score(self, *args)
 
     monkeypatch.setattr(veritag.evaluation._Fitter, "score", dying)
-    assert kfold_cv(demo_docs, PipelineSpec(), resources, k=3, jobs=3) == expected
+    assert kfold_cv(demo_docs, PipelineSpec(), resources, k=3, seed=0, jobs=3) == expected
 
 
 def _report(argv, tmp_path, name):
